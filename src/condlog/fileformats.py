@@ -12,7 +12,8 @@ hold numbered lines with axiom or rule justifications.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Optional, Sequence
+from collections.abc import Mapping
+from typing import Any, Optional, Sequence
 
 from .hilbert import (
     LOGICS,
@@ -43,6 +44,41 @@ def _require(doc: Mapping, key: str, context: str) -> Any:
     return doc[key]
 
 
+_SHAPES = {Mapping: "an object", list: "a list"}
+
+
+def _shaped(value: Any, shape: type, what: str) -> Any:
+    """The value itself, when it is a JSON object or list as required."""
+    if not isinstance(value, shape):
+        raise DocumentError(
+            f"{what} must be {_SHAPES[shape]}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _names(value: Any, what: str) -> list[str]:
+    if (
+        not isinstance(value, list)
+        or not value
+        or not all(isinstance(name, str) for name in value)
+        or len(set(value)) != len(value)
+    ):
+        raise DocumentError(
+            f"{what} must be a nonempty list of distinct names, "
+            f"got {type(value).__name__} {value!r:.60}"
+        )
+    return value
+
+
+def _world_pair(value: Any, worlds: Sequence[str], what: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise DocumentError(f"{what} {value!r:.60} is not a pair")
+    return (
+        _index_of(value[0], worlds, "world"),
+        _index_of(value[1], worlds, "world"),
+    )
+
+
 def _index_of(name: str, names: Sequence[str], what: str) -> int:
     try:
         return names.index(name)
@@ -50,16 +86,22 @@ def _index_of(name: str, names: Sequence[str], what: str) -> int:
         raise DocumentError(f"unknown {what} {name!r}") from None
 
 
+def _is_numeral(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def _parse_predicate_key(key: str, arity_hint: Optional[int]) -> Predicate:
     name, slash, arity_text = key.partition("/")
     letters = {"F": 0, "G": 1, "H": 2, "A": 0, "B": 1, "C": 2, "P": 0}
-    if name.startswith("P") and name[1:].isdigit():
+    if name.startswith("P") and _is_numeral(name[1:]):
         index = int(name[1:])
     elif name in letters:
         index = letters[name]
     else:
         raise DocumentError(f"bad predicate name {key!r}")
     if slash:
+        if not _is_numeral(arity_text):
+            raise DocumentError(f"bad arity in predicate name {key!r}")
         return Predicate(index, int(arity_text))
     if arity_hint is None:
         raise DocumentError(
@@ -70,32 +112,28 @@ def _parse_predicate_key(key: str, arity_hint: Optional[int]) -> Predicate:
 
 def load_model(doc: Mapping) -> Model:
     """Build a model from a parsed JSON document, validating the frame
-    invariants; raises DocumentError naming the offending entry."""
+    invariants; raises DocumentError naming the offending entry, also
+    when an entry has the wrong JSON shape."""
+    _shaped(doc, Mapping, "model document")
     kind = _require(doc, "kind", "model")
     if kind not in ("selection", "ordering", "quasi-selection"):
         raise DocumentError(f"unknown kind {kind!r}")
-    worlds = list(_require(doc, "worlds", "model"))
-    if not worlds or len(set(worlds)) != len(worlds):
-        raise DocumentError("worlds must be a nonempty list of distinct names")
-    domain = list(_require(doc, "domain", "model"))
-    if not domain or len(set(domain)) != len(domain):
-        raise DocumentError("domain must be a nonempty list of distinct names")
+    worlds = _names(_require(doc, "worlds", "model"), "worlds")
+    domain = _names(_require(doc, "domain", "model"), "domain")
     n, nd = len(worlds), len(domain)
 
     r = [0] * n
-    for pair in doc.get("R", []):
-        if len(pair) != 2:
-            raise DocumentError(f"R entry {pair!r} is not a pair")
-        w = _index_of(pair[0], worlds, "world")
-        v = _index_of(pair[1], worlds, "world")
+    for pair in _shaped(doc.get("R", []), list, "R"):
+        w, v = _world_pair(pair, worlds, "R entry")
         r[w] |= 1 << v
 
     local: Optional[list[int]] = None
     if "localDomains" in doc:
         local = [0] * n
-        for wname, elements in doc["localDomains"].items():
+        local_doc = _shaped(doc["localDomains"], Mapping, "localDomains")
+        for wname, elements in local_doc.items():
             w = _index_of(wname, worlds, "world")
-            for el in elements:
+            for el in _shaped(elements, list, f"localDomains of {wname}"):
                 local[w] |= 1 << _index_of(el, domain, "domain element")
 
     frame: "SelectionFrame | OrderingFrame | QuasiSelectionFrame"
@@ -117,14 +155,18 @@ def load_model(doc: Mapping) -> Model:
         raise DocumentError(str(err)) from None
 
     interp: dict[Predicate, dict[int, frozenset]] = {}
-    for key, per_world in doc.get("interpretation", {}).items():
-        arity_hint = None
-        for tuples in per_world.values():
-            for tup in tuples:
-                arity_hint = len(tup)
-                break
-            if arity_hint is not None:
-                break
+    interp_doc = _shaped(doc.get("interpretation", {}), Mapping, "interpretation")
+    for key, per_world in interp_doc.items():
+        if not isinstance(key, str):
+            raise DocumentError(f"bad predicate name {key!r}")
+        context = f"interpretation of {key}"
+        _shaped(per_world, Mapping, context)
+        for wname, tuples in per_world.items():
+            for tup in _shaped(tuples, list, f"{context} at {wname}"):
+                _shaped(tup, list, f"tuple of {context} at {wname}")
+        arity_hint = next(
+            (len(tup) for tuples in per_world.values() for tup in tuples), None
+        )
         pred = _parse_predicate_key(key, arity_hint)
         slot: dict[int, frozenset] = {}
         for wname, tuples in per_world.items():
@@ -149,14 +191,15 @@ def load_model(doc: Mapping) -> Model:
 def _selection_frame(doc, worlds, domain, r, local) -> SelectionFrame:
     default = _require(doc, "default", "selection model")
     entries: dict[tuple[int, int], int] = {}
-    for i, entry in enumerate(doc.get("selection", [])):
+    for i, entry in enumerate(_shaped(doc.get("selection", []), list, "selection")):
         context = f"selection entry {i}"
+        _shaped(entry, Mapping, context)
         p = 0
-        for name in _require(entry, "P", context):
+        for name in _shaped(_require(entry, "P", context), list, f"{context} P"):
             p |= 1 << _index_of(name, worlds, "world")
         w = _index_of(_require(entry, "w", context), worlds, "world")
         out = 0
-        for name in _require(entry, "out", context):
+        for name in _shaped(_require(entry, "out", context), list, f"{context} out"):
             out |= 1 << _index_of(name, worlds, "world")
         entries[(p, w)] = out
     return SelectionFrame.build(
@@ -173,19 +216,13 @@ def _selection_frame(doc, worlds, domain, r, local) -> SelectionFrame:
 
 def _ordering_frame(order_doc, worlds, domain, r, local) -> OrderingFrame:
     pairs: dict[int, list[tuple[int, int]]] = {}
-    for wname, entry_pairs in order_doc.items():
+    for wname, entry_pairs in _shaped(order_doc, Mapping, "order").items():
         w = _index_of(wname, worlds, "world")
-        lst = []
-        for pair in entry_pairs:
-            if len(pair) != 2:
-                raise DocumentError(f"order entry {pair!r} at {wname} is not a pair")
-            lst.append(
-                (
-                    _index_of(pair[0], worlds, "world"),
-                    _index_of(pair[1], worlds, "world"),
-                )
-            )
-        pairs[w] = lst
+        context = f"order entry at {wname}"
+        pairs[w] = [
+            _world_pair(pair, worlds, context)
+            for pair in _shaped(entry_pairs, list, f"order at {wname}")
+        ]
     return OrderingFrame.build(
         len(worlds), r, pairs, len(domain), local, tuple(worlds), tuple(domain)
     )

@@ -8,17 +8,27 @@ smaller world ceiling than single-subset ones, since they cost 4^|W|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .semantics import (
     OrderingFrame,
     ResourceGuard,
     SelectionFrame,
     _bits,
+    frame_valid,
 )
-
-if TYPE_CHECKING:
-    from .syntax import Formula
+from .syntax import (
+    And,
+    Atom,
+    Cond,
+    Forall,
+    Formula,
+    Imp,
+    Not,
+    Or,
+    Predicate,
+    Variable,
+)
 
 SELECTION_CONDITIONS = (
     "Success",
@@ -419,16 +429,13 @@ class CorrespondenceResult:
         }
 
 
-def correspondence_instances() -> "list[tuple[str, Formula]]":
-    """The finite instance family used by the correspondence check."""
-    from .syntax import And, Atom, Cond, Forall, Imp, Not, Or, Predicate, Variable
-
+def _instance_family() -> tuple[tuple[str, Formula], ...]:
     x, y = Variable(0), Variable(1)
     a = Atom(Predicate(0, 1), (x,))
     b = Atom(Predicate(1, 1), (x,))
     c = Atom(Predicate(2, 1), (x,))
     ay = Atom(Predicate(0, 1), (y,))
-    return [
+    return (
         ("identity (19)", Cond(a, a)),
         ("weak centering (21)", Imp(Cond(a, b), Imp(a, b))),
         ("excluded middle (22)", Or(Cond(a, b), Cond(a, Not(b)))),
@@ -444,7 +451,16 @@ def correspondence_instances() -> "list[tuple[str, Formula]]":
                 Cond(b, c),
             ),
         ),
-    ]
+    )
+
+
+# Built once: the sweeps check the same six formulas on every frame.
+_INSTANCE_FAMILY = _instance_family()
+
+
+def correspondence_instances() -> list[tuple[str, Formula]]:
+    """The finite instance family used by the correspondence check."""
+    return list(_INSTANCE_FAMILY)
 
 
 def qc2_correspondence_check(
@@ -454,8 +470,6 @@ def qc2_correspondence_check(
 ) -> CorrespondenceResult:
     """Instance-family validity versus (weakly Stalnakerian and globally
     constant), checked independently; the two verdicts should coincide."""
-    from .semantics import frame_valid
-
     props = check_selection_props(frame)
     domains = check_domain_props(frame)
     properties_hold = props.weakly_stalnakerian and domains.verdicts["GloballyConstant"]

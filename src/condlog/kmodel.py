@@ -1013,7 +1013,8 @@ def _pool_denotations(pool, g, jobs: int) -> list[KSet]:
     for lane, chunk_result in enumerate(results):
         for j, den in enumerate(chunk_result):
             out[lane + j * jobs] = den
-    assert all(d is not None for d in out)
+    if any(d is None for d in out):
+        raise KModelError("a worker returned fewer denotations than its chunk")
     return out  # type: ignore[return-value]
 
 

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .frameprops import check_selection_props
-from .semantics import Model, ResourceGuard, SelectionFrame, _bits, evaluate
+from .semantics import (
+    Model,
+    ResourceGuard,
+    SelectionFrame,
+    SemanticsError,
+    _bits,
+    evaluate,
+)
 from .syntax import (
     Atom,
     Cond,
@@ -43,6 +50,11 @@ _CONDITION_NAMES = (
     "RationalMonotonicity",
     "GloballyConstant",
 )
+
+
+class ReplayError(SemanticsError):
+    """A witness found by a search failed its replay through the generic
+    evaluator: the search and the evaluator disagree."""
 
 
 @dataclass(frozen=True)
@@ -136,67 +148,69 @@ def _submasks(mask: int) -> tuple[int, ...]:
     return tuple(subs)
 
 
-def _apply_world_perm(
-    n: int, perm: Sequence[int], r: Sequence[int], rows: Sequence[Sequence[int]]
-) -> tuple[list[int], list[list[int]]]:
-    """perm maps old world index -> new index."""
-    def pmask(mask: int) -> int:
-        out = 0
-        for b in _bits(mask):
-            out |= 1 << perm[b]
-        return out
-
-    new_r = [0] * n
-    new_rows = [[0] * (1 << n) for _ in range(n)]
-    for w in range(n):
-        new_r[perm[w]] = pmask(r[w])
-    for w in range(n):
-        for p in range(1 << n):
-            new_rows[perm[w]][pmask(p)] = pmask(rows[w][p])
-    return new_r, new_rows
+# A permutation of range(k) as (inverse, image, preimage): inverse[new] is
+# the old index, image[mask] and preimage[mask] the mask mapped forward and
+# back.
+_PermTable = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def _apply_domain_perm(nd: int, perm: Sequence[int], local: Sequence[int]) -> list[int]:
+def _perm_tables(k: int) -> list[_PermTable]:
+    """The table of every permutation of range(k), in
+    itertools.permutations order."""
     out = []
-    for mask in local:
-        m = 0
-        for b in _bits(mask):
-            m |= 1 << perm[b]
-        out.append(m)
+    for perm in itertools.permutations(range(k)):
+        inv = [0] * k
+        for old, new in enumerate(perm):
+            inv[new] = old
+        image = [0] * (1 << k)
+        preimage = [0] * (1 << k)
+        for mask in range(1 << k):
+            for b in _bits(mask):
+                image[mask] |= 1 << perm[b]
+                preimage[mask] |= 1 << inv[b]
+        out.append((tuple(inv), tuple(image), tuple(preimage)))
     return out
 
 
 def _table_automorphisms(
-    n: int, r: Sequence[int], rows: Sequence[Sequence[int]]
-) -> Optional[list[tuple[int, ...]]]:
-    """World permutations fixing (R, table); None when a smaller image
-    exists (the table is not canonical)."""
-    base = (tuple(r), tuple(tuple(row) for row in rows))
+    r: tuple[int, ...],
+    table: tuple[tuple[int, ...], ...],
+    wperms: Sequence[_PermTable],
+) -> Optional[list[_PermTable]]:
+    """World permutations fixing (R, table), as entries of ``wperms``; None
+    when a smaller image exists (the table is not canonical).
+
+    The image of (R, table) under a permutation has R'(v) = pi(R(pi^-1 v))
+    and f'(P, v) = pi(f(pi^-1 P, pi^-1 v)); comparing R' first decides the
+    lexicographic order of the pair whenever R' differs from R."""
     auts = []
-    for wperm in itertools.permutations(range(n)):
-        new_r, new_rows = _apply_world_perm(n, wperm, r, rows)
-        cand = (tuple(new_r), tuple(tuple(row) for row in new_rows))
-        if cand < base:
+    for wperm in wperms:
+        inv, image, preimage = wperm
+        new_r = tuple(image[r[old]] for old in inv)
+        if new_r > r:
+            continue
+        if new_r < r:
             return None
-        if cand == base:
+        new_table = tuple(
+            tuple(image[row[p]] for p in preimage)
+            for row in (table[old] for old in inv)
+        )
+        if new_table < table:
+            return None
+        if new_table == table:
             auts.append(wperm)
     return auts
 
 
 def _local_canonical(
-    n: int,
-    nd: int,
-    local: Sequence[int],
-    auts: Sequence[tuple[int, ...]],
-    dperms: Sequence[tuple[int, ...]],
+    local: tuple[int, ...],
+    auts: Sequence[_PermTable],
+    dperms: Sequence[_PermTable],
 ) -> bool:
-    base = tuple(local)
-    for wperm in auts:
-        permuted = [0] * n
-        for w in range(n):
-            permuted[wperm[w]] = local[w]
-        for dperm in dperms:
-            if tuple(_apply_domain_perm(nd, dperm, permuted)) < base:
+    for inv, _image, _preimage in auts:
+        permuted = [local[old] for old in inv]
+        for _dinv, dimage, _dpreimage in dperms:
+            if tuple(dimage[mask] for mask in permuted) < local:
                 return False
     return True
 
@@ -211,6 +225,10 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
     deduplicated canonically: tables must be lexicographically minimal
     under world permutation, local domains minimal under the table's
     automorphisms and domain permutation.
+
+    The permutation tables (inverse and mask images of every world
+    permutation) are built once per world count, and those of the domain
+    permutations once per domain size; the canonicity checks index them.
     """
     if params.max_worlds > params.hard_world_limit:
         raise ResourceGuard(
@@ -220,33 +238,34 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
     constrained = {"Success", "WeakCentering", "Uniqueness"} <= conditions
     success_only = not constrained and "Success" in conditions
     post = [c for c in conditions if c != "GloballyConstant"]
+    dperms_of = {nd: _perm_tables(nd) for nd in range(1, params.max_domain + 1)}
     for n in range(1, params.max_worlds + 1):
+        wperms = _perm_tables(n)
         for nd in range(1, params.max_domain + 1):
             if "GloballyConstant" in conditions:
                 local_list = [((1 << nd) - 1,) * n]
             else:
                 local_list = list(itertools.product(range(1 << nd), repeat=n))
-            dperms = list(itertools.permutations(range(nd)))
+            dperms = dperms_of[nd]
             for r in _relations(n, params.policy):
                 if constrained and any(not r[w] & (1 << w) for w in range(n)):
                     continue  # weak centering forces reflexivity
-                for rows in itertools.product(
+                for table in itertools.product(
                     *(
                         _table_rows(n, w, r[w], constrained, success_only)
                         for w in range(n)
                     )
                 ):
-                    auts = _table_automorphisms(n, r, rows)
+                    auts = _table_automorphisms(r, table, wperms)
                     if auts is None:
                         continue
-                    table = tuple(tuple(row) for row in rows)
                     if post:
                         probe = SelectionFrame(n, tuple(r), table, 1, ((1,) * n))
                         report = check_selection_props(probe)
                         if not all(report.verdicts.get(c, False) for c in post):
                             continue
                     for local in local_list:
-                        if _local_canonical(n, nd, local, auts, dperms):
+                        if _local_canonical(local, auts, dperms):
                             yield SelectionFrame(
                                 n, tuple(r), table, nd, tuple(local)
                             )
@@ -305,19 +324,33 @@ def ds_sweep(params: EnumerationParams) -> SearchOutcome:
     the enumerated frames and every interpretation of F.
 
     Over weakly Stalnakerian frames no satisfying point should exist; the
-    control runs drop conditions to confirm the sweep can find one."""
+    control runs drop conditions to confirm the sweep can find one.
+
+    The interpretations of F and their per-element F-masks depend only on
+    (|W|, |D|), so they are built once per pair and reused for every frame
+    of that size."""
     outcome = SearchOutcome(found=False)
     ds = build_ds()
+    interps_of: dict[tuple[int, int], list[tuple[tuple[int, ...], list[int]]]] = {}
     for frame in enumerate_frames(params):
         outcome.frames_enumerated += 1
         n, nd = frame.n_worlds, frame.n_domain
-        for interp_bits in itertools.product(range(1 << nd), repeat=n):
-            masks = _f_masks(interp_bits, nd, n)
+        interps = interps_of.get((n, nd))
+        if interps is None:
+            interps = interps_of[(n, nd)] = [
+                (interp_bits, _f_masks(interp_bits, nd, n))
+                for interp_bits in itertools.product(range(1 << nd), repeat=n)
+            ]
+        for interp_bits, masks in interps:
             for w in range(n):
                 outcome.points_checked += 1
                 if _ds_holds_fast(frame, masks, w):
                     model = ds_model(frame, interp_bits)
-                    assert evaluate(model, w, {}, ds), "fast path disagrees"
+                    if not evaluate(model, w, {}, ds):
+                        raise ReplayError(
+                            f"fast path disagrees with the evaluator at world {w} "
+                            f"of {frame!r} under F = {interp_bits!r}"
+                        )
                     outcome.found = True
                     outcome.witness = {
                         "frame": frame,
@@ -399,8 +432,11 @@ def compactness_witness(n: int) -> SearchOutcome:
         hit = _compactness_search(n, m, outcome)
         if hit is not None:
             model, w0 = hit
-            res = all(evaluate(model, w0, {}, f) for f in family)
-            assert res, "witness failed replay"
+            if not all(evaluate(model, w0, {}, f) for f in family):
+                raise ReplayError(
+                    f"witness failed replay: the {m}-world model does not "
+                    f"satisfy the {n}-prefix at its evaluation world"
+                )
             outcome.found = True
             outcome.witness = {
                 "model": model,

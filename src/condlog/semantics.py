@@ -319,16 +319,19 @@ def extension(model: Model, g: Assignment, phi: Formula) -> int:
     missing = free_variables(phi) - set(g)
     if missing:
         raise UncoveredVariable(f"assignment misses {sorted(v.index for v in missing)}")
-    fv_cache: dict[int, tuple[Variable, ...]] = {}
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
-    return _ext(model, dict(g), phi, fv_cache, memo)
+    return _ext(model, dict(g), phi, memo)
 
 
-def _node_fv(phi: Formula, fv_cache: dict[int, tuple[Variable, ...]]) -> tuple[Variable, ...]:
-    got = fv_cache.get(id(phi))
-    if got is None:
-        got = tuple(sorted(free_variables(phi), key=lambda v: v.index))
-        fv_cache[id(phi)] = got
+def _node_fv(phi: Formula) -> tuple[Variable, ...]:
+    """The node's free variables in index order, cached on the node (the
+    order depends only on the formula, not on the model)."""
+    try:
+        return phi._fv_ordered  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    got = tuple(sorted(free_variables(phi), key=lambda v: v.index))
+    object.__setattr__(phi, "_fv_ordered", got)
     return got
 
 
@@ -336,10 +339,9 @@ def _ext(
     model: Model,
     g: dict[Variable, int],
     phi: Formula,
-    fv_cache: dict[int, tuple[Variable, ...]],
     memo: dict[tuple[int, tuple[int, ...]], int],
 ) -> int:
-    key = (id(phi), tuple(g[v] for v in _node_fv(phi, fv_cache)))
+    key = (id(phi), tuple(g[v] for v in _node_fv(phi)))
     got = memo.get(key)
     if got is not None:
         return got
@@ -356,10 +358,10 @@ def _ext(
         a = g[phi.arg]
         out = _mask_of(w for w in range(n) if frame.local[w] & (1 << a))
     elif isinstance(phi, Not):
-        out = full & ~_ext(model, g, phi.body, fv_cache, memo)
+        out = full & ~_ext(model, g, phi.body, memo)
     elif isinstance(phi, Imp):
-        out = (full & ~_ext(model, g, phi.left, fv_cache, memo)) | _ext(
-            model, g, phi.right, fv_cache, memo
+        out = (full & ~_ext(model, g, phi.left, memo)) | _ext(
+            model, g, phi.right, memo
         )
     elif isinstance(phi, Forall):
         needed = 0
@@ -369,7 +371,7 @@ def _ext(
         old = g.get(phi.var)
         for a in _bits(needed):
             g[phi.var] = a
-            sub[a] = _ext(model, g, phi.body, fv_cache, memo)
+            sub[a] = _ext(model, g, phi.body, memo)
         if old is None:
             g.pop(phi.var, None)
         else:
@@ -379,8 +381,8 @@ def _ext(
             if all(sub[a] & (1 << w) for a in _bits(frame.local[w])):
                 out |= 1 << w
     elif isinstance(phi, Cond):
-        ant = _ext(model, g, phi.left, fv_cache, memo)
-        cons = _ext(model, g, phi.right, fv_cache, memo)
+        ant = _ext(model, g, phi.left, memo)
+        cons = _ext(model, g, phi.right, memo)
         if isinstance(frame, SelectionFrame):
             out = _mask_of(w for w in range(n) if frame.f(ant, w) & ~cons == 0)
         elif isinstance(frame, OrderingFrame):
@@ -481,8 +483,8 @@ def interpretations(
     """All interpretations of the given predicates over (W, D)."""
     n, nd = frame.n_worlds, frame.n_domain
     cells = [(p, w) for p in preds for w in range(n)]
-    options = {p: subset_options(nd, p.arity) for p in set(preds)}
-    for choice in itertools.product(*(options[p] for p, _ in cells)):
+    options = {a: subset_options(nd, a) for a in {p.arity for p in preds}}
+    for choice in itertools.product(*(options[p.arity] for p, _ in cells)):
         interp: dict[Predicate, dict[int, frozenset[tuple[int, ...]]]] = {}
         for (p, w), tuples in zip(cells, choice):
             interp.setdefault(p, {})[w] = tuples
@@ -507,7 +509,7 @@ def frame_valid(
     for p in preds:
         if p.arity > max_arity:
             raise ResourceGuard(f"predicate arity {p.arity} above ceiling {max_arity}")
-    fv = sorted(free_variables(phi), key=lambda v: v.index)
+    fv = _node_fv(phi)
     full = (1 << n) - 1
     assignments = list(_assignments(fv, nd))
     # One model wrapper around a dict mutated per interpretation -- building
@@ -518,8 +520,8 @@ def frame_valid(
     }
     model = Model(frame, holder)
     cells = [(p, w) for p in preds for w in range(n)]
-    options = {p: subset_options(nd, p.arity) for p in set(preds)}
-    for choice in itertools.product(*(options[p] for p, _ in cells)):
+    options = {a: subset_options(nd, a) for a in {p.arity for p in preds}}
+    for choice in itertools.product(*(options[p.arity] for p, _ in cells)):
         for (p, w), tuples in zip(cells, choice):
             holder[p][w] = tuples
         for g in assignments:

@@ -349,9 +349,13 @@ def all_variables(phi: Formula) -> frozenset[Variable]:
 
 
 def predicates(phi: Formula) -> frozenset[Predicate]:
-    return frozenset(
-        sub.pred for sub in subformulas(phi) if isinstance(sub, Atom)
-    )
+    try:
+        return phi._preds_cache  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    out = frozenset(sub.pred for sub in subformulas(phi) if isinstance(sub, Atom))
+    object.__setattr__(phi, "_preds_cache", out)
+    return out
 
 
 def language(phi: Formula) -> Lang:

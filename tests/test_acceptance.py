@@ -128,6 +128,7 @@ def test_criterion_03_ds_in_k():
                "through their bottom elements", ok, t0)
 
 
+@pytest.mark.slow
 def test_criterion_04_cem_sweeps():
     t0 = time.time()
     rep_l = cem_sweep(7, 2, direct_samples=200, seed=0)
@@ -143,6 +144,7 @@ def test_criterion_04_cem_sweeps():
                f"formulas (zero counterexamples)", ok, t0)
 
 
+@pytest.mark.slow
 def test_criterion_05_qc2_axioms_in_k():
     t0 = time.time()
     rep_l = qc2_axiom_sweep(7, 2, rule_samples=200, seed=0)
@@ -178,17 +180,23 @@ def test_criterion_06_ds_sweep_and_control():
         control_ok = control_ok and not check_selection_props(
             model.frame
         ).verdicts["Uniformity"]
-    ok = not sweep.found and sweep.frames_enumerated > 1000 and control_ok
+    ok = (
+        not sweep.found
+        and sweep.frames_enumerated == 7587
+        and sweep.points_checked == 1211896
+        and control_ok
+    )
     _report(6, f"no weakly Stalnakerian frame up to 3 worlds satisfies the "
                f"descending-sequence formula ({sweep.frames_enumerated} "
                f"frames, {sweep.points_checked} points); the relaxed "
                f"control run finds a replayed witness", ok, t0)
 
 
+@pytest.mark.slow
 def test_criterion_07_correspondence_sweep():
     t0 = time.time()
     rep = correspondence_sweep(EnumerationParams(max_worlds=2, max_domain=2))
-    ok = rep["agreeEverywhere"] and rep["framesChecked"] > 100000
+    ok = rep["agreeEverywhere"] and rep["framesChecked"] == 585539
     _report(7, f"instance-family validity coincides with (weakly "
                f"Stalnakerian and globally constant) on all "
                f"{rep['framesChecked']} enumerated frames", ok, t0)

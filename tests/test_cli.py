@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from condlog.cli import main
@@ -105,6 +106,21 @@ def test_frame_props_json():
     doc = json.loads(res.output)
     assert doc["conditions"]["weaklyStalnakerian"] is True
     assert doc["conditions"]["stalnakerian"] is False
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("worlds", 1), ("selection", [5]), ("domain", "ab")],
+)
+def test_frame_props_malformed_model_exits_2(tmp_path, field, value):
+    doc = json.loads((FIXTURES / "remark25.json").read_text())
+    doc[field] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    res = run("frame-props", "--model", str(path))
+    assert res.exit_code == 2, res.output
+    assert field in res.output
+    assert "Traceback" not in res.output
 
 
 def test_prove_fixture_and_mutation(tmp_path):

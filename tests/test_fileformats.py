@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from condlog.fileformats import (
     DocumentError,
@@ -185,3 +186,63 @@ def test_empty_proof_is_valid():
 def test_loads_model_from_text():
     model = loads_model((FIXTURES / "remark25.json").read_text())
     assert model.frame.n_worlds == 2
+
+
+_NAMES = st.sampled_from(["1", "2", "a", "b", "P/1", "F", "F/x", "empty", "centering"])
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _NAMES
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_NAMES | st.text(max_size=2), children, max_size=3),
+    max_leaves=6,
+)
+_MODEL_FIELDS = (
+    "kind", "worlds", "R", "domain", "default", "selection",
+    "interpretation", "localDomains", "order", "quasiStrategy",
+)
+
+
+def _paths(value, prefix=()):
+    """Every position in a JSON value, as a tuple of keys and indices."""
+    yield prefix
+    if isinstance(value, dict):
+        children = list(value.items())
+    elif isinstance(value, list):
+        children = list(enumerate(value))
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_documents_load_or_raise_document_error(data):
+    doc = read_fixture("remark25.json")
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from([p for p in _paths(doc) if p]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "add field"]))
+        if action == "replace":
+            parent[path[-1]] = data.draw(_JSON_VALUES)
+        elif action == "delete":
+            del parent[path[-1]]
+        else:
+            doc[data.draw(st.sampled_from(_MODEL_FIELDS))] = data.draw(_JSON_VALUES)
+    try:
+        model = load_model(doc)
+    except DocumentError:
+        return
+    assert isinstance(model, Model)
+
+
+@pytest.mark.parametrize("doc", [[], 3, "model"])
+def test_load_rejects_non_object_document(doc):
+    with pytest.raises(DocumentError, match="model document"):
+        load_model(doc)

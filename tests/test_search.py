@@ -1,5 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,8 @@ from condlog.search import (
     enumerate_frames,
     _ds_holds_fast,
     _f_masks,
+    _perm_tables,
+    correspondence_sweep,
     ds_model,
 )
 from condlog.semantics import Model, SelectionFrame, evaluate
@@ -215,3 +222,62 @@ def test_compactness_witness_replays_up_to_five():
         model = outcome.witness["model"]
         for phi in compactness_prefix(n):
             assert evaluate(model, 0, {}, phi)
+
+
+def test_perm_tables_match_bitwise_images():
+    for k in range(1, 5):
+        tables = _perm_tables(k)
+        perms = list(itertools.permutations(range(k)))
+        assert len(tables) == len(perms)
+        for perm, (inv, image, preimage) in zip(perms, tables):
+            assert all(perm[inv[v]] == v for v in range(k))
+            for mask in range(1 << k):
+                want = 0
+                for b in range(k):
+                    if mask & (1 << b):
+                        want |= 1 << perm[b]
+                assert image[mask] == want, (perm, mask)
+                assert preimage[want] == mask, (perm, mask)
+
+
+def test_correspondence_sweep_two_worlds_one_element():
+    rep = correspondence_sweep(EnumerationParams(max_worlds=2, max_domain=1))
+    assert rep["framesChecked"] == 167341
+    assert rep["agreeEverywhere"]
+    assert rep["disagreements"] == []
+
+
+def test_fast_path_disagreement_raises_under_optimize():
+    """The replay check is a real exception, so ``python -O`` keeps it."""
+    script = textwrap.dedent(
+        """
+        from condlog import search
+
+        search._ds_holds_fast = lambda frame, masks, w: True
+        params = search.EnumerationParams(
+            max_worlds=2,
+            max_domain=2,
+            required_properties=frozenset({"Success", "Uniqueness"}),
+        )
+        try:
+            search.ds_sweep(params)
+        except search.ReplayError as err:
+            print("raised:", err)
+        else:
+            raise SystemExit("no error: the disagreement went unnoticed")
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "fast path disagrees" in res.stdout
