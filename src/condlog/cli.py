@@ -342,9 +342,12 @@ def cmd_prove(proof_path, fmt) -> None:
 def cmd_correspondence(model_path, sweep, max_worlds, max_domain, fmt) -> None:
     """Instance-family validity versus the frame conditions."""
     if sweep:
-        report = search.correspondence_sweep(
-            search.EnumerationParams(max_worlds=max_worlds, max_domain=max_domain)
-        )
+        try:
+            report = search.correspondence_sweep(
+                search.EnumerationParams(max_worlds=max_worlds, max_domain=max_domain)
+            )
+        except semantics.ResourceGuard as err:
+            raise click.UsageError(str(err)) from None
         _finish(
             fmt,
             report["agreeEverywhere"],
@@ -360,7 +363,10 @@ def cmd_correspondence(model_path, sweep, max_worlds, max_domain, fmt) -> None:
     model = _load_model(model_path)
     if not isinstance(model.frame, semantics.SelectionFrame):
         raise click.UsageError("correspondence checks need a selection model")
-    res = frameprops.qc2_correspondence_check(model.frame)
+    try:
+        res = frameprops.qc2_correspondence_check(model.frame)
+    except semantics.ResourceGuard as err:
+        raise click.UsageError(str(err)) from None
     _finish(
         fmt,
         res.agree,
@@ -480,8 +486,8 @@ def cmd_k_truncate(n, out) -> None:
 
 
 @kmodel_group.command("cem-sweep")
-@click.option("--max-size", default=7, show_default=True)
-@click.option("--max-vars", default=2, show_default=True)
+@click.option("--max-size", default=7, show_default=True, type=click.IntRange(min=1))
+@click.option("--max-vars", default=2, show_default=True, type=click.IntRange(min=1))
 @click.option("--identity", is_flag=True, help="Sweep the identity language.")
 @click.option("--axioms", is_flag=True, help="Also sweep the non-CEM axiom schemas.")
 @click.option("--samples", default=200, show_default=True)
@@ -576,10 +582,13 @@ def cmd_search_frames(max_worlds, max_domain, require, policy, limit, fmt) -> No
     params = _params(max_worlds, max_domain, require, policy)
     shown = []
     count = 0
-    for frame in search.enumerate_frames(params):
-        count += 1
-        if len(shown) < limit:
-            shown.append(fileformats.dump_model(semantics.Model(frame)))
+    try:
+        for frame in search.enumerate_frames(params):
+            count += 1
+            if len(shown) < limit:
+                shown.append(fileformats.dump_model(semantics.Model(frame)))
+    except semantics.ResourceGuard as err:
+        raise click.UsageError(str(err)) from None
     payload = {"count": count}
     if shown:
         payload["frames"] = shown
@@ -603,7 +612,10 @@ def cmd_search_ds(max_worlds, max_domain, require, policy, fmt) -> None:
     Finding none over weakly Stalnakerian frames is the expected outcome;
     a witness would falsify the implementation and exits 1."""
     params = _params(max_worlds, max_domain, require, policy)
-    outcome = search.ds_sweep(params)
+    try:
+        outcome = search.ds_sweep(params)
+    except semantics.ResourceGuard as err:
+        raise click.UsageError(str(err)) from None
     if not outcome.found:
         _finish(
             fmt,

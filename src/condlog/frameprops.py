@@ -8,7 +8,7 @@ smaller world ceiling than single-subset ones, since they cost 4^|W|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .semantics import (
     OrderingFrame,
@@ -114,118 +114,124 @@ def _guard(frame: SelectionFrame | OrderingFrame, pairs: bool) -> None:
         )
 
 
-def check_selection_props(frame: SelectionFrame) -> FrameReport:
-    """Exact verdicts for the selection-frame conditions of the workbench."""
-    _guard(frame, pairs=True)
-    n = frame.n_worlds
-    subsets = range(1 << n)
-    rep = FrameReport()
+# Each selection condition as a search for its first violation, in the
+# order (world, then subset masks ascending); None when the condition holds.
 
-    def record(name: str, ok: bool, witness: Optional[tuple]) -> None:
-        rep.verdicts[name] = ok
-        if not ok and witness is not None:
-            rep.witnesses[name] = witness
 
-    ok, wit = True, None
-    for w in range(n):
-        for p in subsets:
-            if frame.f(p, w) & ~p:
-                ok, wit = False, (p, w)
-                break
-        if not ok:
-            break
-    record("Success", ok, wit)
+def _success(frame: SelectionFrame) -> Optional[tuple]:
+    for w, row in enumerate(frame.table):
+        for p, fp in enumerate(row):
+            if fp & ~p:
+                return (p, w)
+    return None
 
-    ok, wit = True, None
-    for w in range(n):
-        for p in subsets:
-            if p & (1 << w) and not frame.f(p, w) & (1 << w):
-                ok, wit = False, (p, w)
-                break
-        if not ok:
-            break
-    record("WeakCentering", ok, wit)
 
-    ok, wit = True, None
-    for w in range(n):
-        for p in subsets:
-            if p & (1 << w) and frame.f(p, w) != 1 << w:
-                ok, wit = False, (p, w)
-                break
-        if not ok:
-            break
-    record("StrongCentering", ok, wit)
+def _weak_centering(frame: SelectionFrame) -> Optional[tuple]:
+    for w, row in enumerate(frame.table):
+        bit = 1 << w
+        for p, fp in enumerate(row):
+            if p & bit and not fp & bit:
+                return (p, w)
+    return None
 
-    ok, wit = True, None
-    for w in range(n):
-        for p in subsets:
-            if frame.f(p, w) == 0 and p & frame.r[w]:
-                ok, wit = False, (p, w)
-                break
-        if not ok:
-            break
-    record("LA", ok, wit)
 
-    ok, wit = True, None
-    for w in range(n):
-        for p in subsets:
-            if frame.f(p, w) != 0:
+def _strong_centering(frame: SelectionFrame) -> Optional[tuple]:
+    for w, row in enumerate(frame.table):
+        bit = 1 << w
+        for p, fp in enumerate(row):
+            if p & bit and fp != bit:
+                return (p, w)
+    return None
+
+
+def _limit_assumption(frame: SelectionFrame) -> Optional[tuple]:
+    for w, row in enumerate(frame.table):
+        rw = frame.r[w]
+        for p, fp in enumerate(row):
+            if fp == 0 and p & rw:
+                return (p, w)
+    return None
+
+
+def _weak_limit_assumption(frame: SelectionFrame) -> Optional[tuple]:
+    for w, row in enumerate(frame.table):
+        for p, fp in enumerate(row):
+            if fp:
                 continue
-            for q in subsets:
-                if p & frame.f(q, w):
-                    ok, wit = False, (p, q, w)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    record("WLA", ok, wit)
+            for q, fq in enumerate(row):
+                if p & fq:
+                    return (p, q, w)
+    return None
 
-    ok, wit = True, None
-    for w in range(n):
-        for p in subsets:
-            fp = frame.f(p, w)
-            for q in subsets:
-                fq = frame.f(q, w)
-                if fp & ~q == 0 and fq & ~p == 0 and fp != fq:
-                    ok, wit = False, (p, q, w)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    record("Uniformity", ok, wit)
 
-    ok, wit = True, None
-    for w in range(n):
-        for p in subsets:
-            fp = frame.f(p, w)
+def _uniformity(frame: SelectionFrame) -> Optional[tuple]:
+    for w, row in enumerate(frame.table):
+        for p, fp in enumerate(row):
+            for q, fq in enumerate(row):
+                if not fp & ~q and not fq & ~p and fp != fq:
+                    return (p, q, w)
+    return None
+
+
+def _uniqueness(frame: SelectionFrame) -> Optional[tuple]:
+    for w, row in enumerate(frame.table):
+        for p, fp in enumerate(row):
             if fp & (fp - 1):
-                ok, wit = False, (p, w)
-                break
-        if not ok:
-            break
-    record("Uniqueness", ok, wit)
+                return (p, w)
+    return None
 
-    ok, wit = True, None
-    for w in range(n):
-        for q in subsets:
-            fq = frame.f(q, w)
+
+def _rational_monotonicity(frame: SelectionFrame) -> Optional[tuple]:
+    for w, row in enumerate(frame.table):
+        for q, fq in enumerate(row):
             p = q
             while True:
-                # iterate subsets p of q
-                if fq & p and frame.f(p, w) != fq & p:
-                    ok, wit = False, (p, q, w)
-                    break
+                # iterate subsets p of q, from q down to the empty set
+                if fq & p and row[p] != fq & p:
+                    return (p, q, w)
                 if p == 0:
                     break
                 p = (p - 1) & q
-            if not ok:
-                break
-        if not ok:
-            break
-    record("RationalMonotonicity", ok, wit)
+    return None
 
+
+_SELECTION_CHECKS = {
+    "Success": _success,
+    "WeakCentering": _weak_centering,
+    "StrongCentering": _strong_centering,
+    "LA": _limit_assumption,
+    "WLA": _weak_limit_assumption,
+    "Uniformity": _uniformity,
+    "Uniqueness": _uniqueness,
+    "RationalMonotonicity": _rational_monotonicity,
+}
+_PAIR_CONDITIONS = frozenset({"WLA", "Uniformity", "RationalMonotonicity"})
+
+
+def check_selection_props(
+    frame: SelectionFrame, conditions: Iterable[str] = SELECTION_CONDITIONS
+) -> FrameReport:
+    """Exact verdicts for the selection-frame conditions of the workbench.
+
+    ``conditions`` names the conditions to decide (all eight by default);
+    the report holds a verdict for each of them, in the order of
+    ``SELECTION_CONDITIONS``, and a witness for each that fails, the same
+    as the full report restricted to them.  An unknown name raises
+    ``ValueError``.  Each condition reads the rows of ``frame.table``; the
+    world ceiling is the pair one when a condition over pairs of subsets is
+    asked for."""
+    wanted = frozenset(conditions)
+    unknown = wanted - _SELECTION_CHECKS.keys()
+    if unknown:
+        raise ValueError(f"unknown selection conditions {sorted(unknown)}")
+    _guard(frame, pairs=bool(wanted & _PAIR_CONDITIONS))
+    rep = FrameReport()
+    for name, check in _SELECTION_CHECKS.items():
+        if name in wanted:
+            witness = check(frame)
+            rep.verdicts[name] = witness is None
+            if witness is not None:
+                rep.witnesses[name] = witness
     return rep
 
 
@@ -312,20 +318,24 @@ def check_ordering_props(frame: OrderingFrame) -> FrameReport:
 def check_domain_props(frame: SelectionFrame | OrderingFrame) -> FrameReport:
     n = frame.n_worlds
     full = (1 << frame.n_domain) - 1
+    local = frame.local
     rep = FrameReport()
 
-    rep.verdicts["GloballyConstant"] = all(frame.local[w] == full for w in range(n))
-    if not rep.verdicts["GloballyConstant"]:
-        w = next(w for w in range(n) if frame.local[w] != full)
-        rep.witnesses["GloballyConstant"] = (w,)
+    partial = [w for w in range(n) if local[w] != full]
+    rep.verdicts["GloballyConstant"] = not partial
+    if partial:
+        rep.witnesses["GloballyConstant"] = (partial[0],)
 
     nondec, wit_d = True, None
     noninc, wit_i = True, None
     for w in range(n):
-        for v in _bits(frame.r[w]):
-            if nondec and frame.local[w] & ~frame.local[v]:
+        rw, lw = frame.r[w], local[w]
+        for v in range(n):
+            if not rw & (1 << v):
+                continue
+            if nondec and lw & ~local[v]:
                 nondec, wit_d = False, (w, v)
-            if noninc and frame.local[v] & ~frame.local[w]:
+            if noninc and local[v] & ~lw:
                 noninc, wit_i = False, (w, v)
     rep.verdicts["LocallyNonDecreasing"] = nondec
     if wit_d:
@@ -469,10 +479,14 @@ def qc2_correspondence_check(
     max_domain: int = 3,
 ) -> CorrespondenceResult:
     """Instance-family validity versus (weakly Stalnakerian and globally
-    constant), checked independently; the two verdicts should coincide."""
-    props = check_selection_props(frame)
-    domains = check_domain_props(frame)
-    properties_hold = props.weakly_stalnakerian and domains.verdicts["GloballyConstant"]
+    constant), checked independently; the two verdicts should coincide.
+
+    The frame conditions are decided one at a time, cheapest first, and the
+    check stops at the first that fails."""
+    properties_hold = check_domain_props(frame).verdicts["GloballyConstant"] and all(
+        check_selection_props(frame, (name,)).verdicts[name]
+        for name in ("Success", "WeakCentering", "Uniqueness", "Uniformity")
+    )
 
     instance_valid = True
     failing = None

@@ -915,6 +915,16 @@ def fragment_pool(
     return [phi for s in range(1, max_size + 1) for phi in by_size[s]]
 
 
+def _sweep_pool(max_size: int, max_vars: int, with_identity: bool) -> list[Formula]:
+    """The fragment pool of a sweep, which must not be empty."""
+    if max_size < 1 or max_vars < 1:
+        raise KModelError(
+            f"empty fragment pool: max_size ({max_size}) and max_vars "
+            f"({max_vars}) must both be at least 1"
+        )
+    return fragment_pool(max_size, max_vars, with_identity)
+
+
 def canonical_assignment(max_vars: int) -> dict[Variable, int]:
     """The surjective pattern x_i -> -(i+1)."""
     return {Variable(i): -(i + 1) for i in range(max_vars)}
@@ -963,7 +973,7 @@ def cem_sweep(
     """
     import random
 
-    pool = fragment_pool(max_size, max_vars, with_identity)
+    pool = _sweep_pool(max_size, max_vars, with_identity)
     g = canonical_assignment(max_vars)
     report = SweepReport(pool_size=len(pool))
     denotations = _pool_denotations(pool, g, jobs)
@@ -1044,7 +1054,7 @@ def qc2_axiom_sweep(
     """
     import random
 
-    pool = fragment_pool(max_size, max_vars, with_identity)
+    pool = _sweep_pool(max_size, max_vars, with_identity)
     g = canonical_assignment(max_vars)
     report = SweepReport(pool_size=len(pool))
     variables = [Variable(i) for i in range(max_vars)]

@@ -20,6 +20,7 @@ from .semantics import (
     SelectionFrame,
     SemanticsError,
     _bits,
+    _default_names,
     evaluate,
 )
 from .syntax import (
@@ -227,12 +228,14 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
     automorphisms and domain permutation.
 
     The permutation tables (inverse and mask images of every world
-    permutation) are built once per world count, and those of the domain
-    permutations once per domain size; the canonicity checks index them.
+    permutation) and the default world names are built once per world
+    count, and the domain permutation tables and names once per domain
+    size; the canonicity checks index the tables.
     """
     if params.max_worlds > params.hard_world_limit:
         raise ResourceGuard(
-            f"enumeration ceiling is |W| <= {params.hard_world_limit}"
+            f"enumeration ceiling is |W| <= {params.hard_world_limit}, "
+            f"asked for {params.max_worlds}"
         )
     conditions = params.conditions()
     constrained = {"Success", "WeakCentering", "Uniqueness"} <= conditions
@@ -241,7 +244,9 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
     dperms_of = {nd: _perm_tables(nd) for nd in range(1, params.max_domain + 1)}
     for n in range(1, params.max_worlds + 1):
         wperms = _perm_tables(n)
+        world_names = _default_names("w", n)
         for nd in range(1, params.max_domain + 1):
+            domain_names = _default_names("a", nd)
             if "GloballyConstant" in conditions:
                 local_list = [((1 << nd) - 1,) * n]
             else:
@@ -261,13 +266,13 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
                         continue
                     if post:
                         probe = SelectionFrame(n, tuple(r), table, 1, ((1,) * n))
-                        report = check_selection_props(probe)
-                        if not all(report.verdicts.get(c, False) for c in post):
+                        report = check_selection_props(probe, post)
+                        if not all(report.verdicts.values()):
                             continue
                     for local in local_list:
                         if _local_canonical(local, auts, dperms):
                             yield SelectionFrame(
-                                n, tuple(r), table, nd, tuple(local)
+                                n, r, table, nd, local, world_names, domain_names
                             )
 
 

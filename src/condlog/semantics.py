@@ -4,10 +4,22 @@ Worlds and domain elements are kept as indices internally; sets of worlds
 are bit masks, which keeps exhaustive sweeps over subsets and
 interpretations cheap.  Loaded models carry the original names for
 reporting.
+
+There is one evaluator.  ``extension`` (and ``evaluate``, which reads one
+bit of it), ``model_valid`` and ``frame_valid`` compile a formula against a
+frame into nested closures that return world masks (``_Program``).  Atoms
+read a world-mask table per (predicate, argument tuple), filled once per
+interpretation; a conditional on a selection frame indexes the rows of the
+frame's table.  ``frame_valid`` compiles once per call and refills the atom
+tables for each interpretation it enumerates.  A node below a quantifier
+whose variable is not free in it is memoised for the current
+interpretation, so nested quantifiers do not re-evaluate the parts that do
+not depend on them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -57,13 +69,6 @@ def _bits(mask: int) -> Iterable[int]:
         mask >>= 1
         i += 1
     return
-
-
-def _mask_of(items: Iterable[int]) -> int:
-    out = 0
-    for i in items:
-        out |= 1 << i
-    return out
 
 
 def _default_names(prefix: str, n: int) -> tuple[str, ...]:
@@ -314,13 +319,196 @@ class Model:
 # Satisfaction.
 
 
+class _Program:
+    """A formula compiled against one frame into nested closures.
+
+    Each closure maps an environment to the world mask of its node.  The
+    environment is a list holding the value of every variable of the
+    formula, free or bound, in the slot ``slots[v]``; a quantifier writes
+    its variable's slot in place and restores it.  Atoms read one world-mask
+    table per predicate, keyed by argument tuple, which ``load`` fills from
+    an interpretation; a conditional on a selection frame indexes the rows
+    of ``frame.table`` directly.
+
+    A node under a quantifier whose variable is not free in it has the same
+    value for every value of that variable, so its closure keeps a memo
+    keyed by the values of its own free variables.  ``load`` empties the
+    memos together with the atom tables: they hold for one interpretation.
+    """
+
+    def __init__(
+        self, frame: "SelectionFrame | OrderingFrame | QuasiSelectionFrame", phi: Formula
+    ):
+        self.frame = frame
+        self.full = (1 << frame.n_worlds) - 1
+        self.slots: dict[Variable, int] = {}
+        self.atoms: dict[Predicate, dict[tuple[int, ...], int]] = {}
+        self.memos: list[dict] = []
+        self._exists: Optional[list[int]] = None
+        self.run = self._compile(phi, frozenset())
+
+    def cell(self, pred: Predicate, w: int) -> tuple[Optional[dict], int]:
+        """The atom table of ``pred`` (None when the formula lacks it) and
+        the bit of world ``w``, for ``load``."""
+        return self.atoms.get(pred), (1 << w) & self.full
+
+    def load(
+        self, cells: Iterable[tuple[tuple[Optional[dict], int], Iterable[tuple[int, ...]]]]
+    ) -> None:
+        """Fill the atom tables from ``(cell(pred, w), tuples)`` pairs and
+        empty the memos."""
+        for table in self.atoms.values():
+            table.clear()
+        for memo in self.memos:
+            memo.clear()
+        for (table, bit), tuples in cells:
+            if table is not None:
+                for tup in tuples:
+                    table[tup] = table.get(tup, 0) | bit
+
+    def load_interp(self, interp: Interpretation) -> None:
+        self.load(
+            (self.cell(p, w), tuples)
+            for p, per_world in interp.items()
+            for w, tuples in per_world.items()
+        )
+
+    def env(self, g: Assignment) -> list[int]:
+        out = [0] * len(self.slots)
+        nd = self.frame.n_domain
+        for v, slot in self.slots.items():
+            a = g.get(v)
+            if a is None:
+                continue
+            if not 0 <= a < nd:
+                raise SemanticsError(f"value {a} of {v} outside the domain")
+            out[slot] = a
+        return out
+
+    def _slot(self, v: Variable) -> int:
+        return self.slots.setdefault(v, len(self.slots))
+
+    def _exists_masks(self) -> list[int]:
+        """Per domain element, the mask of worlds whose local domain has it."""
+        if self._exists is None:
+            self._exists = [0] * self.frame.n_domain
+            for w, local in enumerate(self.frame.local):
+                for a in _bits(local):
+                    self._exists[a] |= 1 << w
+        return self._exists
+
+    def _compile(self, phi: Formula, bound: frozenset[Variable]):
+        """``bound`` holds the variables of the quantifiers above ``phi``."""
+        full, kind = self.full, type(phi)
+        if kind is Atom:
+            table = self.atoms.get(phi.pred)
+            if table is None:
+                table = self.atoms[phi.pred] = {}
+            if len(phi.args) == 1:
+                s = self._slot(phi.args[0])
+                return lambda env: table.get((env[s],), 0)
+            args = tuple([self._slot(v) for v in phi.args])
+            return lambda env: table.get(tuple([env[s] for s in args]), 0)
+        if kind is Cond:
+            run = self._conditional(
+                self._compile(phi.left, bound), self._compile(phi.right, bound)
+            )
+        elif kind is Imp:
+            ant, cons = self._compile(phi.left, bound), self._compile(phi.right, bound)
+            run = lambda env: (full ^ ant(env)) | cons(env)
+        elif kind is Not:
+            body = self._compile(phi.body, bound)
+            run = lambda env: full ^ body(env)
+        elif kind is Forall:
+            run = self._forall(phi, bound)
+        elif kind is Eq:
+            left, right = self._slot(phi.left), self._slot(phi.right)
+            return lambda env: full if env[left] == env[right] else 0
+        elif kind is EPred:
+            exists, s = self._exists_masks(), self._slot(phi.arg)
+            return lambda env: exists[env[s]]
+        else:
+            raise SemanticsError(f"not a formula: {phi!r}")
+        if not bound:
+            return run
+        fv = _node_fv(phi)
+        if bound.issubset(fv):
+            return run
+        keys = tuple([self._slot(v) for v in fv])
+        memo: dict[tuple[int, ...], int] = {}
+        self.memos.append(memo)
+
+        def memoised(env: list[int]) -> int:
+            key = tuple([env[s] for s in keys])
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = run(env)
+            return got
+
+        return memoised
+
+    def _forall(self, phi: Forall, bound: frozenset[Variable]):
+        full, s = self.full, self._slot(phi.var)
+        body = self._compile(phi.body, bound | {phi.var})
+        # (element, worlds whose local domain lacks it) for every element of
+        # some local domain
+        elements = tuple(
+            (a, full ^ mask) for a, mask in enumerate(self._exists_masks()) if mask
+        )
+
+        def forall(env: list[int]) -> int:
+            old = env[s]
+            out = full
+            for a, absent in elements:
+                env[s] = a
+                out &= body(env) | absent
+                if not out:
+                    break
+            env[s] = old
+            return out
+
+        return forall
+
+    def _conditional(self, ant, cons):
+        frame, full = self.frame, self.full
+        if isinstance(frame, SelectionFrame):
+            rows = frame.table
+
+            def selection(env: list[int]) -> int:
+                p = ant(env)
+                bad = full ^ cons(env)
+                out = 0
+                for w, row in enumerate(rows):
+                    if not row[p] & bad:
+                        out |= 1 << w
+                return out
+
+            return selection
+        if isinstance(frame, OrderingFrame):
+            holds = functools.partial(_lewis, frame)
+        else:
+            holds = functools.partial(_quasi, frame.order)
+        worlds = range(frame.n_worlds)
+
+        def per_world(env: list[int]) -> int:
+            p, q = ant(env), cons(env)
+            out = 0
+            for w in worlds:
+                if holds(p, q, w):
+                    out |= 1 << w
+            return out
+
+        return per_world
+
+
 def extension(model: Model, g: Assignment, phi: Formula) -> int:
     """World mask of [phi]^g."""
     missing = free_variables(phi) - set(g)
     if missing:
         raise UncoveredVariable(f"assignment misses {sorted(v.index for v in missing)}")
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-    return _ext(model, dict(g), phi, memo)
+    program = _Program(model.frame, phi)
+    program.load_interp(model.interp)
+    return program.run(program.env(g))
 
 
 def _node_fv(phi: Formula) -> tuple[Variable, ...]:
@@ -335,71 +523,6 @@ def _node_fv(phi: Formula) -> tuple[Variable, ...]:
     return got
 
 
-def _ext(
-    model: Model,
-    g: dict[Variable, int],
-    phi: Formula,
-    memo: dict[tuple[int, tuple[int, ...]], int],
-) -> int:
-    key = (id(phi), tuple(g[v] for v in _node_fv(phi)))
-    got = memo.get(key)
-    if got is not None:
-        return got
-    frame = model.frame
-    n = frame.n_worlds
-    full = (1 << n) - 1
-    out: int
-    if isinstance(phi, Atom):
-        tup = tuple(g[a] for a in phi.args)
-        out = _mask_of(w for w in range(n) if model.holds(phi.pred, w, tup))
-    elif isinstance(phi, Eq):
-        out = full if g[phi.left] == g[phi.right] else 0
-    elif isinstance(phi, EPred):
-        a = g[phi.arg]
-        out = _mask_of(w for w in range(n) if frame.local[w] & (1 << a))
-    elif isinstance(phi, Not):
-        out = full & ~_ext(model, g, phi.body, memo)
-    elif isinstance(phi, Imp):
-        out = (full & ~_ext(model, g, phi.left, memo)) | _ext(
-            model, g, phi.right, memo
-        )
-    elif isinstance(phi, Forall):
-        needed = 0
-        for w in range(n):
-            needed |= frame.local[w]
-        sub: dict[int, int] = {}
-        old = g.get(phi.var)
-        for a in _bits(needed):
-            g[phi.var] = a
-            sub[a] = _ext(model, g, phi.body, memo)
-        if old is None:
-            g.pop(phi.var, None)
-        else:
-            g[phi.var] = old
-        out = 0
-        for w in range(n):
-            if all(sub[a] & (1 << w) for a in _bits(frame.local[w])):
-                out |= 1 << w
-    elif isinstance(phi, Cond):
-        ant = _ext(model, g, phi.left, memo)
-        cons = _ext(model, g, phi.right, memo)
-        if isinstance(frame, SelectionFrame):
-            out = _mask_of(w for w in range(n) if frame.f(ant, w) & ~cons == 0)
-        elif isinstance(frame, OrderingFrame):
-            out = _mask_of(w for w in range(n) if _lewis(frame, ant, cons, w))
-        else:
-            assert isinstance(frame, QuasiSelectionFrame)
-            out = 0
-            for w in range(n):
-                chosen = frame.order.min_set(ant, w)
-                if chosen & ~cons == 0:
-                    out |= 1 << w
-    else:
-        raise SemanticsError(f"not a formula: {phi!r}")
-    memo[key] = out
-    return out
-
-
 def _lewis(frame: OrderingFrame, ant: int, cons: int, w: int) -> bool:
     """[phi] & R(w) empty, or some x in [phi] & R(w) with every [phi]-world
     at or below x a [psi]-world."""
@@ -411,6 +534,11 @@ def _lewis(frame: OrderingFrame, ant: int, cons: int, w: int) -> bool:
         if frame.ble(w, x) & bad == 0:
             return True
     return False
+
+
+def _quasi(order: OrderingFrame, ant: int, cons: int, w: int) -> bool:
+    """The minimal [phi]-worlds under the order at w are all [psi]-worlds."""
+    return order.min_set(ant, w) & ~cons == 0
 
 
 def evaluate(model: Model, w: int, g: Assignment, phi: Formula) -> bool:
@@ -446,10 +574,13 @@ def model_valid(model: Model, gamma: Iterable[Formula]) -> ValidityResult:
     fv = sorted(
         {v for f in formulas for v in free_variables(f)}, key=lambda v: v.index
     )
+    programs = [_Program(model.frame, f) for f in formulas]
+    for program in programs:
+        program.load_interp(model.interp)
     full = (1 << model.frame.n_worlds) - 1
     for g in _assignments(fv, model.frame.n_domain):
-        for f in formulas:
-            mask = extension(model, g, f)
+        for f, program in zip(formulas, programs):
+            mask = program.run(program.env(g))
             if mask != full:
                 w = next(_bits(full & ~mask))
                 return ValidityResult(False, Counterexample(w, g, f))
@@ -509,29 +640,26 @@ def frame_valid(
     for p in preds:
         if p.arity > max_arity:
             raise ResourceGuard(f"predicate arity {p.arity} above ceiling {max_arity}")
-    fv = _node_fv(phi)
+    program = _Program(frame, phi)
     full = (1 << n) - 1
-    assignments = list(_assignments(fv, nd))
-    # One model wrapper around a dict mutated per interpretation -- building
-    # a fresh validated Model for each of the 2^k interpretations dominates
-    # the sweep cost otherwise.
-    holder: dict[Predicate, dict[int, frozenset[tuple[int, ...]]]] = {
-        p: {} for p in preds
-    }
-    model = Model(frame, holder)
+    assignments = [(g, program.env(g)) for g in _assignments(_node_fv(phi), nd)]
     cells = [(p, w) for p in preds for w in range(n)]
+    loads = [program.cell(p, w) for p, w in cells]
     options = {a: subset_options(nd, a) for a in {p.arity for p in preds}}
     for choice in itertools.product(*(options[p.arity] for p, _ in cells)):
-        for (p, w), tuples in zip(cells, choice):
-            holder[p][w] = tuples
-        for g in assignments:
-            mask = extension(model, g, phi)
+        program.load(zip(loads, choice))
+        for g, env in assignments:
+            mask = program.run(env)
             if mask != full:
                 w = next(_bits(full & ~mask))
-                snapshot = Model(
-                    frame, {p: dict(per) for p, per in holder.items()}
+                interp: dict[Predicate, dict[int, frozenset[tuple[int, ...]]]] = {
+                    p: {} for p in preds
+                }
+                for (p, v), tuples in zip(cells, choice):
+                    interp[p][v] = tuples
+                return FrameValidityResult(
+                    False, Model(frame, interp), Counterexample(w, g, phi)
                 )
-                return FrameValidityResult(False, snapshot, Counterexample(w, g, phi))
     return FrameValidityResult(True)
 
 

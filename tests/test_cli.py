@@ -250,3 +250,38 @@ def test_convert_ordering_to_selection(tmp_path):
     assert res.exit_code == 0
     doc = json.loads(out.read_text())
     assert doc["kind"] == "selection"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("correspondence", "--sweep", "--max-worlds", "9"),
+        ("search", "ds", "--max-worlds", "9"),
+        ("search", "frames", "--max-worlds", "7"),
+    ],
+)
+def test_enumeration_ceiling_exits_2(args):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert "enumeration ceiling is |W| <= 4" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_correspondence_model_above_validity_ceiling_exits_2(tmp_path):
+    ordering = tmp_path / "k6.json"
+    selection = tmp_path / "k6-selection.json"
+    assert run("kmodel", "truncate", "--n", "6", "--out", str(ordering)).exit_code == 0
+    res = run(
+        "convert", "--model", str(ordering), "--to", "selection", "--out", str(selection)
+    )
+    assert res.exit_code == 0
+    res = run("correspondence", "--model", str(selection))
+    assert res.exit_code == 2
+    assert "frame validity ceiling exceeded: |W|=7" in res.output
+
+
+@pytest.mark.parametrize("option", ["--max-size", "--max-vars"])
+def test_kmodel_cem_sweep_empty_pool_exits_2(option):
+    res = run("kmodel", "cem-sweep", "--max-size", "3", "--max-vars", "1", option, "0")
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}'" in res.output

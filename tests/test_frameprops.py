@@ -134,3 +134,58 @@ def test_correspondence_two_element_selection():
     assert not res.instance_valid
     assert not res.properties_hold
     assert res.agree
+
+
+def test_condition_subsets_match_the_full_report():
+    """A report on a subset of the conditions has the verdicts and witnesses
+    of the full report restricted to that subset.  Every 3rd frame of the
+    (2 worlds, 1 element) enumeration is checked, each against a different
+    nonempty subset in turn, so every subset is used."""
+    from itertools import combinations, islice
+
+    from condlog.frameprops import SELECTION_CONDITIONS
+    from condlog.search import EnumerationParams, enumerate_frames
+
+    subsets = [
+        c
+        for k in range(1, len(SELECTION_CONDITIONS) + 1)
+        for c in combinations(SELECTION_CONDITIONS, k)
+    ]
+    frames = enumerate_frames(EnumerationParams(max_worlds=2, max_domain=1))
+    checked = 0
+    for i, frame in enumerate(islice(frames, 0, None, 3)):
+        subset = subsets[i % len(subsets)]
+        full = check_selection_props(frame)
+        part = check_selection_props(frame, subset)
+        assert part.verdicts == {c: full.verdicts[c] for c in subset}, frame
+        assert part.witnesses == {
+            c: w for c, w in full.witnesses.items() if c in subset
+        }, frame
+        assert list(part.verdicts) == list(subset)
+        checked += 1
+    assert checked == 55781  # ceil(167,341 / 3)
+
+
+def test_unknown_condition_name_rejected():
+    with pytest.raises(ValueError, match="Centering"):
+        check_selection_props(remark25_frame(), ("Success", "Centering"))
+
+
+def test_all_eight_witnesses_pinned():
+    """A frame failing every selection condition, with the first violation
+    of each in (world, subset) order."""
+    frame = SelectionFrame(2, (0, 3), ((0, 0, 0, 0), (0, 0, 1, 3)), 1, (1, 1))
+    rep = check_selection_props(frame)
+    assert rep.witnesses == {
+        "Success": (2, 1),
+        "WeakCentering": (1, 0),
+        "StrongCentering": (1, 0),
+        "LA": (1, 1),
+        "WLA": (1, 2, 1),
+        "Uniformity": (1, 2, 1),
+        "Uniqueness": (3, 1),
+        "RationalMonotonicity": (2, 3, 1),
+    }
+    assert not any(rep.verdicts.values())
+    for cond, wit in rep.witnesses.items():
+        assert replay_witness(frame, cond, wit), cond

@@ -464,3 +464,10 @@ def test_cem_sweep_parallel_matches_serial():
     parallel = cem_sweep(4, 2, direct_samples=0, jobs=2)
     assert serial.ok and parallel.ok
     assert serial.distinct_denotations == parallel.distinct_denotations
+
+
+@pytest.mark.parametrize("max_size,max_vars", [(0, 2), (3, 0)])
+def test_sweeps_reject_an_empty_pool(max_size, max_vars):
+    for sweep in (cem_sweep, qc2_axiom_sweep):
+        with pytest.raises(KModelError, match="empty fragment pool"):
+            sweep(max_size, max_vars)

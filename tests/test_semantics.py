@@ -1,13 +1,21 @@
 import itertools
+import json
+import random
+from pathlib import Path
 
 import pytest
 
+from condlog.fileformats import load_model
+from condlog.parser import parse_formula
 from condlog.semantics import (
+    Counterexample,
     Model,
     NotStalnakerian,
     OrderingFrame,
+    QuasiSelectionFrame,
     ResourceGuard,
     SelectionFrame,
+    SemanticsError,
     UncoveredVariable,
     convert_model,
     evaluate,
@@ -30,6 +38,7 @@ from condlog.syntax import (
     F,
     Forall,
     Imp,
+    Lang,
     Not,
     Or,
     Predicate,
@@ -37,6 +46,8 @@ from condlog.syntax import (
     build_ds,
     material_reduct,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 x, y = Variable(0), Variable(1)
 G = Predicate(1, 1)
@@ -380,3 +391,240 @@ def test_extension_locality_in_assignment():
     base = extension(m, {y: 1}, phi)
     assert extension(m, {y: 1, x: 0}, phi) == base
     assert extension(m, {y: 1, x: 1, Variable(5): 0}, phi) == base
+
+
+# ---------------------------------------------------------------------------
+# Pinned frame_valid witnesses: the first failing interpretation and
+# assignment in enumeration order, recorded on remark25.json and on a frame
+# whose answers depend on the order of the interpretations.
+
+_PINNED_WITNESSES = [
+    # (formula, language, countermodel interpretation, world, assignment)
+    ("dia F(x)", Lang.L, {F: {0: set(), 1: set()}}, 0, {x: 0}),
+    ("F(x) > G(x)", Lang.L, {F: {0: set(), 1: {(0,)}}, G: {0: set(), 1: set()}}, 1, {x: 0}),
+    (
+        "(F(x) > G(x)) -> (G(x) > F(x))",
+        Lang.L,
+        {F: {0: set(), 1: set()}, G: {0: set(), 1: {(0,)}}},
+        1,
+        {x: 0},
+    ),
+    (
+        "A -> (B > A & C)",
+        Lang.L,
+        {
+            Predicate(0, 0): {0: set(), 1: {()}},
+            Predicate(1, 0): {0: set(), 1: {()}},
+            Predicate(2, 0): {0: set(), 1: set()},
+        },
+        1,
+        {},
+    ),
+    (
+        "forall x. (F(x) > G(y)) -> F(y)",
+        Lang.L,
+        {F: {0: set(), 1: set()}, G: {0: set(), 1: set()}},
+        0,
+        {y: 0},
+    ),
+    (
+        "P0(x, y) > A",
+        Lang.L,
+        {Predicate(0, 0): {0: set(), 1: set()}, Predicate(0, 2): {0: set(), 1: {(0, 0)}}},
+        1,
+        {x: 0, y: 0},
+    ),
+    ("E(x) > F(x)", Lang.LE, {F: {0: set(), 1: set()}}, 0, {x: 0}),
+]
+
+
+def _skewed_frame(n_domain: int) -> SelectionFrame:
+    """Two worlds; f(P, w) selects both worlds for the empty and the full
+    proposition.  On remark25.json every formula is decided world by world,
+    so its first failing interpretation does not depend on the order of the
+    (predicate, world) cells; on this frame it does."""
+    return SelectionFrame(
+        2, (0b11, 0b11), ((3, 3, 0, 1), (3, 3, 1, 1)), n_domain, ((1 << n_domain) - 1,) * 2
+    )
+
+
+# (formula, language, domain size, interpretation, world, assignment)
+_PINNED_SKEWED = [
+    (
+        "~(F(x) > G(x))",
+        Lang.L,
+        1,
+        {F: {0: set(), 1: set()}, G: {0: {(0,)}, 1: {(0,)}}},
+        0,
+        {x: 0},
+    ),
+    ("F(x) -> F(y)", Lang.L, 2, {F: {0: set(), 1: {(0,)}}}, 1, {x: 0, y: 1}),
+    ("x = y", Lang.LEQ, 2, {}, 0, {x: 0, y: 1}),
+]
+
+
+def _check_pinned(frame, text, lang, interp, world, g):
+    phi = parse_formula(text, lang)
+    res = frame_valid(frame, phi)
+    assert not res.valid
+    want = {p: {w: frozenset(t) for w, t in per.items()} for p, per in interp.items()}
+    assert res.countermodel == Model(frame, want)
+    assert res.counterexample == Counterexample(world, g, phi)
+
+
+@pytest.mark.parametrize("text,lang,interp,world,g", _PINNED_WITNESSES)
+def test_frame_valid_pinned_witness(text, lang, interp, world, g):
+    frame = load_model(json.loads((FIXTURES / "remark25.json").read_text())).frame
+    _check_pinned(frame, text, lang, interp, world, g)
+
+
+@pytest.mark.parametrize("text,lang,n_domain,interp,world,g", _PINNED_SKEWED)
+def test_frame_valid_pinned_witness_skewed(text, lang, n_domain, interp, world, g):
+    _check_pinned(_skewed_frame(n_domain), text, lang, interp, world, g)
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluator: truth at one world, straight from the truth clauses.
+# The compiled evaluator behind ``extension`` must agree with it everywhere.
+
+
+def reference_truth(model: Model, w: int, g: dict, phi) -> bool:
+    frame = model.frame
+    if isinstance(phi, Atom):
+        tup = tuple(g[v] for v in phi.args)
+        return tup in model.interp.get(phi.pred, {}).get(w, frozenset())
+    if isinstance(phi, Eq):
+        return g[phi.left] == g[phi.right]
+    if isinstance(phi, EPred):
+        return bool(frame.local[w] & (1 << g[phi.arg]))
+    if isinstance(phi, Not):
+        return not reference_truth(model, w, g, phi.body)
+    if isinstance(phi, Imp):
+        return not reference_truth(model, w, g, phi.left) or reference_truth(
+            model, w, g, phi.right
+        )
+    if isinstance(phi, Forall):
+        return all(
+            reference_truth(model, w, {**g, phi.var: a}, phi.body)
+            for a in range(frame.n_domain)
+            if frame.local[w] & (1 << a)
+        )
+    assert isinstance(phi, Cond)
+    worlds = range(frame.n_worlds)
+    ant = [v for v in worlds if reference_truth(model, v, g, phi.left)]
+
+    def cons(v: int) -> bool:
+        return reference_truth(model, v, g, phi.right)
+
+    if isinstance(frame, SelectionFrame):
+        # f([phi], w) is within [psi]
+        selected = frame.table[w][sum(1 << v for v in ant)]
+        return all(cons(v) for v in worlds if selected & (1 << v))
+    order = frame.order if isinstance(frame, QuasiSelectionFrame) else frame
+    live = [v for v in ant if order.r[w] & (1 << v)]
+    if isinstance(frame, OrderingFrame):
+        # no accessible [phi]-world, or an accessible [phi]-world x such
+        # that every [phi]-world y <=_w x is a [psi]-world
+        return not live or any(
+            all(cons(y) for y in ant if order.leq(w, y, x)) for x in live
+        )
+    # quasi-selection: the <=_w-minimal accessible [phi]-worlds are [psi]-worlds
+    return all(
+        cons(x) for x in live if all(order.leq(w, x, y) for y in live)
+    )
+
+
+_REF_VARIABLES = (Variable(0), Variable(1), Variable(2))
+_REF_PREDICATES = (Predicate(0, 0), Predicate(0, 1), Predicate(1, 1), Predicate(0, 2))
+
+
+def _random_formula(rng, budget: int):
+    """Core nodes over nullary, unary and binary atoms, identity and E,
+    with quantifiers drawn often so that they nest."""
+    if budget <= 1:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Eq(rng.choice(_REF_VARIABLES), rng.choice(_REF_VARIABLES))
+        if kind == 1:
+            return EPred(rng.choice(_REF_VARIABLES))
+        pred = rng.choice(_REF_PREDICATES)
+        return Atom(pred, tuple(rng.choice(_REF_VARIABLES) for _ in range(pred.arity)))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Not(_random_formula(rng, budget - 1))
+    if kind in (1, 2):
+        return Forall(rng.choice(_REF_VARIABLES), _random_formula(rng, budget - 1))
+    split = rng.randint(1, max(1, budget - 2))
+    left = _random_formula(rng, split)
+    right = _random_formula(rng, budget - 1 - split)
+    return Imp(left, right) if kind == 3 else Cond(left, right)
+
+
+def _random_interp(rng, n: int, nd: int):
+    return {
+        pred: {
+            w: frozenset(
+                t
+                for t in itertools.product(range(nd), repeat=pred.arity)
+                if rng.random() < 0.5
+            )
+            for w in range(n)
+        }
+        for pred in _REF_PREDICATES
+    }
+
+
+def _random_ordering_frame(rng, n: int, nd: int, local) -> OrderingFrame:
+    r = [rng.randrange(1 << n) for _ in range(n)]
+    pairs = {
+        w: [
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if r[w] & (1 << a) and r[w] & (1 << b) and rng.random() < 0.5
+        ]
+        for w in range(n)
+    }
+    return OrderingFrame.build(n, r, pairs, nd, local)
+
+
+def _random_model(rng, kind: str) -> Model:
+    n, nd = rng.randint(1, 3), rng.randint(1, 3)
+    local = [rng.randrange(1 << nd) for _ in range(n)]
+    if kind == "selection":
+        r = [rng.randrange(1 << n) for _ in range(n)]
+        table = tuple(
+            tuple(
+                rng.choice([s for s in range(1 << n) if not s & ~r[w]])
+                for _p in range(1 << n)
+            )
+            for w in range(n)
+        )
+        frame = SelectionFrame(n, tuple(r), table, nd, tuple(local))
+    elif kind == "ordering":
+        frame = _random_ordering_frame(rng, n, nd, local)
+    else:
+        frame = QuasiSelectionFrame(_random_ordering_frame(rng, n, nd, local))
+    return Model(frame, _random_interp(rng, n, nd))
+
+
+@pytest.mark.parametrize("kind", ["selection", "ordering", "quasi"])
+@pytest.mark.parametrize("seed", range(4))
+def test_extension_matches_reference_evaluator(kind, seed):
+    rng = random.Random(f"{kind}-{seed}")
+    for _ in range(10):
+        model = _random_model(rng, kind)
+        n, nd = model.frame.n_worlds, model.frame.n_domain
+        for _ in range(15):
+            phi = _random_formula(rng, rng.randint(1, 10))
+            for values in itertools.product(range(nd), repeat=len(_REF_VARIABLES)):
+                g = dict(zip(_REF_VARIABLES, values))
+                want = sum(
+                    1 << w for w in range(n) if reference_truth(model, w, g, phi)
+                )
+                assert extension(model, g, phi) == want, (phi, g, model)
+
+
+def test_extension_rejects_values_outside_the_domain():
+    with pytest.raises(SemanticsError):
+        extension(footnote_model(), {x: 1}, Atom(P, (x,)))
