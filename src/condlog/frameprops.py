@@ -7,8 +7,9 @@ smaller world ceiling than single-subset ones, since they cost 4^|W|.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Optional, Sequence
 
 from .semantics import (
     OrderingFrame,
@@ -30,31 +31,6 @@ from .syntax import (
     Variable,
 )
 
-SELECTION_CONDITIONS = (
-    "Success",
-    "WeakCentering",
-    "StrongCentering",
-    "LA",
-    "WLA",
-    "Uniformity",
-    "Uniqueness",
-    "RationalMonotonicity",
-)
-ORDERING_CONDITIONS = (
-    "Reflexivity",
-    "Transitivity",
-    "StronglyConnected",
-    "WeakCentering",
-    "StrongCentering",
-    "SLA",
-)
-DOMAIN_CONDITIONS = (
-    "GloballyConstant",
-    "LocallyNonDecreasing",
-    "LocallyNonIncreasing",
-    "LocallyConstant",
-)
-
 MAX_WORLDS_SUBSET = 16
 MAX_WORLDS_PAIR = 10
 
@@ -67,18 +43,12 @@ class FrameReport:
     @property
     def stalnakerian(self) -> bool:
         if "Success" in self.verdicts:
-            return all(
-                self.verdicts[c]
-                for c in ("Success", "WeakCentering", "LA", "Uniformity", "Uniqueness")
-            )
+            return all(self.verdicts[c] for c in STALNAKERIAN)
         return all(self.verdicts.get(c, False) for c in ORDERING_CONDITIONS)
 
     @property
     def weakly_stalnakerian(self) -> bool:
-        return all(
-            self.verdicts.get(c, False)
-            for c in ("Success", "WeakCentering", "Uniformity", "Uniqueness")
-        )
+        return all(self.verdicts.get(c, False) for c in WEAKLY_STALNAKERIAN)
 
     @property
     def lewisian(self) -> bool:
@@ -114,80 +84,74 @@ def _guard(frame: SelectionFrame | OrderingFrame, pairs: bool) -> None:
         )
 
 
-# Each selection condition as a search for its first violation, in the
-# order (world, then subset masks ascending); None when the condition holds.
+# Each condition is a search shape plus a violation predicate.  A shape walks
+# its candidates in a fixed order and returns the first at which
+# ``violates(*candidate, *values)`` holds, None when there is none; its
+# ``values`` reads the same values at one tuple, or gives None when the tuple
+# is not a candidate.  The check and the witness replay both come from the one
+# shape.  Selection and domain shapes pass the values they read, since they
+# run on every enumerated frame; the ordering shapes pass the frame.
 
 
-def _success(frame: SelectionFrame) -> Optional[tuple]:
-    for w, row in enumerate(frame.table):
-        for p, fp in enumerate(row):
-            if fp & ~p:
-                return (p, w)
-    return None
+class _Shape(NamedTuple):
+    search: Callable[..., Optional[tuple]]
+    values: Callable[..., Optional[tuple]]
+    pairs: bool = False  # quantifies over pairs of subsets: the pair ceiling
 
 
-def _weak_centering(frame: SelectionFrame) -> Optional[tuple]:
-    for w, row in enumerate(frame.table):
-        bit = 1 << w
-        for p, fp in enumerate(row):
-            if p & bit and not fp & bit:
-                return (p, w)
-    return None
+def _is_world(frame: SelectionFrame | OrderingFrame, w: int) -> bool:
+    return 0 <= w < frame.n_worlds
 
 
-def _strong_centering(frame: SelectionFrame) -> Optional[tuple]:
-    for w, row in enumerate(frame.table):
-        bit = 1 << w
-        for p, fp in enumerate(row):
-            if p & bit and fp != bit:
-                return (p, w)
-    return None
+def _is_set(frame: SelectionFrame | OrderingFrame, p: int) -> bool:
+    return 0 <= p < 1 << frame.n_worlds
 
 
-def _limit_assumption(frame: SelectionFrame) -> Optional[tuple]:
+# (p, w): worlds, then subsets p ascending; reads f(p, w) and R(w).
+def _search_subsets(frame: SelectionFrame, violates) -> Optional[tuple]:
     for w, row in enumerate(frame.table):
         rw = frame.r[w]
         for p, fp in enumerate(row):
-            if fp == 0 and p & rw:
+            if violates(p, w, fp, rw):
                 return (p, w)
     return None
 
 
-def _weak_limit_assumption(frame: SelectionFrame) -> Optional[tuple]:
+_SUBSETS = _Shape(
+    _search_subsets,
+    lambda fr, p, w: (fr.table[w][p], fr.r[w])
+    if _is_world(fr, w) and _is_set(fr, p)
+    else None,
+)
+
+
+# (p, q, w): worlds, then p, then q ascending; reads f(p, w) and f(q, w).
+def _search_pairs(frame: SelectionFrame, violates) -> Optional[tuple]:
     for w, row in enumerate(frame.table):
         for p, fp in enumerate(row):
-            if fp:
-                continue
             for q, fq in enumerate(row):
-                if p & fq:
+                if violates(p, q, w, fp, fq):
                     return (p, q, w)
     return None
 
 
-def _uniformity(frame: SelectionFrame) -> Optional[tuple]:
-    for w, row in enumerate(frame.table):
-        for p, fp in enumerate(row):
-            for q, fq in enumerate(row):
-                if not fp & ~q and not fq & ~p and fp != fq:
-                    return (p, q, w)
+def _pair_values(fr: SelectionFrame, p: int, q: int, w: int) -> Optional[tuple]:
+    if _is_world(fr, w) and _is_set(fr, p) and _is_set(fr, q):
+        return fr.table[w][p], fr.table[w][q]
     return None
 
 
-def _uniqueness(frame: SelectionFrame) -> Optional[tuple]:
-    for w, row in enumerate(frame.table):
-        for p, fp in enumerate(row):
-            if fp & (fp - 1):
-                return (p, w)
-    return None
+_PAIRS = _Shape(_search_pairs, _pair_values, pairs=True)
 
 
-def _rational_monotonicity(frame: SelectionFrame) -> Optional[tuple]:
+# (p, q, w) with p within q: worlds, then q ascending, then p descending
+# from q to the empty set; reads f(p, w) and f(q, w).
+def _search_nested(frame: SelectionFrame, violates) -> Optional[tuple]:
     for w, row in enumerate(frame.table):
         for q, fq in enumerate(row):
             p = q
             while True:
-                # iterate subsets p of q, from q down to the empty set
-                if fq & p and row[p] != fq & p:
+                if violates(p, q, w, row[p], fq):
                     return (p, q, w)
                 if p == 0:
                     break
@@ -195,17 +159,137 @@ def _rational_monotonicity(frame: SelectionFrame) -> Optional[tuple]:
     return None
 
 
-_SELECTION_CHECKS = {
-    "Success": _success,
-    "WeakCentering": _weak_centering,
-    "StrongCentering": _strong_centering,
-    "LA": _limit_assumption,
-    "WLA": _weak_limit_assumption,
-    "Uniformity": _uniformity,
-    "Uniqueness": _uniqueness,
-    "RationalMonotonicity": _rational_monotonicity,
+_NESTED = _Shape(
+    _search_nested,
+    lambda fr, p, q, w: _pair_values(fr, p, q, w) if not p & ~q else None,
+    pairs=True,
+)
+
+
+# (w,): worlds ascending; reads the local domain of w and the whole domain.
+def _search_worlds(frame: SelectionFrame | OrderingFrame, violates) -> Optional[tuple]:
+    full = (1 << frame.n_domain) - 1
+    for w, lw in enumerate(frame.local):
+        if violates(w, lw, full):
+            return (w,)
+    return None
+
+
+_WORLDS = _Shape(
+    _search_worlds,
+    lambda fr, w: (fr.local[w], (1 << fr.n_domain) - 1) if _is_world(fr, w) else None,
+)
+
+
+# (w, v) with v in R(w): worlds, then v ascending; reads the local domains
+# of w and v.
+def _search_successors(
+    frame: SelectionFrame | OrderingFrame, violates
+) -> Optional[tuple]:
+    local = frame.local
+    for w, rw in enumerate(frame.r):
+        lw = local[w]
+        for v, lv in enumerate(local):
+            if rw >> v & 1 and violates(w, v, lw, lv):
+                return (w, v)
+    return None
+
+
+_SUCCESSORS = _Shape(
+    _search_successors,
+    lambda fr, w, v: (fr.local[w], fr.local[v])
+    if _is_world(fr, w) and _is_world(fr, v) and fr.r[w] >> v & 1
+    else None,
+)
+
+
+def _accessible(fr: OrderingFrame, w: int) -> list[int]:
+    return list(_bits(fr.r[w]))
+
+
+def _product(k: int, within: Callable[..., Sequence[int]] = _accessible) -> _Shape:
+    """(x1, ..., xk, w) with every xi in within(frame, w): worlds, then the
+    xi lexicographically."""
+
+    def search(frame: OrderingFrame, violates) -> Optional[tuple]:
+        for w in range(frame.n_worlds):
+            for xs in itertools.product(within(frame, w), repeat=k):
+                if violates(*xs, w, frame):
+                    return (*xs, w)
+        return None
+
+    def values(frame: OrderingFrame, *candidate: int) -> Optional[tuple]:
+        *xs, w = candidate
+        if _is_world(frame, w) and all(x in within(frame, w) for x in xs):
+            return (frame,)
+        return None
+
+    return _Shape(search, values)
+
+
+def _no_least_element(s: int, w: int, fr: OrderingFrame) -> bool:
+    live = s & fr.r[w]
+    return bool(live) and not any(
+        fr.ble(w, x) & s & ~(1 << x) == 0 for x in _bits(live)
+    )
+
+
+_SELECTION = {
+    "Success": (_SUBSETS, lambda p, w, fp, rw: fp & ~p),
+    "WeakCentering": (_SUBSETS, lambda p, w, fp, rw: p >> w & 1 and not fp >> w & 1),
+    "StrongCentering": (_SUBSETS, lambda p, w, fp, rw: p >> w & 1 and fp != 1 << w),
+    "LA": (_SUBSETS, lambda p, w, fp, rw: not fp and p & rw),
+    "WLA": (_PAIRS, lambda p, q, w, fp, fq: not fp and p & fq),
+    "Uniformity": (
+        _PAIRS,
+        lambda p, q, w, fp, fq: not fp & ~q and not fq & ~p and fp != fq,
+    ),
+    "Uniqueness": (_SUBSETS, lambda p, w, fp, rw: fp & (fp - 1)),
+    "RationalMonotonicity": (_NESTED, lambda p, q, w, fp, fq: fq & p and fp != fq & p),
 }
-_PAIR_CONDITIONS = frozenset({"WLA", "Uniformity", "RationalMonotonicity"})
+_ORDERING = {
+    "Reflexivity": (_product(0), lambda w, fr: not fr.r[w] >> w & 1),
+    "Transitivity": (
+        _product(3),
+        lambda x, y, z, w, fr: fr.leq(w, x, y)
+        and fr.leq(w, y, z)
+        and not fr.leq(w, x, z),
+    ),
+    "StronglyConnected": (
+        _product(2),
+        lambda x, y, w, fr: not (fr.leq(w, x, y) or fr.leq(w, y, x)),
+    ),
+    "WeakCentering": (_product(1), lambda x, w, fr: not fr.leq(w, w, x)),
+    "StrongCentering": (_product(1), lambda x, w, fr: x != w and fr.leq(w, x, w)),
+    "SLA": (_product(1, lambda fr, w: range(1 << fr.n_worlds)), _no_least_element),
+}
+# LocallyConstant is the conjunction of the two local conditions.
+_DOMAIN = {
+    "GloballyConstant": (_WORLDS, lambda w, lw, full: lw != full),
+    "LocallyNonDecreasing": (_SUCCESSORS, lambda w, v, lw, lv: lw & ~lv),
+    "LocallyNonIncreasing": (_SUCCESSORS, lambda w, v, lw, lv: lv & ~lw),
+}
+
+SELECTION_CONDITIONS = tuple(_SELECTION)
+_PAIR_CONDITIONS = frozenset(c for c, (shape, _) in _SELECTION.items() if shape.pairs)
+ORDERING_CONDITIONS = tuple(_ORDERING)
+DOMAIN_CONDITIONS = (*_DOMAIN, "LocallyConstant")
+# The two classes of selection frames, each cheapest condition first.
+WEAKLY_STALNAKERIAN = ("Success", "WeakCentering", "Uniqueness", "Uniformity")
+STALNAKERIAN = ("Success", "WeakCentering", "LA", "Uniqueness", "Uniformity")
+
+
+def _report(
+    frame: SelectionFrame | OrderingFrame, table: dict, wanted: Container[str]
+) -> FrameReport:
+    rep = FrameReport()
+    for name, (shape, violates) in table.items():
+        if name in wanted:
+            witness = shape.search(frame, violates)
+            rep.verdicts[name] = witness is None
+            if witness is not None:
+                rep.witnesses[name] = witness
+    return rep
 
 
 def check_selection_props(
@@ -221,198 +305,38 @@ def check_selection_props(
     world ceiling is the pair one when a condition over pairs of subsets is
     asked for."""
     wanted = frozenset(conditions)
-    unknown = wanted - _SELECTION_CHECKS.keys()
+    unknown = wanted - _SELECTION.keys()
     if unknown:
         raise ValueError(f"unknown selection conditions {sorted(unknown)}")
     _guard(frame, pairs=bool(wanted & _PAIR_CONDITIONS))
-    rep = FrameReport()
-    for name, check in _SELECTION_CHECKS.items():
-        if name in wanted:
-            witness = check(frame)
-            rep.verdicts[name] = witness is None
-            if witness is not None:
-                rep.witnesses[name] = witness
-    return rep
+    return _report(frame, _SELECTION, wanted)
 
 
 def check_ordering_props(frame: OrderingFrame) -> FrameReport:
     _guard(frame, pairs=False)
-    n = frame.n_worlds
-    rep = FrameReport()
-
-    def record(name: str, ok: bool, witness: Optional[tuple]) -> None:
-        rep.verdicts[name] = ok
-        if not ok and witness is not None:
-            rep.witnesses[name] = witness
-
-    ok, wit = True, None
-    for w in range(n):
-        if not frame.r[w] & (1 << w):
-            ok, wit = False, (w,)
-            break
-    record("Reflexivity", ok, wit)
-
-    ok, wit = True, None
-    for w in range(n):
-        for x in _bits(frame.r[w]):
-            for y in _bits(frame.bge[w][x]):
-                if frame.bge[w][y] & ~frame.bge[w][x]:
-                    z = next(_bits(frame.bge[w][y] & ~frame.bge[w][x]))
-                    ok, wit = False, (x, y, z, w)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    record("Transitivity", ok, wit)
-
-    ok, wit = True, None
-    for w in range(n):
-        for x in _bits(frame.r[w]):
-            for y in _bits(frame.r[w]):
-                if not (frame.leq(w, x, y) or frame.leq(w, y, x)):
-                    ok, wit = False, (x, y, w)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    record("StronglyConnected", ok, wit)
-
-    ok, wit = True, None
-    for w in range(n):
-        for x in _bits(frame.r[w]):
-            if not frame.leq(w, w, x):
-                ok, wit = False, (x, w)
-                break
-        if not ok:
-            break
-    record("WeakCentering", ok, wit)
-
-    ok, wit = True, None
-    for w in range(n):
-        for x in _bits(frame.ble(w, w)):
-            if x != w:
-                ok, wit = False, (x, w)
-                break
-        if not ok:
-            break
-    record("StrongCentering", ok, wit)
-
-    ok, wit = True, None
-    for w in range(n):
-        for s in range(1 << n):
-            live = s & frame.r[w]
-            if not live:
-                continue
-            if not any(frame.ble(w, x) & s & ~(1 << x) == 0 for x in _bits(live)):
-                ok, wit = False, (s, w)
-                break
-        if not ok:
-            break
-    record("SLA", ok, wit)
-
-    return rep
+    return _report(frame, _ORDERING, _ORDERING)
 
 
 def check_domain_props(frame: SelectionFrame | OrderingFrame) -> FrameReport:
-    n = frame.n_worlds
-    full = (1 << frame.n_domain) - 1
-    local = frame.local
-    rep = FrameReport()
-
-    partial = [w for w in range(n) if local[w] != full]
-    rep.verdicts["GloballyConstant"] = not partial
-    if partial:
-        rep.witnesses["GloballyConstant"] = (partial[0],)
-
-    nondec, wit_d = True, None
-    noninc, wit_i = True, None
-    for w in range(n):
-        rw, lw = frame.r[w], local[w]
-        for v in range(n):
-            if not rw & (1 << v):
-                continue
-            if nondec and lw & ~local[v]:
-                nondec, wit_d = False, (w, v)
-            if noninc and local[v] & ~lw:
-                noninc, wit_i = False, (w, v)
-    rep.verdicts["LocallyNonDecreasing"] = nondec
-    if wit_d:
-        rep.witnesses["LocallyNonDecreasing"] = wit_d
-    rep.verdicts["LocallyNonIncreasing"] = noninc
-    if wit_i:
-        rep.witnesses["LocallyNonIncreasing"] = wit_i
-    rep.verdicts["LocallyConstant"] = nondec and noninc
+    rep = _report(frame, _DOMAIN, _DOMAIN)
+    rep.verdicts["LocallyConstant"] = (
+        rep.verdicts["LocallyNonDecreasing"] and rep.verdicts["LocallyNonIncreasing"]
+    )
     return rep
 
 
 def replay_witness(
     frame: SelectionFrame | OrderingFrame, condition: str, witness: tuple
 ) -> bool:
-    """True when the stored witness still violates its condition."""
-    if isinstance(frame, SelectionFrame):
-        if condition == "Success":
-            p, w = witness
-            return bool(frame.f(p, w) & ~p)
-        if condition == "WeakCentering":
-            p, w = witness
-            return bool(p & (1 << w)) and not frame.f(p, w) & (1 << w)
-        if condition == "StrongCentering":
-            p, w = witness
-            return bool(p & (1 << w)) and frame.f(p, w) != 1 << w
-        if condition == "LA":
-            p, w = witness
-            return frame.f(p, w) == 0 and bool(p & frame.r[w])
-        if condition == "WLA":
-            p, q, w = witness
-            return frame.f(p, w) == 0 and bool(p & frame.f(q, w))
-        if condition == "Uniformity":
-            p, q, w = witness
-            fp, fq = frame.f(p, w), frame.f(q, w)
-            return fp & ~q == 0 and fq & ~p == 0 and fp != fq
-        if condition == "Uniqueness":
-            p, w = witness
-            fp = frame.f(p, w)
-            return bool(fp & (fp - 1))
-        if condition == "RationalMonotonicity":
-            p, q, w = witness
-            return (
-                p & ~q == 0
-                and bool(frame.f(q, w) & p)
-                and frame.f(p, w) != frame.f(q, w) & p
-            )
-    if isinstance(frame, OrderingFrame):
-        if condition == "Reflexivity":
-            (w,) = witness
-            return not frame.r[w] & (1 << w)
-        if condition == "Transitivity":
-            x, y, z, w = witness
-            return frame.leq(w, x, y) and frame.leq(w, y, z) and not frame.leq(w, x, z)
-        if condition == "StronglyConnected":
-            x, y, w = witness
-            return not (frame.leq(w, x, y) or frame.leq(w, y, x))
-        if condition == "WeakCentering":
-            x, w = witness
-            return bool(frame.r[w] & (1 << x)) and not frame.leq(w, w, x)
-        if condition == "StrongCentering":
-            x, w = witness
-            return frame.leq(w, x, w) and x != w
-        if condition == "SLA":
-            s, w = witness
-            live = s & frame.r[w]
-            return bool(live) and not any(
-                frame.ble(w, x) & s & ~(1 << x) == 0 for x in _bits(live)
-            )
-    if condition == "GloballyConstant":
-        (w,) = witness
-        return frame.local[w] != (1 << frame.n_domain) - 1
-    if condition in ("LocallyNonDecreasing", "LocallyNonIncreasing"):
-        w, v = witness
-        if condition == "LocallyNonDecreasing":
-            return bool(frame.local[w] & ~frame.local[v])
-        return bool(frame.local[v] & ~frame.local[w])
-    raise ValueError(f"no replay for condition {condition!r}")
+    """True when the witness is a candidate of the condition's search and
+    violates the condition there."""
+    table = _SELECTION if isinstance(frame, SelectionFrame) else _ORDERING
+    entry = {**table, **_DOMAIN}.get(condition)
+    if entry is None:
+        raise ValueError(f"no replay for condition {condition!r}")
+    shape, violates = entry
+    values = shape.values(frame, *witness)
+    return values is not None and bool(violates(*witness, *values))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +409,7 @@ def qc2_correspondence_check(
     check stops at the first that fails."""
     properties_hold = check_domain_props(frame).verdicts["GloballyConstant"] and all(
         check_selection_props(frame, (name,)).verdicts[name]
-        for name in ("Success", "WeakCentering", "Uniqueness", "Uniformity")
+        for name in WEAKLY_STALNAKERIAN
     )
 
     instance_valid = True

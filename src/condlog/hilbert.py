@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .syntax import (
     And,
@@ -194,132 +194,54 @@ def is_tautology_instance(phi: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Schema checkers.
+# Axiom schemas: one table drives both the matcher and the generator.
 
 a_, b_, c_ = fmeta("a"), fmeta("b"), fmeta("c")
-x_, y_, t_, s_ = vmeta("x"), vmeta("y"), vmeta("t"), vmeta("s")
+x_, y_, t_, w_ = vmeta("x"), vmeta("y"), vmeta("t"), vmeta("w")
 
 
-def _pattern_checker(pattern: Formula, *, distinct: Sequence[tuple[str, str]] = ()):
-    def check(phi: Formula) -> bool:
-        b = match(pattern, phi)
-        if b is None:
+def _existence(v: VMeta) -> tuple[Formula, Formula]:
+    """E(v) as a primitive, or its identity-language expansion
+    exists w (v = w), which needs w distinct from v."""
+    return EPred(v), Exists(w_, Eq(v, w_))
+
+
+@dataclass(frozen=True)
+class Schema:
+    """An axiom schema.
+
+    A formula is an instance when it matches one of ``patterns`` and the
+    side conditions hold: the metavariables of each ``distinct`` pair bind
+    different variables (one the pattern lacks binds none), in each
+    ``not_free`` pair the variable is not free in the formula, each
+    ``derived`` (c, a, x, y) has c = a[y/x] up to renaming of bound
+    variables (for a y the pattern lacks, some y among x and the free
+    variables of c), and ``test`` accepts the formula.  ``generate_instance``
+    fills the same metavariables, with ``hook`` redrawing some of them."""
+
+    patterns: tuple[Formula, ...]
+    derived: tuple[tuple[str, str, str, str], ...] = ()
+    distinct: tuple[tuple[str, str], ...] = ()
+    not_free: tuple[tuple[str, str], ...] = ()
+    test: Optional[Callable[[Formula], bool]] = None
+    hook: Optional[Callable[[random.Random, dict], None]] = None
+
+
+def _holds(schema: Schema, m: Bindings, phi: Formula) -> bool:
+    v, f = m.variables, m.formulas
+    if any(v.get(left) == v.get(right) for left, right in schema.distinct):
+        return False
+    if any(v[x] in free_variables(f[a]) for x, a in schema.not_free):
+        return False
+    for c, a, x, y in schema.derived:
+        ys = [v[y]] if y in v else dict.fromkeys(_ui_candidates(f[c], v[x]))
+        if not any(alpha_equal(substitute(f[a], [(v[x], u)]), f[c]) for u in ys):
             return False
-        for left, right in distinct:
-            if b.variables.get(left) == b.variables.get(right):
-                return False
-        return True
-
-    return check
-
-
-def _existence_forms(v: VMeta) -> list[tuple[Formula, Optional[tuple[str, str]]]]:
-    """E(v) as a primitive, or its identity-language expansion."""
-    w = vmeta(f"_ewitness_{v.name}")
-    return [
-        (EPred(v), None),
-        (Exists(w, Eq(v, w)), (v.name, w.name)),
-    ]
-
-
-def _check_ui_consequent(
-    quantified: Formula, var: Variable, consequent: Formula, candidates: Iterable[Variable]
-) -> bool:
-    """Does some y give consequent = quantified[y/var], up to renaming?"""
-    seen = set()
-    for y in candidates:
-        if y in seen:
-            continue
-        seen.add(y)
-        try:
-            expected = substitute(quantified, [(var, y)])
-        except FormulaError:
-            continue
-        if alpha_equal(expected, consequent):
-            return True
-    return False
+    return schema.test is None or schema.test(phi)
 
 
 def _ui_candidates(consequent: Formula, var: Variable) -> list[Variable]:
     return [var] + sorted(free_variables(consequent), key=lambda v: v.index)
-
-
-def _check_axiom_23(phi: Formula) -> bool:
-    # forall x phi -> phi[y/x]
-    if not (isinstance(phi, Imp) and isinstance(phi.left, Forall)):
-        return False
-    body = phi.left.body
-    var = phi.left.var
-    return _check_ui_consequent(body, var, phi.right, _ui_candidates(phi.right, var))
-
-
-def _check_axiom_23v(phi: Formula) -> bool:
-    # (forall x phi & E(y)) -> phi[y/x]
-    for e_form, distinct in _existence_forms(y_):
-        pattern = Imp(And(FMeta("q"), e_form), FMeta("c"))
-        b = match(pattern, phi)
-        if b is None:
-            continue
-        if distinct and b.variables.get(distinct[0]) == b.variables.get(distinct[1]):
-            continue
-        quantified = b.formulas["q"]
-        if not isinstance(quantified, Forall):
-            continue
-        yy = b.variables["y"]
-        if alpha_equal(
-            substitute(quantified.body, [(quantified.var, yy)]), b.formulas["c"]
-        ):
-            return True
-    return False
-
-
-def _check_axiom_24(phi: Formula) -> bool:
-    # forall x (a > b) -> (a > forall x b), x not free in a
-    pattern = Imp(Forall(x_, Cond(a_, b_)), Cond(FMeta("a2"), Forall(x_, FMeta("b2"))))
-    b = match(pattern, phi)
-    if b is None:
-        return False
-    if b.formulas["a"] != b.formulas["a2"] or b.formulas["b"] != b.formulas["b2"]:
-        return False
-    return b.variables["x"] not in free_variables(b.formulas["a"])
-
-
-def _check_axiom_8(phi: Formula) -> bool:
-    # forall x phi -> (exists x box x=t -> phi[t/x])
-    pattern = Imp(
-        Forall(x_, FMeta("q")), Imp(Exists(x_, Box(Eq(x_, t_))), FMeta("c"))
-    )
-    b = match(pattern, phi)
-    if b is None:
-        return False
-    var, t = b.variables["x"], b.variables["t"]
-    if var == t:
-        return False
-    return _check_ui_consequent(b.formulas["q"], var, b.formulas["c"], [t])
-
-
-def _check_axiom_9(phi: Formula) -> bool:
-    # forall x (exists y box y=x -> phi) -> forall x phi
-    pattern = Imp(
-        Forall(x_, Imp(Exists(y_, Box(Eq(y_, x_))), a_)),
-        Forall(x_, FMeta("a2")),
-    )
-    b = match(pattern, phi)
-    if b is None:
-        return False
-    if b.variables["x"] == b.variables["y"]:
-        return False
-    return b.formulas["a"] == b.formulas["a2"]
-
-
-def _check_axiom_29(phi: Formula) -> bool:
-    # x=y -> (phi <-> phi[y/x])
-    pattern = Imp(Eq(x_, y_), Iff(a_, b_))
-    b = match(pattern, phi)
-    if b is None:
-        return False
-    var, y = b.variables["x"], b.variables["y"]
-    return alpha_equal(substitute(b.formulas["a"], [(var, y)]), b.formulas["b"])
 
 
 QST11_REPLACE_S_BY_T = True
@@ -330,16 +252,15 @@ garbled; the reverse direction is available via the checker argument."""
 
 
 def _check_axiom_11(phi: Formula, replace_s_by_t: Optional[bool] = None) -> bool:
+    m = match(SCHEMAS["11"].patterns[0], phi)  # s = t -> (a -> b), s bound to x
+    if m is None:
+        return False
     if replace_s_by_t is None:
         replace_s_by_t = QST11_REPLACE_S_BY_T
-    pattern = Imp(Eq(s_, t_), Imp(a_, b_))
-    b = match(pattern, phi)
-    if b is None:
-        return False
-    s, t = b.variables["s"], b.variables["t"]
+    s, t = m.variables["x"], m.variables["t"]
     old, new = (s, t) if replace_s_by_t else (t, s)
     return _replaceable_outside_conditionals(
-        b.formulas["a"], b.formulas["b"], old, new
+        m.formulas["a"], m.formulas["b"], old, new
     )
 
 
@@ -396,73 +317,106 @@ def _replaceable_outside_conditionals(
     return walk(before, after, False, frozenset())
 
 
-def _schema_table() -> dict[str, Callable[[Formula], bool]]:
-    modus = {
-        # -- Stalnaker-Thomason logic ------------------------------------
-        "1": is_tautology_instance,
-        "2": _pattern_checker(Imp(Box(Imp(a_, b_)), Imp(Box(a_), Box(b_)))),
-        "3": _pattern_checker(Imp(Box(Imp(a_, b_)), Cond(a_, b_))),
-        "4": _pattern_checker(
-            Imp(Dia(a_), Imp(Cond(a_, b_), Not(Cond(a_, Not(b_)))))
-        ),
-        "5": _pattern_checker(
-            Imp(Cond(a_, Or(b_, c_)), Or(Cond(a_, b_), Cond(a_, c_)))
-        ),
-        "6": _pattern_checker(Imp(Cond(a_, b_), Imp(a_, b_))),
-        "7": _pattern_checker(
-            Imp(And(Cond(a_, b_), Cond(b_, a_)), Imp(Cond(a_, c_), Cond(b_, c_)))
-        ),
-        "8": _check_axiom_8,
-        "9": _check_axiom_9,
-        "10": _pattern_checker(Eq(s_, s_)),
-        "11": _check_axiom_11,
-        "12": _pattern_checker(Imp(Dia(Eq(x_, y_)), Box(Eq(x_, y_)))),
-        # -- base conditional logic ---------------------------------------
-        "18": is_tautology_instance,
-        "19": _pattern_checker(Cond(a_, a_)),
-        "20": _pattern_checker(
-            Imp(And(Cond(a_, b_), And(Cond(b_, a_), Cond(a_, c_))), Cond(b_, c_))
-        ),
-        "21": _pattern_checker(Imp(Cond(a_, b_), Imp(a_, b_))),
-        "22": _pattern_checker(Or(Cond(a_, b_), Cond(a_, Not(b_)))),
-        "23": _check_axiom_23,
-        "24": _check_axiom_24,
-        # -- identity -----------------------------------------------------
-        "28": _pattern_checker(Eq(x_, x_)),
-        "29": _check_axiom_29,
-        "30": _pattern_checker(Imp(Not(Eq(x_, y_)), Box(Not(Eq(x_, y_))))),
-        # -- variable and locally constant domains ------------------------
-        "23v": _check_axiom_23v,
-        "31c": _existence_box_checker(negated=False),
-        "32c": _existence_box_checker(negated=True),
-    }
-    return modus
+def _draw_var(rng: random.Random, exclude: Optional[Variable] = None) -> Variable:
+    return rng.choice([Variable(i) for i in range(4) if Variable(i) != exclude])
 
 
-def _existence_box_checker(negated: bool):
-    def check(phi: Formula) -> bool:
-        for e_form, distinct in _existence_forms(x_):
-            wrapped = Not(e_form) if negated else e_form
-            b = match(Imp(wrapped, Box(wrapped)), phi)
-            if b is None:
-                continue
-            if distinct and b.variables.get(distinct[0]) == b.variables.get(distinct[1]):
-                continue
-            return True
-        return False
-
-    return check
+def _tautology_hook(rng: random.Random, env: dict) -> None:
+    a, b = env["a"], env["b"]
+    env["a"] = rng.choice(
+        [Imp(a, Imp(b, a)), Or(a, Not(a)), Imp(Not(Not(a)), a), Imp(a, a)]
+    )
 
 
-SCHEMAS: dict[str, Callable[[Formula], bool]] = {}
+def _substitution_hook(rng: random.Random, env: dict) -> None:
+    # replace every free occurrence outside conditionals
+    safe = Atom(F, (env["x"],))
+    env["a"] = And(safe, Cond(safe, safe))
+    env["b"] = And(Atom(F, (env["t"],)), Cond(safe, safe))
+
+
+_TAUTOLOGY = Schema((a_,), test=is_tautology_instance, hook=_tautology_hook)
+_DETACHMENT = Schema((Imp(Cond(a_, b_), Imp(a_, b_)),))
+_SELF_IDENTITY = Schema((Eq(x_, x_),))
+_INSTANTIATION = ("c", "a", "x", "y")  # c = a[y/x]
+
+SCHEMAS: dict[str, Schema] = {
+    # -- Stalnaker-Thomason logic ------------------------------------
+    "1": _TAUTOLOGY,
+    "2": Schema((Imp(Box(Imp(a_, b_)), Imp(Box(a_), Box(b_))),)),
+    "3": Schema((Imp(Box(Imp(a_, b_)), Cond(a_, b_)),)),
+    "4": Schema((Imp(Dia(a_), Imp(Cond(a_, b_), Not(Cond(a_, Not(b_))))),)),
+    "5": Schema((Imp(Cond(a_, Or(b_, c_)), Or(Cond(a_, b_), Cond(a_, c_))),)),
+    "6": _DETACHMENT,
+    "7": Schema(
+        (Imp(And(Cond(a_, b_), Cond(b_, a_)), Imp(Cond(a_, c_), Cond(b_, c_))),)
+    ),
+    # forall x a -> (exists x box x=t -> a[t/x])
+    "8": Schema(
+        (Imp(Forall(x_, a_), Imp(Exists(x_, Box(Eq(x_, t_))), c_)),),
+        derived=(("c", "a", "x", "t"),),
+        distinct=(("x", "t"),),
+    ),
+    # forall x (exists y box y=x -> a) -> forall x a
+    "9": Schema(
+        (Imp(Forall(x_, Imp(Exists(y_, Box(Eq(y_, x_))), a_)), Forall(x_, a_)),),
+        distinct=(("x", "y"),),
+        hook=lambda rng, env: env.update(y=_draw_var(rng, exclude=env["x"])),
+    ),
+    "10": _SELF_IDENTITY,
+    "11": Schema(
+        (Imp(Eq(x_, t_), Imp(a_, b_)),),
+        test=_check_axiom_11,
+        hook=_substitution_hook,
+    ),
+    "12": Schema((Imp(Dia(Eq(x_, y_)), Box(Eq(x_, y_))),)),
+    # -- base conditional logic ---------------------------------------
+    "18": _TAUTOLOGY,
+    "19": Schema((Cond(a_, a_),)),
+    "20": Schema(
+        (Imp(And(Cond(a_, b_), And(Cond(b_, a_), Cond(a_, c_))), Cond(b_, c_)),)
+    ),
+    "21": _DETACHMENT,
+    "22": Schema((Or(Cond(a_, b_), Cond(a_, Not(b_))),)),
+    # forall x a -> a[y/x]
+    "23": Schema((Imp(Forall(x_, a_), c_),), derived=(_INSTANTIATION,)),
+    # forall x (a > b) -> (a > forall x b), x not free in a
+    "24": Schema(
+        (Imp(Forall(x_, Cond(a_, b_)), Cond(a_, Forall(x_, b_))),),
+        not_free=(("x", "a"),),
+    ),
+    # -- identity -----------------------------------------------------
+    "28": _SELF_IDENTITY,
+    # x=y -> (a <-> a[y/x])
+    "29": Schema((Imp(Eq(x_, y_), Iff(a_, b_)),), derived=(("b", "a", "x", "y"),)),
+    "30": Schema((Imp(Not(Eq(x_, y_)), Box(Not(Eq(x_, y_)))),)),
+    # -- variable and locally constant domains ------------------------
+    # (forall x a & E(y)) -> a[y/x]
+    "23v": Schema(
+        tuple(Imp(And(Forall(x_, a_), e), c_) for e in _existence(y_)),
+        derived=(_INSTANTIATION,),
+        distinct=(("y", "w"),),
+    ),
+    "31c": Schema(
+        tuple(Imp(e, Box(e)) for e in _existence(x_)), distinct=(("x", "w"),)
+    ),
+    "32c": Schema(
+        tuple(Imp(Not(e), Box(Not(e))) for e in _existence(x_)),
+        distinct=(("x", "w"),),
+    ),
+}
 
 
 def is_axiom_instance(schema: str, phi: Formula) -> bool:
     """True when phi instantiates the schema (purely structurally)."""
-    checker = SCHEMAS.get(schema)
-    if checker is None:
+    entry = SCHEMAS.get(schema)
+    if entry is None:
         raise ProofError(f"unknown schema id {schema!r}")
-    return checker(phi)
+    for pattern in entry.patterns:
+        m = match(pattern, phi)
+        if m is not None and _holds(entry, m, phi):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -633,14 +587,10 @@ def check_rule(rule: str, premises: Sequence[Formula], conclusion: Formula) -> b
 
 def _match_existence_implication(phi: Formula) -> Optional[tuple[Variable, Formula]]:
     """Decompose E(y) -> body, accepting both existence spellings."""
-    if not isinstance(phi, Imp):
-        return None
-    head = phi.left
-    if isinstance(head, EPred):
-        return head.arg, phi.right
-    b = match(Exists(vmeta("w"), Eq(vmeta("v"), vmeta("w"))), head)
-    if b is not None and b.variables["v"] != b.variables["w"]:
-        return b.variables["v"], phi.right
+    for e in _existence(y_):
+        m = match(Imp(e, a_), phi)
+        if m is not None and m.variables.get("w") != m.variables["y"]:
+            return m.variables["y"], m.formulas["a"]
     return None
 
 
@@ -785,6 +735,15 @@ def mod_theorem_proof() -> ProofScript:
     bot = Not(u)
     fx0 = Imp(fx, fx)
     fx1 = Imp(Atom(F, (y1,)), Atom(F, (y1,)))
+    # the formulas the propositional assembly combines
+    lift_not_f = Imp(Cond(Not(fx), bot), Cond(Not(fx), gy))
+    lift_g = Imp(Cond(gy, bot), Cond(gy, fx))
+    transfer = Imp(
+        And(Cond(Not(fx), gy), And(Cond(gy, Not(fx)), Cond(Not(fx), bot))),
+        Cond(gy, bot),
+    )
+    cem = Or(Cond(gy, fx), Cond(gy, Not(fx)))
+    goal = Imp(Cond(Not(fx), bot), Cond(gy, fx))
 
     lines = [
         # establish top
@@ -795,88 +754,24 @@ def mod_theorem_proof() -> ProofScript:
         # bottom implies anything, conditionally lifted
         ProofLine(Imp(u, Imp(bot, gy)), AxiomInstance("18")),
         ProofLine(Imp(bot, gy), RuleApplication("25", (4, 5))),
-        ProofLine(
-            Imp(Cond(Not(fx), bot), Cond(Not(fx), gy)), RuleApplication("26", (6,))
-        ),
+        ProofLine(lift_not_f, RuleApplication("26", (6,))),
         ProofLine(Imp(u, Imp(bot, fx)), AxiomInstance("18")),
         ProofLine(Imp(bot, fx), RuleApplication("25", (4, 8))),
-        ProofLine(Imp(Cond(gy, bot), Cond(gy, fx)), RuleApplication("26", (9,))),
+        ProofLine(lift_g, RuleApplication("26", (9,))),
         # order transfer and excluded middle
-        ProofLine(
-            Imp(
-                And(Cond(Not(fx), gy), And(Cond(gy, Not(fx)), Cond(Not(fx), bot))),
-                Cond(gy, bot),
-            ),
-            AxiomInstance("20"),
-        ),
-        ProofLine(Or(Cond(gy, fx), Cond(gy, Not(fx))), AxiomInstance("22")),
+        ProofLine(transfer, AxiomInstance("20")),
+        ProofLine(cem, AxiomInstance("22")),
         # propositional assembly
         ProofLine(
-            Imp(
-                Imp(Cond(Not(fx), bot), Cond(Not(fx), gy)),
-                Imp(
-                    Imp(Cond(gy, bot), Cond(gy, fx)),
-                    Imp(
-                        Imp(
-                            And(
-                                Cond(Not(fx), gy),
-                                And(Cond(gy, Not(fx)), Cond(Not(fx), bot)),
-                            ),
-                            Cond(gy, bot),
-                        ),
-                        Imp(
-                            Or(Cond(gy, fx), Cond(gy, Not(fx))),
-                            Imp(Cond(Not(fx), bot), Cond(gy, fx)),
-                        ),
-                    ),
-                ),
-            ),
+            Imp(lift_not_f, Imp(lift_g, Imp(transfer, Imp(cem, goal)))),
             AxiomInstance("18"),
         ),
         ProofLine(
-            Imp(
-                Imp(Cond(gy, bot), Cond(gy, fx)),
-                Imp(
-                    Imp(
-                        And(
-                            Cond(Not(fx), gy),
-                            And(Cond(gy, Not(fx)), Cond(Not(fx), bot)),
-                        ),
-                        Cond(gy, bot),
-                    ),
-                    Imp(
-                        Or(Cond(gy, fx), Cond(gy, Not(fx))),
-                        Imp(Cond(Not(fx), bot), Cond(gy, fx)),
-                    ),
-                ),
-            ),
-            RuleApplication("25", (7, 13)),
+            Imp(lift_g, Imp(transfer, Imp(cem, goal))), RuleApplication("25", (7, 13))
         ),
-        ProofLine(
-            Imp(
-                Imp(
-                    And(
-                        Cond(Not(fx), gy), And(Cond(gy, Not(fx)), Cond(Not(fx), bot))
-                    ),
-                    Cond(gy, bot),
-                ),
-                Imp(
-                    Or(Cond(gy, fx), Cond(gy, Not(fx))),
-                    Imp(Cond(Not(fx), bot), Cond(gy, fx)),
-                ),
-            ),
-            RuleApplication("25", (10, 14)),
-        ),
-        ProofLine(
-            Imp(
-                Or(Cond(gy, fx), Cond(gy, Not(fx))),
-                Imp(Cond(Not(fx), bot), Cond(gy, fx)),
-            ),
-            RuleApplication("25", (11, 15)),
-        ),
-        ProofLine(
-            Imp(Cond(Not(fx), bot), Cond(gy, fx)), RuleApplication("25", (12, 16))
-        ),
+        ProofLine(Imp(transfer, Imp(cem, goal)), RuleApplication("25", (10, 14))),
+        ProofLine(Imp(cem, goal), RuleApplication("25", (11, 15))),
+        ProofLine(goal, RuleApplication("25", (12, 16))),
     ]
     return ProofScript("QC2", tuple(lines))
 
@@ -894,79 +789,45 @@ def mutate_script(script: ProofScript, line_no: int) -> ProofScript:
 # Random instance generation (self-consistency of the matchers).
 
 
+def _var(v: Variable, env: dict) -> Variable:
+    return env[v.name] if isinstance(v, VMeta) else v
+
+
+def _instantiate(p: Formula, env: dict) -> Formula:
+    """The pattern with each metavariable replaced by its value in env."""
+    if isinstance(p, FMeta):
+        return env[p.name]
+    if isinstance(p, (Imp, Cond)):
+        return type(p)(_instantiate(p.left, env), _instantiate(p.right, env))
+    if isinstance(p, Not):
+        return Not(_instantiate(p.body, env))
+    if isinstance(p, Forall):
+        return Forall(_var(p.var, env), _instantiate(p.body, env))
+    if isinstance(p, Eq):
+        return Eq(_var(p.left, env), _var(p.right, env))
+    if isinstance(p, EPred):
+        return EPred(_var(p.arg, env))
+    if isinstance(p, Atom):
+        return Atom(p.pred, tuple(_var(arg, env) for arg in p.args))
+    raise ProofError(f"bad pattern node {p!r}")
+
+
 def generate_instance(
     schema: str, rng: random.Random, pool: Sequence[Formula]
 ) -> Formula:
     """A random instance of the schema drawn from a formula pool."""
-    def pick() -> Formula:
-        return rng.choice(pool)
-
-    def var(exclude: frozenset[Variable] = frozenset()) -> Variable:
-        options = [Variable(i) for i in range(4) if Variable(i) not in exclude]
-        return rng.choice(options)
-
-    a, b, c = pick(), pick(), pick()
-    x = var()
-    y = var()
-    t = var(exclude=frozenset([x]))
-    if schema in ("1", "18"):
-        return rng.choice(
-            [Imp(a, Imp(b, a)), Or(a, Not(a)), Imp(Not(Not(a)), a), Imp(a, a)]
-        )
-    if schema == "2":
-        return Imp(Box(Imp(a, b)), Imp(Box(a), Box(b)))
-    if schema == "3":
-        return Imp(Box(Imp(a, b)), Cond(a, b))
-    if schema == "4":
-        return Imp(Dia(a), Imp(Cond(a, b), Not(Cond(a, Not(b)))))
-    if schema == "5":
-        return Imp(Cond(a, Or(b, c)), Or(Cond(a, b), Cond(a, c)))
-    if schema in ("6", "21"):
-        return Imp(Cond(a, b), Imp(a, b))
-    if schema == "7":
-        return Imp(And(Cond(a, b), Cond(b, a)), Imp(Cond(a, c), Cond(b, c)))
-    if schema == "8":
-        return Imp(
-            Forall(x, a), Imp(Exists(x, Box(Eq(x, t))), substitute(a, [(x, t)]))
-        )
-    if schema == "9":
-        yy = var(exclude=frozenset([x]))
-        return Imp(Forall(x, Imp(Exists(yy, Box(Eq(yy, x))), a)), Forall(x, a))
-    if schema in ("10", "28"):
-        return Eq(x, x)
-    if schema == "11":
-        # replace every free occurrence outside conditionals: built directly
-        safe = Atom(F, (x,))
-        before = And(safe, Cond(safe, safe))
-        after = And(Atom(F, (t,)), Cond(safe, safe))
-        return Imp(Eq(x, t), Imp(before, after))
-    if schema == "12":
-        return Imp(Dia(Eq(x, y)), Box(Eq(x, y)))
-    if schema == "19":
-        return Cond(a, a)
-    if schema == "20":
-        return Imp(And(Cond(a, b), And(Cond(b, a), Cond(a, c))), Cond(b, c))
-    if schema == "22":
-        return Or(Cond(a, b), Cond(a, Not(b)))
-    if schema == "23":
-        return Imp(Forall(x, a), substitute(a, [(x, y)]))
-    if schema == "23v":
-        return Imp(And(Forall(x, a), EPred(y)), substitute(a, [(x, y)]))
-    if schema == "24":
-        if x in free_variables(a):
-            a2 = Forall(x, a)
-        else:
-            a2 = a
-        return Imp(Forall(x, Cond(a2, b)), Cond(a2, Forall(x, b)))
-    if schema == "29":
-        return Imp(Eq(x, y), Iff(a, substitute(a, [(x, y)])))
-    if schema == "30":
-        return Imp(Not(Eq(x, y)), Box(Not(Eq(x, y))))
-    if schema == "31c":
-        return Imp(EPred(x), Box(EPred(x)))
-    if schema == "32c":
-        return Imp(Not(EPred(x)), Box(Not(EPred(x))))
-    raise ProofError(f"no generator for schema {schema!r}")
-
-
-SCHEMAS.update(_schema_table())
+    entry = SCHEMAS.get(schema)
+    if entry is None:
+        raise ProofError(f"no generator for schema {schema!r}")
+    env: dict = {"a": rng.choice(pool), "b": rng.choice(pool), "c": rng.choice(pool)}
+    env["x"] = _draw_var(rng)
+    env["y"] = _draw_var(rng)
+    env["t"] = _draw_var(rng, exclude=env["x"])
+    if entry.hook is not None:
+        entry.hook(rng, env)
+    for x, a in entry.not_free:
+        if env[x] in free_variables(env[a]):
+            env[a] = Forall(env[x], env[a])
+    for c, a, x, y in entry.derived:
+        env[c] = substitute(env[a], [(env[x], env[y])])
+    return _instantiate(entry.patterns[0], env)

@@ -617,9 +617,7 @@ def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
     elif isinstance(phi, Cond):
         a = _denote(phi.left, _restrict(g, phi.left), empty_predicates)
         b = _denote(phi.right, _restrict(g, phi.right), empty_predicates)
-        # integer worlds see only themselves, so > is material there
-        material = a.complement().union(b)
-        out = KSet.make(cond_at_origin(a, b), material.ray, material.intervals)
+        out = _cond_denotation(a, b)
     elif isinstance(phi, Forall):
         nf = monadic_nf(
             _quantifier_fragment(phi, empty_predicates), tuple(fv)
@@ -915,14 +913,24 @@ def fragment_pool(
     return [phi for s in range(1, max_size + 1) for phi in by_size[s]]
 
 
-def _sweep_pool(max_size: int, max_vars: int, with_identity: bool) -> list[Formula]:
-    """The fragment pool of a sweep, which must not be empty."""
+def _sweep_setup(
+    max_size: int, max_vars: int, with_identity: bool, jobs: int
+) -> tuple[list[Formula], dict[Variable, int], dict[KSet, Formula], SweepReport]:
+    """The fragment pool of a sweep, which must not be empty; the canonical
+    assignment; the first pool formula of each distinct denotation; and a
+    report holding the pool and denotation counts."""
     if max_size < 1 or max_vars < 1:
         raise KModelError(
             f"empty fragment pool: max_size ({max_size}) and max_vars "
             f"({max_vars}) must both be at least 1"
         )
-    return fragment_pool(max_size, max_vars, with_identity)
+    pool = fragment_pool(max_size, max_vars, with_identity)
+    g = canonical_assignment(max_vars)
+    groups: dict[KSet, Formula] = {}
+    for phi, den in zip(pool, _pool_denotations(pool, g, jobs)):
+        groups.setdefault(den, phi)
+    report = SweepReport(pool_size=len(pool), distinct_denotations=len(groups))
+    return pool, g, groups, report
 
 
 def canonical_assignment(max_vars: int) -> dict[Variable, int]:
@@ -973,15 +981,7 @@ def cem_sweep(
     """
     import random
 
-    pool = _sweep_pool(max_size, max_vars, with_identity)
-    g = canonical_assignment(max_vars)
-    report = SweepReport(pool_size=len(pool))
-    denotations = _pool_denotations(pool, g, jobs)
-
-    groups: dict[KSet, Formula] = {}
-    for phi, den in zip(pool, denotations):
-        groups.setdefault(den, phi)
-    report.distinct_denotations = len(groups)
+    pool, g, groups, report = _sweep_setup(max_size, max_vars, with_identity, jobs)
 
     worlds = list(range(-(max_size + 2), 0))
     for a_set, a_rep in groups.items():
@@ -1054,29 +1054,14 @@ def qc2_axiom_sweep(
     """
     import random
 
-    pool = _sweep_pool(max_size, max_vars, with_identity)
-    g = canonical_assignment(max_vars)
-    report = SweepReport(pool_size=len(pool))
+    pool, g, groups, report = _sweep_setup(max_size, max_vars, with_identity, jobs)
     variables = [Variable(i) for i in range(max_vars)]
-    denotations = _pool_denotations(pool, g, jobs)
-    groups: dict[KSet, Formula] = {}
-    for phi, den in zip(pool, denotations):
-        groups.setdefault(den, phi)
-    report.distinct_denotations = len(groups)
-
-    def holds_everywhere(a: KSet, b: KSet) -> bool:
-        # a > b throughout K: material on the integers, Lewis at -inf
-        material = a.complement().union(b)
-        return cond_at_origin(a, b) and material.ray == -1 and not material.intervals
-
-    def imp_everywhere(a: KSet, b: KSet) -> bool:
-        return a.complement().union(b) == K_FULL
 
     # identity of the conditional: phi > phi
     for a_set, a_rep in groups.items():
         report.pairs_checked += 1
         report.points_checked += 1
-        if not holds_everywhere(a_set, a_set):
+        if _cond_denotation(a_set, a_set) != K_FULL:
             report.counterexamples.append(("identity", a_rep))
 
     # detachment: (a > b) -> (a -> b), a function of the two denotations
@@ -1084,10 +1069,9 @@ def qc2_axiom_sweep(
         for b_set, b_rep in groups.items():
             report.pairs_checked += 1
             report.points_checked += 1
+            material = a_set.complement().union(b_set)
             cond_den = _cond_denotation(a_set, b_set)
-            if not imp_everywhere(
-                cond_den, a_set.complement().union(b_set)
-            ):
+            if cond_den.complement().union(material) != K_FULL:
                 report.counterexamples.append(
                     ("conditional detachment", a_rep, b_rep)
                 )
@@ -1104,7 +1088,7 @@ def qc2_axiom_sweep(
                 report.pairs_checked += 1
                 report.points_checked += 1
                 lhs = both.intersect(_cond_denotation(a_set, c_set))
-                if not imp_everywhere(lhs, _cond_denotation(b_set, c_set)):
+                if lhs.complement().union(_cond_denotation(b_set, c_set)) != K_FULL:
                     report.counterexamples.append(
                         ("order transfer", a_rep, b_rep, c_rep)
                     )
@@ -1168,7 +1152,8 @@ def qc2_axiom_sweep(
 
 
 def _cond_denotation(a: KSet, b: KSet) -> KSet:
-    """Denotation of a conditional from its component denotations."""
+    """Denotation of a conditional from its component denotations: integer
+    worlds see only themselves, so > is material there."""
     material = a.complement().union(b)
     return KSet.make(cond_at_origin(a, b), material.ray, material.intervals)
 

@@ -13,7 +13,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .frameprops import check_selection_props
+from .frameprops import (
+    SELECTION_CONDITIONS,
+    STALNAKERIAN,
+    WEAKLY_STALNAKERIAN,
+    check_selection_props,
+)
 from .semantics import (
     Model,
     ResourceGuard,
@@ -36,21 +41,11 @@ from .syntax import (
 )
 
 CLASSIFICATIONS = {
-    "weaklyStalnakerian": ("Success", "WeakCentering", "Uniformity", "Uniqueness"),
-    "Stalnakerian": ("Success", "WeakCentering", "LA", "Uniformity", "Uniqueness"),
+    "weaklyStalnakerian": WEAKLY_STALNAKERIAN,
+    "Stalnakerian": STALNAKERIAN,
 }
 
-_CONDITION_NAMES = (
-    "Success",
-    "WeakCentering",
-    "StrongCentering",
-    "LA",
-    "WLA",
-    "Uniformity",
-    "Uniqueness",
-    "RationalMonotonicity",
-    "GloballyConstant",
-)
+_CONDITION_NAMES = (*SELECTION_CONDITIONS, "GloballyConstant")
 
 
 class ReplayError(SemanticsError):

@@ -669,14 +669,11 @@ def frame_valid(
 
 def ordering_to_selection(frame: OrderingFrame) -> SelectionFrame:
     """f(P,w) := min_w(P); requires a Stalnakerian order (all of Def 2.14)."""
-    from .frameprops import check_ordering_props
+    from .frameprops import ORDERING_CONDITIONS, check_ordering_props
 
     report = check_ordering_props(frame)
     if not report.stalnakerian:
-        cond = report.first_failure(
-            ("Reflexivity", "Transitivity", "StronglyConnected",
-             "WeakCentering", "StrongCentering", "SLA")
-        )
+        cond = report.first_failure(ORDERING_CONDITIONS)
         raise NotStalnakerian(cond, report.witnesses.get(cond))
     n = frame.n_worlds
     table = tuple(

@@ -285,3 +285,13 @@ def test_kmodel_cem_sweep_empty_pool_exits_2(option):
     res = run("kmodel", "cem-sweep", "--max-size", "3", "--max-vars", "1", option, "0")
     assert res.exit_code == 2
     assert f"Invalid value for '{option}'" in res.output
+
+
+@pytest.mark.parametrize("model", ["remark25.json", "order_faulty.json"])
+def test_frame_props_json_golden(model):
+    """The JSON report of a selection model and of an ordering model that
+    fails every condition, byte for byte."""
+    res = run("frame-props", "--model", str(FIXTURES / model), "--format", "json")
+    assert res.exit_code == 0
+    golden = FIXTURES / "golden" / f"frame-props-{model}"
+    assert res.output == golden.read_text()

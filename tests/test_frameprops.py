@@ -189,3 +189,135 @@ def test_all_eight_witnesses_pinned():
     assert not any(rep.verdicts.values())
     for cond, wit in rep.witnesses.items():
         assert replay_witness(frame, cond, wit), cond
+
+
+def order_faulty_frame() -> OrderingFrame:
+    """An ordering frame failing every ordering and domain condition."""
+    import json
+    from pathlib import Path
+
+    from condlog.fileformats import load_model
+
+    path = Path(__file__).parent / "fixtures" / "order_faulty.json"
+    return load_model(json.loads(path.read_text())).frame
+
+
+def test_ordering_and_domain_witnesses_pinned():
+    """The first violation of each ordering and domain condition, in the
+    search order of each (worlds outermost)."""
+    frame = order_faulty_frame()
+    rep = check_ordering_props(frame)
+    assert rep.witnesses == {
+        "Reflexivity": (1,),
+        "Transitivity": (0, 1, 0, 0),
+        "StronglyConnected": (0, 0, 0),
+        "WeakCentering": (0, 0),
+        "StrongCentering": (1, 0),
+        "SLA": (3, 0),
+    }
+    assert not any(rep.verdicts.values())
+    dom = check_domain_props(frame)
+    assert dom.witnesses == {
+        "GloballyConstant": (0,),
+        "LocallyNonDecreasing": (0, 2),
+        "LocallyNonIncreasing": (0, 1),
+    }
+    assert not any(dom.verdicts.values())
+    for report in (rep, dom):
+        for cond, wit in report.witnesses.items():
+            assert replay_witness(frame, cond, wit), cond
+
+
+def test_replay_rejects_tuples_outside_the_search_space():
+    """A tuple that violates the predicate but is not a candidate of the
+    condition (here: a world not accessible from the evaluation world) does
+    not replay, on the frames where the checks find no violation."""
+    selection = SelectionFrame.build(
+        2, (0b01, 0b10), {}, "centering", 1, local=(0b1, 0b0)
+    )
+    assert check_domain_props(selection).verdicts["LocallyNonDecreasing"]
+    assert not replay_witness(selection, "LocallyNonDecreasing", (0, 1))
+    assert not replay_witness(selection, "LocallyNonIncreasing", (1, 0))
+    order = OrderingFrame.build(2, (0b01, 0b10), {0: [(0, 0)], 1: [(1, 1)]}, 1)
+    assert check_ordering_props(order).verdicts["StronglyConnected"]
+    assert not replay_witness(order, "StronglyConnected", (1, 1, 0))
+    assert not replay_witness(order, "WeakCentering", (1, 0))
+
+
+def small_ordering_frames():
+    """Every two-world ordering frame over a one-element domain with each
+    local-domain choice, and 500 random three-world ones."""
+    import itertools
+    import random
+
+    for r in itertools.product(range(4), repeat=2):
+        rows = []
+        for w in range(2):
+            seen = [x for x in range(2) if r[w] >> x & 1]
+            ups = [m for m in range(4) if not m & ~r[w]]
+            rows.append(
+                [
+                    tuple(dict(zip(seen, choice)).get(x, 0) for x in range(2))
+                    for choice in itertools.product(ups, repeat=len(seen))
+                ]
+            )
+        for bge in itertools.product(*rows):
+            for local in itertools.product(range(2), repeat=2):
+                yield OrderingFrame(2, r, bge, 1, local)
+    rng = random.Random(5)
+    for _ in range(500):
+        r = tuple(rng.randrange(8) for _ in range(3))
+        bge = tuple(
+            tuple(rng.randrange(8) & r[w] if r[w] >> x & 1 else 0 for x in range(3))
+            for w in range(3)
+        )
+        yield OrderingFrame(3, r, bge, 2, tuple(rng.randrange(4) for _ in range(3)))
+
+
+def _candidates(frame, shape):
+    """Every candidate of a search shape on the frame, each with the
+    arguments its violation predicate receives there."""
+    first = shape.search(frame, lambda *args: True)  # gives the candidate length
+    if first is None:
+        return []
+    seen: list = []
+    shape.search(frame, lambda *args: seen.append(args))  # never violates
+    return [(args[: len(first)], args) for args in seen]
+
+
+def _assert_replay_matches_search(frame, table, report):
+    for name, (shape, violates) in table.items():
+        first_replayed = None
+        for candidate, args in _candidates(frame, shape):
+            replayed = replay_witness(frame, name, candidate)
+            assert replayed == bool(violates(*args)), (name, candidate, frame)
+            if replayed and first_replayed is None:
+                first_replayed = candidate
+        assert report.witnesses.get(name) == first_replayed, (name, frame)
+
+
+@pytest.mark.slow
+def test_replay_matches_the_violation_predicate_on_every_candidate():
+    """On every frame of the (2 worlds, 1 element) enumeration and on small
+    ordering frames, a candidate of a condition's search replays exactly
+    when its violation predicate holds there, and the check's witness is
+    the first candidate that replays."""
+    from condlog.frameprops import _DOMAIN, _ORDERING, _SELECTION
+    from condlog.search import EnumerationParams, enumerate_frames
+
+    # the selection conditions read only R and the table, the domain ones
+    # only R and the local domains: each distinct input is checked once
+    tables, domains = set(), set()
+    for frame in enumerate_frames(EnumerationParams(max_worlds=2, max_domain=1)):
+        if (frame.r, frame.table) not in tables:
+            tables.add((frame.r, frame.table))
+            _assert_replay_matches_search(
+                frame, _SELECTION, check_selection_props(frame)
+            )
+        if (frame.r, frame.local) not in domains:
+            domains.add((frame.r, frame.local))
+            _assert_replay_matches_search(frame, _DOMAIN, check_domain_props(frame))
+    assert (len(tables), len(domains)) == (41910, 43)
+    for frame in small_ordering_frames():
+        _assert_replay_matches_search(frame, _ORDERING, check_ordering_props(frame))
+        _assert_replay_matches_search(frame, _DOMAIN, check_domain_props(frame))

@@ -294,3 +294,102 @@ def test_soundness_spot_check():
         assert frame_valid(frame, mod).valid, frame
         count += 1
     assert count > 0
+
+
+def _pinned_pool():
+    z, u = Variable(2), Variable(3)
+    r2 = Predicate(2, 2)
+    return [
+        fx,
+        fy,
+        Atom(G, (z,)),
+        Atom(r2, (x, u)),
+        Eq(x, y),
+        EPred(z),
+        Not(fx),
+        Imp(fx, gy),
+        Cond(fx, gx),
+        Forall(x, fx),
+        Forall(y, Cond(fy, Atom(r2, (x, y)))),
+        Exists(u, Imp(Eq(u, z), Atom(G, (u,)))),
+    ]
+
+
+def _all_schemas():
+    return sorted(set().union(*(logic.axioms for logic in LOGICS.values())))
+
+
+def _pinned_instances():
+    pool = _pinned_pool()
+    for schema in _all_schemas():
+        for seed in range(10):
+            rng = random.Random(seed)
+            for _ in range(25):
+                yield schema, generate_instance(schema, rng, pool)
+
+
+def test_generated_instances_pinned():
+    """Instances drawn for every schema of every logic, over fixed seeds and
+    a fixed pool, are the recorded ones and are accepted."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for schema, inst in _pinned_instances():
+        digest.update(repr(inst).encode() + b"\n")
+        assert is_axiom_instance(schema, inst), (schema, inst)
+    assert digest.hexdigest() == (
+        "83f7302bc4b411f0a6deb8a8780eac7b944ebfc44510a67c5c526fb169588947"
+    )
+
+
+def test_cross_schema_verdicts_pinned():
+    """Every schema's verdict on instances drawn for every schema, and on
+    each with y renamed to x, matches the recorded set of acceptances."""
+    import hashlib
+
+    schemas = _all_schemas()
+    digest = hashlib.sha256()
+    accepted = 0
+    for k, (drawn_for, inst) in enumerate(_pinned_instances()):
+        if k % 5:
+            continue
+        for target in (inst, substitute(inst, [(y, x)])):
+            for schema in schemas:
+                if is_axiom_instance(schema, target):
+                    accepted += 1
+                    digest.update(f"{k} {drawn_for} {schema} {target!r}\n".encode())
+    assert (accepted, digest.hexdigest()) == (
+        3410,
+        "6c2346fbed122e86884378800e650e1d749c2c97d77f4e6c6fd33a7c82aaa6a3",
+    )
+
+
+def test_distinctness_side_conditions():
+    """Schemas 8 and 9 need two different variables, and the identity
+    spelling of E(v), exists w (v = w), needs w other than v."""
+    assert is_axiom_instance("8", Imp(Forall(x, fx), Imp(Exists(x, Box(Eq(x, y))), fy)))
+    assert not is_axiom_instance(
+        "8", Imp(Forall(x, fx), Imp(Exists(x, Box(Eq(x, x))), fx))
+    )
+    assert is_axiom_instance(
+        "9", Imp(Forall(x, Imp(Exists(y, Box(Eq(y, x))), fx)), Forall(x, fx))
+    )
+    assert not is_axiom_instance(
+        "9", Imp(Forall(x, Imp(Exists(x, Box(Eq(x, x))), fx)), Forall(x, fx))
+    )
+    e_x, not_e_x = Exists(y, Eq(x, y)), Exists(x, Eq(x, x))
+    assert is_axiom_instance("31c", Imp(e_x, Box(e_x)))
+    assert not is_axiom_instance("31c", Imp(not_e_x, Box(not_e_x)))
+    assert is_axiom_instance("32c", Imp(Not(e_x), Box(Not(e_x))))
+    assert not is_axiom_instance("32c", Imp(Not(not_e_x), Box(Not(not_e_x))))
+    assert not is_axiom_instance(
+        "23v", Imp(And(Forall(x, fx), Exists(y, Eq(y, y))), fy)
+    )
+    # the same two spellings in the variable-domain generalisation rule
+    conclusion = Imp(gx, Cond(fx, Forall(z, Atom(F, (z,)))))
+    assert check_rule(
+        "27v", [Imp(gx, Cond(fx, Imp(Exists(z, Eq(y, z)), fy)))], conclusion
+    )
+    assert not check_rule(
+        "27v", [Imp(gx, Cond(fx, Imp(Exists(y, Eq(y, y)), fy)))], conclusion
+    )

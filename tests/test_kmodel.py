@@ -471,3 +471,18 @@ def test_sweeps_reject_an_empty_pool(max_size, max_vars):
     for sweep in (cem_sweep, qc2_axiom_sweep):
         with pytest.raises(KModelError, match="empty fragment pool"):
             sweep(max_size, max_vars)
+
+
+def test_small_sweep_reports_pinned():
+    """The full reports of two small sweeps: pool, denotation and point
+    counts."""
+    assert cem_sweep(4, 2, direct_samples=50).to_json() == {
+        "poolSize": 160, "distinctDenotations": 16, "pairsChecked": 256,
+        "pointsChecked": 1536, "directSamples": 50, "ok": True,
+        "counterexamples": [],
+    }
+    assert qc2_axiom_sweep(4, 3, with_identity=True, rule_samples=40).to_json() == {
+        "poolSize": 1446, "distinctDenotations": 28, "pairsChecked": 23424,
+        "pointsChecked": 23464, "directSamples": 80, "ok": True,
+        "counterexamples": [],
+    }
