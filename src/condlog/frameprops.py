@@ -317,11 +317,25 @@ def check_ordering_props(frame: OrderingFrame) -> FrameReport:
     return _report(frame, _ORDERING, _ORDERING)
 
 
-def check_domain_props(frame: SelectionFrame | OrderingFrame) -> FrameReport:
-    rep = _report(frame, _DOMAIN, _DOMAIN)
-    rep.verdicts["LocallyConstant"] = (
-        rep.verdicts["LocallyNonDecreasing"] and rep.verdicts["LocallyNonIncreasing"]
-    )
+def check_domain_props(
+    frame: SelectionFrame | OrderingFrame, conditions: Iterable[str] = DOMAIN_CONDITIONS
+) -> FrameReport:
+    """Exact verdicts for the domain conditions named in ``conditions`` (all
+    four by default), with a witness for each that fails.  LocallyConstant
+    is derived when both local verdicts are present, and asking for it
+    decides both.  An unknown name raises ``ValueError``."""
+    wanted = set(conditions)
+    unknown = wanted - set(DOMAIN_CONDITIONS)
+    if unknown:
+        raise ValueError(f"unknown domain conditions {sorted(unknown)}")
+    if "LocallyConstant" in wanted:
+        wanted.update(("LocallyNonDecreasing", "LocallyNonIncreasing"))
+    rep = _report(frame, _DOMAIN, wanted)
+    verdicts = rep.verdicts
+    if "LocallyNonDecreasing" in verdicts and "LocallyNonIncreasing" in verdicts:
+        verdicts["LocallyConstant"] = (
+            verdicts["LocallyNonDecreasing"] and verdicts["LocallyNonIncreasing"]
+        )
     return rep
 
 
@@ -407,7 +421,8 @@ def qc2_correspondence_check(
 
     The frame conditions are decided one at a time, cheapest first, and the
     check stops at the first that fails."""
-    properties_hold = check_domain_props(frame).verdicts["GloballyConstant"] and all(
+    globally_constant = check_domain_props(frame, ("GloballyConstant",))
+    properties_hold = globally_constant.verdicts["GloballyConstant"] and all(
         check_selection_props(frame, (name,)).verdicts[name]
         for name in WEAKLY_STALNAKERIAN
     )

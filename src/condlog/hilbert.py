@@ -46,6 +46,7 @@ from .syntax import (
     free_variables,
     language,
     nested_cond,
+    ordered_free_variables,
     substitute,
 )
 
@@ -241,7 +242,7 @@ def _holds(schema: Schema, m: Bindings, phi: Formula) -> bool:
 
 
 def _ui_candidates(consequent: Formula, var: Variable) -> list[Variable]:
-    return [var] + sorted(free_variables(consequent), key=lambda v: v.index)
+    return [var, *ordered_free_variables(consequent)]
 
 
 QST11_REPLACE_S_BY_T = True

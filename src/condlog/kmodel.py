@@ -36,6 +36,7 @@ from .syntax import (
     conj,
     free_variables,
     material_reduct,
+    ordered_free_variables,
     quantifier_rank,
     replace_other_atoms,
     size,
@@ -343,18 +344,9 @@ class _TypeEvaluator:
 
     def __init__(self) -> None:
         self.memo: dict = {}
-        self._fv: dict[Formula, tuple[Variable, ...]] = {}
 
     def clear(self) -> None:
         self.memo.clear()
-        self._fv.clear()
-
-    def _free(self, phi) -> tuple[Variable, ...]:
-        got = self._fv.get(phi)
-        if got is None:
-            got = tuple(sorted(free_variables(phi), key=lambda v: v.index))
-            self._fv[phi] = got
-        return got
 
     def run(self, phi, env, flits, fc, nc) -> bool:
         key = self._key(phi, env, flits, fc, nc)
@@ -366,23 +358,25 @@ class _TypeEvaluator:
             self.memo[key] = got
         return got
 
-    def _key(self, phi, env, flits, fc, nc):
+    def _key(self, phi, env, flits, fc, nc) -> tuple:
+        """One flat tuple: phi, then 2*label + literal for each free variable
+        (blocks relabelled in order of first use), the numbers of true and
+        false unreferenced blocks, and 2*budget + (kind == "atleast") for fc
+        and for nc.  For a fixed phi its length is fixed, so the encoding is
+        injective."""
         relabel: dict[int, int] = {}
-        canon = []
-        for v in self._free(phi):
+        key: list = [phi]
+        for v in ordered_free_variables(phi):
             b = env[v]
             if b not in relabel:
                 relabel[b] = len(relabel)
-            canon.append((relabel[b], flits[b]))
-        unref_true = 0
-        unref_false = 0
-        for b, lit in enumerate(flits):
-            if b not in relabel:
-                if lit:
-                    unref_true += 1
-                else:
-                    unref_false += 1
-        return (phi, tuple(canon), unref_true, unref_false, fc, nc)
+            key.append(2 * relabel[b] + flits[b])
+        unref_true = sum(lit for b, lit in enumerate(flits) if b not in relabel)
+        key.append(unref_true)
+        key.append(len(flits) - len(relabel) - unref_true)
+        key.append(2 * fc[1] + (fc[0] == "atleast"))
+        key.append(2 * nc[1] + (nc[0] == "atleast"))
+        return tuple(key)
 
     def _eval(self, phi, env, flits, fc, nc) -> bool:
         if isinstance(phi, Atom):
@@ -414,7 +408,7 @@ class _TypeEvaluator:
                     if budget < 1:
                         if kind == "atleast" and budget == 0:
                             # unreachable when the budget starts at the rank
-                            raise AssertionError("count budget below rank")
+                            raise KModelError("count budget below rank")
                         continue
                     env[x] = len(flits)
                     new_spec = (kind, budget - 1)
@@ -542,9 +536,22 @@ def _rectangles(cells: set, n: int) -> list[tuple[tuple[int, int], tuple[int, in
 # The decision pipeline for K.
 
 
+# The node attribute that caches the fragment, per empty_predicates flag.
+_FRAGMENT_SLOTS = ("_fragment_cache", "_fragment_cache_empty_predicates")
+
+
 def _quantifier_fragment(phi: Formula, empty_predicates: bool) -> Formula:
     """Material reduct with E replaced by top and, under the flag, other
-    predicates replaced by bottom (their interpretation in K is empty)."""
+    predicates replaced by bottom (their interpretation in K is empty).
+
+    The result is cached on the node, one per flag, so the same source
+    subtree always gives the same fragment object and the memo tables keyed
+    by it hit by identity."""
+    slot = _FRAGMENT_SLOTS[empty_predicates]
+    try:
+        return getattr(phi, slot)
+    except AttributeError:
+        pass
     reduct = material_reduct(phi)
     others = {
         s.pred for s in subformulas(reduct) if isinstance(s, Atom) and s.pred != F
@@ -555,9 +562,9 @@ def _quantifier_fragment(phi: Formula, empty_predicates: bool) -> Formula:
             f"predicates {sorted((p.index, p.arity) for p in others)} are empty "
             "in K; pass empty_predicates=True to interpret them as such"
         )
-    if others or has_e:
-        return replace_other_atoms(reduct, keep=(F,))
-    return reduct
+    out = replace_other_atoms(reduct, keep=(F,)) if others or has_e else reduct
+    object.__setattr__(phi, slot, out)
+    return out
 
 
 def _realized_type(values_list, k: int, threshold: int):
@@ -582,15 +589,18 @@ def denote_k(
     phi: Formula, g: Mapping[Variable, int], empty_predicates: bool = False
 ) -> KSet:
     """The exact set {w : K,w,g satisfies phi}, in canonical form."""
-    fv = sorted(free_variables(phi), key=lambda v: v.index)
-    items = tuple((v, g[v]) for v in fv)
-    _check_assignment(dict(items))
-    return _denote(phi, dict(items), empty_predicates)
+    sub = {v: g[v] for v in ordered_free_variables(phi)}
+    _check_assignment(sub)
+    return _denote(phi, sub, empty_predicates)
 
 
 def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
-    fv = sorted(free_variables(phi), key=lambda v: v.index)
-    key = (phi, tuple((v, g[v]) for v in fv), empty_predicates)
+    """The denotation under g, which covers the free variables of phi.  It
+    is the one source of the -inf bit: eval_k and the quantifier clause at
+    -inf both read it.  The cache key is flat: phi, the flag, then the value
+    of each free variable in index order."""
+    fv = ordered_free_variables(phi)
+    key = (phi, empty_predicates, *[g[v] for v in fv])
     got = _DENOTE_CACHE.get(key)
     if got is not None:
         return got
@@ -619,9 +629,7 @@ def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
         b = _denote(phi.right, _restrict(g, phi.right), empty_predicates)
         out = _cond_denotation(a, b)
     elif isinstance(phi, Forall):
-        nf = monadic_nf(
-            _quantifier_fragment(phi, empty_predicates), tuple(fv)
-        )
+        nf = monadic_nf(_quantifier_fragment(phi, empty_predicates), fv)
         t = nf.threshold
         values = [g[v] for v in fv]
         distinct = len(set(values))
@@ -665,7 +673,8 @@ def eval_k(
     g: Mapping[Variable, int],
     empty_predicates: bool = False,
 ) -> bool:
-    """Truth of phi at a world of K under the assignment."""
+    """Truth of phi at a world of K under the assignment: membership in its
+    denotation, which at -inf is the denotation's -inf bit."""
     _check_world(w)
     fv = free_variables(phi)
     missing = fv - set(g)
@@ -673,36 +682,7 @@ def eval_k(
         raise KModelError(f"assignment misses {sorted(v.index for v in missing)}")
     sub = {v: g[v] for v in fv}
     _check_assignment(sub)
-    if w == MINUS_INF:
-        return _eval_minus_inf(phi, sub, empty_predicates)
     return _denote(phi, sub, empty_predicates).contains(w)
-
-
-def _eval_minus_inf(phi: Formula, g: dict, empty_predicates: bool) -> bool:
-    if isinstance(phi, Atom):
-        if phi.pred != F and not empty_predicates:
-            raise NonFragment(
-                f"predicate {phi.pred} is empty in K; pass empty_predicates=True"
-            )
-        return False  # every predicate, F included, is empty at -inf
-    if isinstance(phi, Eq):
-        return g[phi.left] == g[phi.right]
-    if isinstance(phi, EPred):
-        return True
-    if isinstance(phi, Not):
-        return not _eval_minus_inf(phi.body, g, empty_predicates)
-    if isinstance(phi, Imp):
-        return not _eval_minus_inf(phi.left, g, empty_predicates) or _eval_minus_inf(
-            phi.right, g, empty_predicates
-        )
-    if isinstance(phi, Cond):
-        return cond_at_origin(
-            _denote(phi.left, _restrict(g, phi.left), empty_predicates),
-            _denote(phi.right, _restrict(g, phi.right), empty_predicates),
-        )
-    if isinstance(phi, Forall):
-        return _forall_minus_inf(phi, g, empty_predicates)
-    raise KModelError(f"not a formula: {phi!r}")
 
 
 def _forall_minus_inf(phi: Forall, g: dict, empty_predicates: bool) -> bool:
@@ -716,7 +696,7 @@ def _forall_minus_inf(phi: Forall, g: dict, empty_predicates: bool) -> bool:
     asserts.
     """
     if not any(isinstance(s, Cond) for s in subformulas(phi)):
-        fv = tuple(sorted(free_variables(phi), key=lambda v: v.index))
+        fv = ordered_free_variables(phi)
         nf = monadic_nf(_quantifier_fragment(phi, empty_predicates), fv)
         t = nf.threshold
         values = [g[v] for v in fv]
@@ -749,7 +729,7 @@ def _forall_minus_inf(phi: Forall, g: dict, empty_predicates: bool) -> bool:
         sub = {v: g[v] for v in body_fv if v != x}
         if x in body_fv:
             sub[x] = a
-        return _eval_minus_inf(body, sub, empty_predicates)
+        return _denote(body, sub, empty_predicates).minus_inf
 
     deep_values = [at(a) for a in deep]
     if len(set(deep_values)) != 1:

@@ -36,6 +36,7 @@ from .syntax import (
     Predicate,
     Variable,
     free_variables,
+    ordered_free_variables,
     predicates,
 )
 
@@ -431,7 +432,7 @@ class _Program:
             raise SemanticsError(f"not a formula: {phi!r}")
         if not bound:
             return run
-        fv = _node_fv(phi)
+        fv = ordered_free_variables(phi)
         if bound.issubset(fv):
             return run
         keys = tuple([self._slot(v) for v in fv])
@@ -509,18 +510,6 @@ def extension(model: Model, g: Assignment, phi: Formula) -> int:
     program = _Program(model.frame, phi)
     program.load_interp(model.interp)
     return program.run(program.env(g))
-
-
-def _node_fv(phi: Formula) -> tuple[Variable, ...]:
-    """The node's free variables in index order, cached on the node (the
-    order depends only on the formula, not on the model)."""
-    try:
-        return phi._fv_ordered  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
-    got = tuple(sorted(free_variables(phi), key=lambda v: v.index))
-    object.__setattr__(phi, "_fv_ordered", got)
-    return got
 
 
 def _lewis(frame: OrderingFrame, ant: int, cons: int, w: int) -> bool:
@@ -642,7 +631,9 @@ def frame_valid(
             raise ResourceGuard(f"predicate arity {p.arity} above ceiling {max_arity}")
     program = _Program(frame, phi)
     full = (1 << n) - 1
-    assignments = [(g, program.env(g)) for g in _assignments(_node_fv(phi), nd)]
+    assignments = [
+        (g, program.env(g)) for g in _assignments(ordered_free_variables(phi), nd)
+    ]
     cells = [(p, w) for p in preds for w in range(n)]
     loads = [program.cell(p, w) for p, w in cells]
     options = {a: subset_options(nd, a) for a in {p.arity for p in preds}}
@@ -694,11 +685,11 @@ def selection_to_ordering(frame: SelectionFrame) -> OrderingFrame:
     """v <=_w u iff v in f({v,u},w); requires a Stalnakerian table."""
     from .frameprops import check_selection_props
 
-    report = check_selection_props(frame)
+    # This order, not frameprops.STALNAKERIAN, names the failed condition.
+    order = ("Success", "WeakCentering", "LA", "Uniformity", "Uniqueness")
+    report = check_selection_props(frame, order)
     if not report.stalnakerian:
-        cond = report.first_failure(
-            ("Success", "WeakCentering", "LA", "Uniformity", "Uniqueness")
-        )
+        cond = report.first_failure(order)
         raise NotStalnakerian(cond, report.witnesses.get(cond))
     n = frame.n_worlds
     bge = []

@@ -337,6 +337,17 @@ def free_variables(phi: Formula) -> frozenset[Variable]:
     return out
 
 
+def ordered_free_variables(phi: Formula) -> tuple[Variable, ...]:
+    """The free variables in index order, cached on the node."""
+    try:
+        return phi._fv_ordered  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    out = tuple(sorted(free_variables(phi), key=lambda v: v.index))
+    object.__setattr__(phi, "_fv_ordered", out)
+    return out
+
+
 def all_variables(phi: Formula) -> frozenset[Variable]:
     """Free and bound variables together."""
     if isinstance(phi, Forall):
@@ -504,18 +515,37 @@ def _var_match(x: Variable, y: Variable, la: dict[Variable, int], lb: dict[Varia
 
 
 def material_reduct(phi: Formula) -> Formula:
-    """Replace every conditional by material implication, recursively."""
+    """Replace every conditional by material implication, recursively.
+
+    The reduct is cached on the node and built from the children's cached
+    reducts, so one source subtree always gives the same reduct object; a
+    node without conditionals is its own reduct (cached as None, so that the
+    node does not refer to itself)."""
+    try:
+        got = phi._reduct_cache  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    else:
+        return phi if got is None else got
+    out: Formula
     if isinstance(phi, (Atom, Eq, EPred)):
         return phi
     if isinstance(phi, Not):
-        return Not(material_reduct(phi.body))
-    if isinstance(phi, Imp):
-        return Imp(material_reduct(phi.left), material_reduct(phi.right))
-    if isinstance(phi, Cond):
-        return Imp(material_reduct(phi.left), material_reduct(phi.right))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, material_reduct(phi.body))
-    raise FormulaError(f"not a formula: {phi!r}")
+        body = material_reduct(phi.body)
+        out = phi if body is phi.body else Not(body)
+    elif isinstance(phi, (Imp, Cond)):
+        left, right = material_reduct(phi.left), material_reduct(phi.right)
+        if isinstance(phi, Imp) and left is phi.left and right is phi.right:
+            out = phi
+        else:
+            out = Imp(left, right)
+    elif isinstance(phi, Forall):
+        body = material_reduct(phi.body)
+        out = phi if body is phi.body else Forall(phi.var, body)
+    else:
+        raise FormulaError(f"not a formula: {phi!r}")
+    object.__setattr__(phi, "_reduct_cache", None if out is phi else out)
+    return out
 
 
 def build_ds() -> Formula:

@@ -171,6 +171,65 @@ def test_unknown_condition_name_rejected():
         check_selection_props(remark25_frame(), ("Success", "Centering"))
 
 
+def test_domain_condition_subsets_match_the_full_report():
+    """A domain report on a subset of the conditions has the verdicts and
+    witnesses of the full report restricted to what it decided: the named
+    conditions, both local ones when LocallyConstant is named, and
+    LocallyConstant exactly when both local verdicts are present.  Every 3rd
+    frame of the (2 worlds, 1 element) enumeration is checked, each against a
+    different subset in turn, so every subset is used."""
+    from itertools import combinations, islice
+
+    from condlog.frameprops import DOMAIN_CONDITIONS
+    from condlog.search import EnumerationParams, enumerate_frames
+
+    local = {"LocallyNonDecreasing", "LocallyNonIncreasing"}
+    subsets = [
+        c
+        for k in range(len(DOMAIN_CONDITIONS) + 1)
+        for c in combinations(DOMAIN_CONDITIONS, k)
+    ]
+    frames = enumerate_frames(EnumerationParams(max_worlds=2, max_domain=1))
+    checked = 0
+    for i, frame in enumerate(islice(frames, 0, None, 3)):
+        subset = subsets[i % len(subsets)]
+        decided = set(subset)
+        if "LocallyConstant" in decided:
+            decided |= local
+        if local <= decided:
+            decided.add("LocallyConstant")
+        full = check_domain_props(frame)
+        part = check_domain_props(frame, subset)
+        assert part.verdicts == {
+            c: v for c, v in full.verdicts.items() if c in decided
+        }, frame
+        assert part.witnesses == {
+            c: w for c, w in full.witnesses.items() if c in decided
+        }, frame
+        checked += 1
+    assert checked == 55781
+
+
+def test_unknown_domain_condition_name_rejected():
+    with pytest.raises(ValueError, match="LocallyEmpty"):
+        check_domain_props(remark25_frame(), ("GloballyConstant", "LocallyEmpty"))
+
+
+def test_correspondence_check_decides_only_global_constancy(monkeypatch):
+    from condlog import frameprops
+
+    asked = []
+    real = frameprops.check_domain_props
+
+    def spy(frame, conditions=frameprops.DOMAIN_CONDITIONS):
+        asked.append(tuple(conditions))
+        return real(frame, conditions)
+
+    monkeypatch.setattr(frameprops, "check_domain_props", spy)
+    assert qc2_correspondence_check(remark25_frame()).agree
+    assert asked == [("GloballyConstant",)]
+
+
 def test_all_eight_witnesses_pinned():
     """A frame failing every selection condition, with the first violation
     of each in (world, subset) order."""

@@ -486,3 +486,127 @@ def test_small_sweep_reports_pinned():
         "pointsChecked": 23464, "directSamples": 80, "ok": True,
         "counterexamples": [],
     }
+
+
+# ---------------------------------------------------------------------------
+# The -inf bit of the denotation against a direct recursion on truth at -inf.
+
+
+def _reference_minus_inf(phi, g):
+    """Truth at -inf by recursion on phi, with its own quantifier clause:
+    the conditional-free case through the counting-type engine, otherwise
+    the witness window around the assigned values and -1 plus a deep block
+    that must be constant.  Kept as a reference for the -inf bit."""
+    from condlog.kmodel import _denote, _quantifier_fragment
+    from condlog.syntax import EPred, size, subformulas
+
+    if isinstance(phi, Atom):
+        return False  # F is empty at -inf
+    if isinstance(phi, Eq):
+        return g[phi.left] == g[phi.right]
+    if isinstance(phi, EPred):
+        return True
+    if isinstance(phi, Not):
+        return not _reference_minus_inf(phi.body, g)
+    if isinstance(phi, Imp):
+        return not _reference_minus_inf(phi.left, g) or _reference_minus_inf(
+            phi.right, g
+        )
+    if isinstance(phi, Cond):
+        return cond_at_origin(
+            _denote(phi.left, _restrict(g, phi.left), False),
+            _denote(phi.right, _restrict(g, phi.right), False),
+        )
+    assert isinstance(phi, Forall)
+    fv = tuple(sorted(free_variables(phi), key=lambda v: v.index))
+    if not any(isinstance(s, Cond) for s in subformulas(phi)):
+        nf = monadic_nf(_quantifier_fragment(phi, False), fv)
+        labels = {}
+        blocks = tuple(labels.setdefault(g[v], len(labels)) for v in fv)
+        t = nf.threshold
+        fc = ("exact", 0) if t >= 1 else ("atleast", 0)
+        return nf.satisfied(blocks, (False,) * len(labels), fc, ("atleast", t))
+    s = size(phi)
+    vals = sorted({g[v] for v in fv})
+    candidates = set(vals)
+    for v in vals + [-1]:
+        candidates.update(v + d for d in range(-(s + 1), s + 2) if v + d <= -1)
+    deep_top = (min(vals) if vals else -1) - s - 2
+
+    def at(a):
+        return _reference_minus_inf(phi.body, {**_restrict(g, phi), phi.var: a})
+
+    deep = {at(deep_top - i) for i in range(s + 1)}
+    assert len(deep) == 1, phi
+    return deep.pop() and all(at(a) for a in sorted(candidates, reverse=True))
+
+
+def _restrict(g, phi):
+    return {v: g[v] for v in free_variables(phi)}
+
+
+# Assignments whose values lie 40 and more apart, so the witness windows
+# around them are disjoint, next to the canonical close ones.
+_SPREAD_2 = [
+    {x: -1, y: -2},
+    {x: -3, y: -3},
+    {x: -1, y: -41},
+    {x: -41, y: -1},
+    {x: -45, y: -90},
+    {x: -2, y: -130},
+]
+_SPREAD_3 = [
+    {x: -1, y: -2, Variable(2): -3},
+    {x: -1, y: -41, Variable(2): -81},
+    {x: -81, y: -1, Variable(2): -41},
+    {x: -2, y: -50, Variable(2): -2},
+    {x: -40, y: -120, Variable(2): -1},
+]
+
+
+def test_minus_inf_bit_matches_the_reference_recursion():
+    checked = 0
+    for pool, assignments in (
+        (fragment_pool(4, 2, with_identity=True), _SPREAD_2),
+        (fragment_pool(5, 3, with_identity=True)[::7], _SPREAD_3),
+    ):
+        for phi in pool:
+            for g in assignments:
+                want = _reference_minus_inf(phi, _restrict(g, phi))
+                assert eval_k(phi, MINUS_INF, g) == want, (phi, g)
+                assert denote_k(phi, g).minus_inf == want, (phi, g)
+                checked += 1
+    assert checked == 300 * 6 + 1661 * 5
+
+
+def test_quantifier_fragment_normal_forms_pinned():
+    """The counting types of every distinct quantifier fragment of the
+    (5, 3) pool in L=, over the quantifier's free variables; digest recorded
+    before the type evaluator's memo key was made flat."""
+    import hashlib
+
+    from condlog.kmodel import _quantifier_fragment
+    from condlog.syntax import subformulas
+
+    seen = {}
+    for phi in fragment_pool(5, 3, with_identity=True):
+        for s in subformulas(phi):
+            if isinstance(s, Forall):
+                named = tuple(sorted(free_variables(s), key=lambda v: v.index))
+                seen.setdefault((_quantifier_fragment(s, False), named), None)
+    lines = sorted(
+        f"{frag!r}|{[v.index for v in named]}|{sorted(monadic_nf(frag, named).types)}"
+        for frag, named in seen
+    )
+    assert len(lines) == 2934
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d76042335cfe27bdf6af6bd51470520993eb99fdbf62cf9ac2886caebb1df45c"
+
+
+def test_count_budget_below_rank_is_a_kmodel_error():
+    """An "atleast 0" budget under a quantifier is unreachable from
+    monadic_nf; reaching it raises a real exception, kept under -O."""
+    from condlog.kmodel import _TypeEvaluator
+
+    with pytest.raises(KModelError, match="count budget below rank"):
+        _TypeEvaluator().run(Forall(x, fx), {}, (), ("atleast", 0), ("atleast", 0))

@@ -284,6 +284,34 @@ def test_selection_to_ordering_requires_stalnakerian():
     assert err.value.condition == "LA"
 
 
+def test_selection_to_ordering_names_uniformity_before_uniqueness(monkeypatch):
+    """A frame failing both Uniformity and Uniqueness (and no earlier
+    Stalnakerian condition): the conversion names Uniformity, in a message
+    recorded before it stopped deciding all eight conditions, and it asks
+    for the five it reads."""
+    from condlog import frameprops
+
+    def first(p, w):
+        return next((1 << v for v in (w, *range(3)) if p >> v & 1), 0)
+
+    entries = {(p, w): first(p, w) for w in range(3) for p in range(8)}
+    entries[(0b111, 0)] = 0b011
+    frame = SelectionFrame.build(3, (0b111,) * 3, entries, "empty", 1)
+    asked = []
+    real = frameprops.check_selection_props
+
+    def spy(frame, conditions=frameprops.SELECTION_CONDITIONS):
+        asked.append(tuple(conditions))
+        return real(frame, conditions)
+
+    monkeypatch.setattr(frameprops, "check_selection_props", spy)
+    with pytest.raises(NotStalnakerian) as err:
+        selection_to_ordering(frame)
+    assert str(err.value) == "frame violates Uniformity: witness (3, 7, 0)"
+    assert (err.value.condition, err.value.witness) == ("Uniformity", (3, 7, 0))
+    assert asked == [("Success", "WeakCentering", "LA", "Uniformity", "Uniqueness")]
+
+
 def test_selection_ordering_roundtrip_three_worlds():
     frame = chain_order(3)
     sel = ordering_to_selection(frame)
