@@ -10,6 +10,7 @@ formula per line, ``#`` comments).
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -280,7 +281,7 @@ def cmd_frame_props(model_path, fmt) -> None:
     lines += [f"{name}: {val}" for name, val in sorted(dom.verdicts.items())]
     for name, wit in sorted({**rep.witnesses, **dom.witnesses}.items()):
         lines.append(f"witness {name}: {wit}")
-    _finish("json" if fmt == "json" else "text", True, payload, lines)
+    _finish(fmt, True, payload, lines)
 
 
 @main.command("convert")
@@ -492,7 +493,9 @@ def cmd_k_truncate(n, out) -> None:
 @click.option("--axioms", is_flag=True, help="Also sweep the non-CEM axiom schemas.")
 @click.option("--samples", default=200, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--jobs", default=1, show_default=True)
+@click.option(
+    "--jobs", type=click.IntRange(1, os.cpu_count() or 1), default=1, show_default=True
+)
 @format_option
 def cmd_k_cem(max_size, max_vars, identity, axioms, samples, seed, jobs, fmt) -> None:
     """Sweep conditional excluded middle over the fragment pool."""

@@ -287,28 +287,34 @@ def dump_model(model: Model) -> dict:
 
 
 def load_proof(doc: Mapping) -> ProofScript:
-    """Parse a proof document; formulas are read in the script's language."""
+    """Parse a proof document; formulas are read in the script's language.
+    Raises DocumentError naming the offending entry, also when an entry has
+    the wrong JSON shape."""
+    _shaped(doc, Mapping, "proof document")
     logic_name = _require(doc, "logic", "proof")
-    logic = LOGICS.get(logic_name)
+    logic = LOGICS.get(logic_name) if isinstance(logic_name, str) else None
     if logic is None:
         raise DocumentError(
             f"unknown logic {logic_name!r}; expected one of {sorted(LOGICS)}"
         )
     lines = []
-    for i, entry in enumerate(doc.get("lines", []), start=1):
+    for i, entry in enumerate(_shaped(doc.get("lines", []), list, "lines"), start=1):
         context = f"line {i}"
+        _shaped(entry, Mapping, context)
         text = _require(entry, "formula", context)
         try:
             formula = parse_formula(text, logic.lang)
         except Exception as err:
             raise DocumentError(f"{context}: {err}") from None
-        just_doc = _require(entry, "just", context)
+        just_doc = _shaped(_require(entry, "just", context), Mapping, f"{context} just")
         if "axiom" in just_doc:
             just: "AxiomInstance | RuleApplication" = AxiomInstance(
                 str(just_doc["axiom"])
             )
         elif "rule" in just_doc:
-            premises = tuple(just_doc.get("premises", []))
+            premises = tuple(
+                _shaped(just_doc.get("premises", []), list, f"{context} premises")
+            )
             for p in premises:
                 if not isinstance(p, int) or not 1 <= p < i:
                     raise DocumentError(
@@ -343,7 +349,3 @@ def dump_proof(script: ProofScript) -> dict:
 
 def loads_model(text: str) -> Model:
     return load_model(json.loads(text))
-
-
-def loads_proof(text: str) -> ProofScript:
-    return load_proof(json.loads(text))

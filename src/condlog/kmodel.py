@@ -741,13 +741,6 @@ def _forall_minus_inf(phi: Forall, g: dict, empty_predicates: bool) -> bool:
     return all(at(a) for a in sorted(candidates, reverse=True))
 
 
-def clear_caches() -> None:
-    _NF_CACHE.clear()
-    _DENOTE_CACHE.clear()
-    _TRUNCATION_CACHE.clear()
-    _TYPE_EVALUATOR.clear()
-
-
 # ---------------------------------------------------------------------------
 # Finite truncations of K: the cross-validation oracle.
 

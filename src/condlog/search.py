@@ -3,8 +3,8 @@
 Frames are enumerated up to world/domain relabeling via canonical-form
 hashing: a frame is emitted only when its encoding is lexicographically
 minimal among all permutation images.  The descending-sequence sweep and
-the compactness search both replay any witness through the generic
-evaluator before reporting it.
+the compactness search both replay any witness through ``evaluate``
+before reporting it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .semantics import (
     _bits,
     _default_names,
     evaluate,
+    first_failure,
 )
 from .syntax import (
     Atom,
@@ -275,95 +276,51 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
 # The descending-sequence sweep.
 
 
-def _f_masks(interp_bits: Sequence[int], nd: int, n: int) -> list[int]:
-    """Per domain element, the mask of worlds where F holds of it."""
-    masks = [0] * nd
-    for w in range(n):
-        bits = interp_bits[w]
-        for a in range(nd):
-            if bits & (1 << a):
-                masks[a] |= 1 << w
-    return masks
-
-
-def _ds_holds_fast(frame: SelectionFrame, masks: Sequence[int], w: int) -> bool:
-    """Hand-compiled truth of the descending-sequence formula at w.
-
-    Conjuncts: the local domain is nonempty; every element's F-extension
-    selects something; every element has a partner whose disjunction
-    selects only non-F(a) worlds.  Cross-validated against the generic
-    evaluator in the tests.
-    """
-    local = frame.local[w]
-    if not local:
-        return False
-    row = frame.table[w]
-    for a in _bits(local):
-        if not row[masks[a]]:
-            return False
-    for a in _bits(local):
-        ma = masks[a]
-        if not any(row[ma | masks[b]] & ma == 0 for b in _bits(local)):
-            return False
-    return True
-
-
-def ds_model(frame: SelectionFrame, interp_bits: Sequence[int]) -> Model:
-    nd = frame.n_domain
-    interp = {
-        F: {
-            w: frozenset((a,) for a in range(nd) if interp_bits[w] & (1 << a))
-            for w in range(frame.n_worlds)
-        }
-    }
-    return Model(frame, interp)
+def _f_values(n_domain: int, arity: int) -> list[frozenset[tuple[int, ...]]]:
+    """The extensions of F at a world in bitmask order: k holds a iff bit a."""
+    return [frozenset((a,) for a in _bits(k)) for k in range(1 << n_domain)]
 
 
 def ds_sweep(params: EnumerationParams) -> SearchOutcome:
     """Search for a pointed model of the descending-sequence formula over
-    the enumerated frames and every interpretation of F.
+    the enumerated frames and every interpretation of F.  Over weakly
+    Stalnakerian frames no satisfying point should exist; the control runs
+    drop conditions to confirm the sweep can find one.
 
-    Over weakly Stalnakerian frames no satisfying point should exist; the
-    control runs drop conditions to confirm the sweep can find one.
-
-    The interpretations of F and their per-element F-masks depend only on
-    (|W|, |D|), so they are built once per pair and reused for every frame
-    of that size."""
+    A satisfying point is a failing point of the negated formula, asked of
+    ``first_failure`` with F's extensions in bitmask order at each world.
+    ``points_checked`` counts (interpretation, world) points up to the
+    witness, or all of them."""
     outcome = SearchOutcome(found=False)
     ds = build_ds()
-    interps_of: dict[tuple[int, int], list[tuple[tuple[int, ...], list[int]]]] = {}
+    negated = Not(ds)
     for frame in enumerate_frames(params):
         outcome.frames_enumerated += 1
-        n, nd = frame.n_worlds, frame.n_domain
-        interps = interps_of.get((n, nd))
-        if interps is None:
-            interps = interps_of[(n, nd)] = [
-                (interp_bits, _f_masks(interp_bits, nd, n))
-                for interp_bits in itertools.product(range(1 << nd), repeat=n)
-            ]
-        for interp_bits, masks in interps:
-            for w in range(n):
-                outcome.points_checked += 1
-                if _ds_holds_fast(frame, masks, w):
-                    model = ds_model(frame, interp_bits)
-                    if not evaluate(model, w, {}, ds):
-                        raise ReplayError(
-                            f"fast path disagrees with the evaluator at world {w} "
-                            f"of {frame!r} under F = {interp_bits!r}"
-                        )
-                    outcome.found = True
-                    outcome.witness = {
-                        "frame": frame,
-                        "model": model,
-                        "world": frame.world_names[w],
-                        "interpretation": {
-                            frame.world_names[i]: sorted(
-                                frame.domain_names[a] for a in _bits(interp_bits[i])
-                            )
-                            for i in range(n)
-                        },
-                    }
-                    return outcome
+        n = frame.n_worlds
+        hit = first_failure(frame, negated, _f_values)
+        if hit is None:
+            outcome.points_checked += (1 << frame.n_domain) ** n * n
+            continue
+        index, interp, _g, w = hit
+        outcome.points_checked += index * n + w + 1
+        model = Model(frame, interp)
+        if not evaluate(model, w, {}, ds):
+            raise ReplayError(
+                f"witness failed replay at world {w} of {frame!r} under {interp!r}"
+            )
+        outcome.found = True
+        outcome.witness = {
+            "frame": frame,
+            "model": model,
+            "world": frame.world_names[w],
+            "interpretation": {
+                frame.world_names[v]: sorted(
+                    frame.domain_names[a] for (a,) in interp[F][v]
+                )
+                for v in range(n)
+            },
+        }
+        return outcome
     return outcome
 
 

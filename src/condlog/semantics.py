@@ -1,28 +1,23 @@
 """Finite-model satisfaction and validity for the three frame kinds.
 
-Worlds and domain elements are kept as indices internally; sets of worlds
-are bit masks, which keeps exhaustive sweeps over subsets and
-interpretations cheap.  Loaded models carry the original names for
-reporting.
+Worlds and domain elements are indices internally; sets of worlds are bit
+masks.  Loaded models carry the original names for reporting.
 
-There is one evaluator.  ``extension`` (and ``evaluate``, which reads one
-bit of it), ``model_valid`` and ``frame_valid`` compile a formula against a
-frame into nested closures that return world masks (``_Program``).  Atoms
-read a world-mask table per (predicate, argument tuple), filled once per
-interpretation; a conditional on a selection frame indexes the rows of the
-frame's table.  ``frame_valid`` compiles once per call and refills the atom
-tables for each interpretation it enumerates.  A node below a quantifier
-whose variable is not free in it is memoised for the current
-interpretation, so nested quantifiers do not re-evaluate the parts that do
-not depend on them.
+There is one evaluator.  A formula is compiled once, independent of any
+frame, into closures whose values pack the world masks of a block of
+interpretations into one int (bitslicing, Biham 1997).  ``extension``,
+``evaluate`` and ``model_valid`` evaluate a block of one interpretation,
+the model's.  ``first_failure`` walks the interpretations of a formula's
+predicates in blocks that start at one and grow geometrically; both
+``frame_valid`` and the descending-sequence sweep ask it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .syntax import (
     Atom,
@@ -38,6 +33,7 @@ from .syntax import (
     free_variables,
     ordered_free_variables,
     predicates,
+    subformulas,
 )
 
 
@@ -290,13 +286,14 @@ class QuasiSelectionFrame:
         return self.order.domain_names
 
 
+Frame = Union[SelectionFrame, OrderingFrame, QuasiSelectionFrame]
 Interpretation = Mapping[Predicate, Mapping[int, frozenset[tuple[int, ...]]]]
 Assignment = Mapping[Variable, int]
 
 
 @dataclass(frozen=True)
 class Model:
-    frame: "SelectionFrame | OrderingFrame | QuasiSelectionFrame"
+    frame: Frame
     interp: Interpretation = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -318,151 +315,194 @@ class Model:
 
 # ---------------------------------------------------------------------------
 # Satisfaction.
+#
+# Over n worlds, interpretation j of a block owns bits j*(n+1) .. j*(n+1)+n-1
+# of a value, and bit j*(n+1)+n is its guard, clear in every value.  Adding
+# ``full`` (all worlds of every interpretation) sets the guard of exactly the
+# interpretations whose world set is nonempty, so ``(v + full) & guard``
+# tests every interpretation of the block at once.
 
 
-class _Program:
-    """A formula compiled against one frame into nested closures.
+def _tuple_index(tup: Iterable[int], n_domain: int) -> int:
+    """The index of an argument tuple in ``itertools.product`` order."""
+    i = 0
+    for a in tup:
+        i = i * n_domain + a
+    return i
 
-    Each closure maps an environment to the world mask of its node.  The
-    environment is a list holding the value of every variable of the
-    formula, free or bound, in the slot ``slots[v]``; a quantifier writes
-    its variable's slot in place and restores it.  Atoms read one world-mask
-    table per predicate, keyed by argument tuple, which ``load`` fills from
-    an interpretation; a conditional on a selection frame indexes the rows
-    of ``frame.table`` directly.
 
-    A node under a quantifier whose variable is not free in it has the same
-    value for every value of that variable, so its closure keeps a memo
-    keyed by the values of its own free variables.  ``load`` empties the
-    memos together with the atom tables: they hold for one interpretation.
-    """
+def _layout(frame: Frame, size: int) -> tuple:
+    """(ones, full, guard, exists, elements, rows, clause) for blocks of
+    ``size`` interpretations.  ``exists`` maps an element to the worlds
+    whose local domain holds it; ``elements`` pairs each element of some
+    local domain with the worlds that lack it.  On an ordering or quasi frame
+    ``rows`` has per world w the shift from a guard to bit w, R(w), and per
+    x in R(w) the shift from bit x to a guard with the worlds at or below x
+    (ordering) or the accessible worlds not at or above x (quasi)."""
+    n, width = frame.n_worlds, frame.n_worlds + 1
+    ones = ((1 << (width * size)) - 1) // ((1 << width) - 1)
+    full = ones * ((1 << n) - 1)
+    exists = [0] * frame.n_domain
+    for w, local in enumerate(frame.local):
+        for a in _bits(local):
+            exists[a] |= ones << w
+    elements = [(a, full ^ mask) for a, mask in enumerate(exists) if mask]
+    if isinstance(frame, SelectionFrame):
+        return ones, full, ones << n, exists, elements, frame.table, "_selection"
+    order = frame.order if isinstance(frame, QuasiSelectionFrame) else frame
+    rows = []
+    for w in range(n):
+        r = order.r[w]
+        rel = order.ble_table[w] if order is frame else [r & ~a for a in order.bge[w]]
+        rows.append((n - w, r * ones, [(n - x, rel[x] * ones) for x in _bits(r)]))
+    clause = "_lewis" if order is frame else "_quasi"
+    return ones, full, ones << n, exists, elements, rows, clause
 
-    def __init__(
-        self, frame: "SelectionFrame | OrderingFrame | QuasiSelectionFrame", phi: Formula
-    ):
-        self.frame = frame
-        self.full = (1 << frame.n_worlds) - 1
-        self.slots: dict[Variable, int] = {}
-        self.atoms: dict[Predicate, dict[tuple[int, ...], int]] = {}
-        self.memos: list[dict] = []
-        self._exists: Optional[list[int]] = None
-        self.run = self._compile(phi, frozenset())
 
-    def cell(self, pred: Predicate, w: int) -> tuple[Optional[dict], int]:
-        """The atom table of ``pred`` (None when the formula lacks it) and
-        the bit of world ``w``, for ``load``."""
-        return self.atoms.get(pred), (1 << w) & self.full
+class _Block:
+    """A block of interpretations on a frame: the frame's ``_layout``,
+    cached on the frame, and the state compiled closures read: the atom
+    ``tables`` of the block, the ``memos`` and the variable values ``env``."""
 
-    def load(
-        self, cells: Iterable[tuple[tuple[Optional[dict], int], Iterable[tuple[int, ...]]]]
-    ) -> None:
-        """Fill the atom tables from ``(cell(pred, w), tuples)`` pairs and
-        empty the memos."""
-        for table in self.atoms.values():
-            table.clear()
-        for memo in self.memos:
-            memo.clear()
-        for (table, bit), tuples in cells:
-            if table is not None:
-                for tup in tuples:
-                    table[tup] = table.get(tup, 0) | bit
+    __slots__ = (
+        "n", "nd", "ones", "full", "guard", "exists", "elements", "rows", "cond",
+        "tables", "memos", "env",
+    )
 
-    def load_interp(self, interp: Interpretation) -> None:
-        self.load(
-            (self.cell(p, w), tuples)
-            for p, per_world in interp.items()
-            for w, tuples in per_world.items()
+    def __init__(self, frame: Frame, size: int, tables: list, n_memos: int):
+        self.n, self.nd = frame.n_worlds, frame.n_domain
+        layouts = frame.__dict__.setdefault("_layouts", {})
+        if size not in layouts:
+            layouts[size] = _layout(frame, size)
+        self.ones, self.full, self.guard, self.exists, self.elements, self.rows, clause = (
+            layouts[size]
         )
+        self.cond = getattr(self, clause)
+        self.tables, self.memos = tables, [{} for _ in range(n_memos)]
 
-    def env(self, g: Assignment) -> list[int]:
-        out = [0] * len(self.slots)
-        nd = self.frame.n_domain
-        for v, slot in self.slots.items():
-            a = g.get(v)
-            if a is None:
-                continue
-            if not 0 <= a < nd:
-                raise SemanticsError(f"value {a} of {v} outside the domain")
-            out[slot] = a
+    def _selection(self, p: int, q: int) -> int:
+        """w is in [p > q] iff f(p, w) is within q.  The block is split by
+        antecedent world set p, and each group reads f(p, w) once."""
+        n, full, guard, ones = self.n, self.full, self.guard, self.ones
+        bad, out, todo = full ^ q, 0, guard
+        while todo:
+            pv = (p >> ((todo & -todo).bit_length() - 1 - n)) & ((1 << n) - 1)
+            same = guard & ~((p ^ pv * ones) + full)
+            todo ^= same
+            shift = n
+            for row in self.rows:
+                sel = row[pv]
+                out |= (same & ~((bad & sel * ones) + full) if sel else same) >> shift
+                shift -= 1
         return out
+
+    def _lewis(self, p: int, q: int) -> int:
+        """w is in [p > q] iff no p-world is accessible, or some accessible
+        p-world x has every p-world at or below x a q-world."""
+        full, guard = self.full, self.guard
+        bad, out = p & ~q, 0
+        for shift, reach, pairs in self.rows:
+            ok = guard & ~((p & reach) + full)
+            for xshift, below in pairs:
+                if ok == guard:
+                    break
+                ok |= (p << xshift) & guard & ~((bad & below) + full)
+            out |= ok >> shift
+        return out
+
+    def _quasi(self, p: int, q: int) -> int:
+        """w is in [p > q] iff the minimal accessible p-worlds under the
+        order at w are q-worlds."""
+        full, guard = self.full, self.guard
+        bad, out = p & ~q, 0
+        for shift, _reach, pairs in self.rows:
+            fail = 0
+            for xshift, outside in pairs:
+                fail |= (bad << xshift) & guard & ~((p & outside) + full)
+                if fail == guard:
+                    break
+            out |= (guard & ~fail) >> shift
+        return out
+
+
+class _Compiled:
+    """A formula compiled once, independent of any frame, into nested
+    closures that map a ``_Block`` to the packed value of their node.
+
+    ``block.env`` has a slot per variable, the free ones first in index
+    order; a quantifier writes its variable's slot and restores it.  An atom
+    reads ``block.tables[k][t]``: where ``preds[k]`` holds of tuple t.  A
+    node with a conditional or a quantifier, under a quantifier whose
+    variable is not free in it, keeps a memo keyed by its free variables'
+    values, good for one block's atom tables."""
+
+    def __init__(self, phi: Formula):
+        self.preds = tuple(sorted(predicates(phi), key=lambda p: (p.index, p.arity)))
+        self.free = ordered_free_variables(phi)
+        self.slots = {v: i for i, v in enumerate(self.free)}
+        self.n_memos = 0
+        self.space: Optional[_Interpretations] = None  # first_failure's last
+        self.run = self._compile(phi, frozenset())
 
     def _slot(self, v: Variable) -> int:
         return self.slots.setdefault(v, len(self.slots))
 
-    def _exists_masks(self) -> list[int]:
-        """Per domain element, the mask of worlds whose local domain has it."""
-        if self._exists is None:
-            self._exists = [0] * self.frame.n_domain
-            for w, local in enumerate(self.frame.local):
-                for a in _bits(local):
-                    self._exists[a] |= 1 << w
-        return self._exists
-
     def _compile(self, phi: Formula, bound: frozenset[Variable]):
         """``bound`` holds the variables of the quantifiers above ``phi``."""
-        full, kind = self.full, type(phi)
+        kind = type(phi)
         if kind is Atom:
-            table = self.atoms.get(phi.pred)
-            if table is None:
-                table = self.atoms[phi.pred] = {}
-            if len(phi.args) == 1:
-                s = self._slot(phi.args[0])
-                return lambda env: table.get((env[s],), 0)
-            args = tuple([self._slot(v) for v in phi.args])
-            return lambda env: table.get(tuple([env[s] for s in args]), 0)
+            k, args = self.preds.index(phi.pred), [self._slot(v) for v in phi.args]
+            if len(args) == 1:
+                s = args[0]
+                return lambda b: b.tables[k][b.env[s]]
+            return lambda b: b.tables[k][_tuple_index([b.env[s] for s in args], b.nd)]
+        if kind is Eq:
+            left, right = self._slot(phi.left), self._slot(phi.right)
+            return lambda b: b.full if b.env[left] == b.env[right] else 0
+        if kind is EPred:
+            s = self._slot(phi.arg)
+            return lambda b: b.exists[b.env[s]]
         if kind is Cond:
-            run = self._conditional(
-                self._compile(phi.left, bound), self._compile(phi.right, bound)
-            )
+            ant, cons = self._compile(phi.left, bound), self._compile(phi.right, bound)
+            run = lambda b: b.cond(ant(b), cons(b))
         elif kind is Imp:
             ant, cons = self._compile(phi.left, bound), self._compile(phi.right, bound)
-            run = lambda env: (full ^ ant(env)) | cons(env)
+            run = lambda b: (b.full ^ ant(b)) | cons(b)
         elif kind is Not:
             body = self._compile(phi.body, bound)
-            run = lambda env: full ^ body(env)
+            run = lambda b: b.full ^ body(b)
         elif kind is Forall:
             run = self._forall(phi, bound)
-        elif kind is Eq:
-            left, right = self._slot(phi.left), self._slot(phi.right)
-            return lambda env: full if env[left] == env[right] else 0
-        elif kind is EPred:
-            exists, s = self._exists_masks(), self._slot(phi.arg)
-            return lambda env: exists[env[s]]
         else:
             raise SemanticsError(f"not a formula: {phi!r}")
-        if not bound:
-            return run
         fv = ordered_free_variables(phi)
-        if bound.issubset(fv):
+        if bound.issubset(fv) or not any(
+            type(sub) in (Cond, Forall) for sub in subformulas(phi)
+        ):
             return run
-        keys = tuple([self._slot(v) for v in fv])
-        memo: dict[tuple[int, ...], int] = {}
-        self.memos.append(memo)
+        keys, m = tuple([self._slot(v) for v in fv]), self.n_memos
+        self.n_memos += 1
 
-        def memoised(env: list[int]) -> int:
+        def memoised(b: _Block) -> int:
+            memo, env = b.memos[m], b.env
             key = tuple([env[s] for s in keys])
             got = memo.get(key)
             if got is None:
-                got = memo[key] = run(env)
+                got = memo[key] = run(b)
             return got
 
         return memoised
 
     def _forall(self, phi: Forall, bound: frozenset[Variable]):
-        full, s = self.full, self._slot(phi.var)
+        s = self._slot(phi.var)
         body = self._compile(phi.body, bound | {phi.var})
-        # (element, worlds whose local domain lacks it) for every element of
-        # some local domain
-        elements = tuple(
-            (a, full ^ mask) for a, mask in enumerate(self._exists_masks()) if mask
-        )
 
-        def forall(env: list[int]) -> int:
-            old = env[s]
-            out = full
-            for a, absent in elements:
+        def forall(b: _Block) -> int:
+            env = b.env
+            old, out = env[s], b.full
+            for a, absent in b.elements:
                 env[s] = a
-                out &= body(env) | absent
+                out &= body(b) | absent
                 if not out:
                     break
             env[s] = old
@@ -470,64 +510,35 @@ class _Program:
 
         return forall
 
-    def _conditional(self, ant, cons):
-        frame, full = self.frame, self.full
-        if isinstance(frame, SelectionFrame):
-            rows = frame.table
 
-            def selection(env: list[int]) -> int:
-                p = ant(env)
-                bad = full ^ cons(env)
-                out = 0
-                for w, row in enumerate(rows):
-                    if not row[p] & bad:
-                        out |= 1 << w
-                return out
-
-            return selection
-        if isinstance(frame, OrderingFrame):
-            holds = functools.partial(_lewis, frame)
-        else:
-            holds = functools.partial(_quasi, frame.order)
-        worlds = range(frame.n_worlds)
-
-        def per_world(env: list[int]) -> int:
-            p, q = ant(env), cons(env)
-            out = 0
-            for w in worlds:
-                if holds(p, q, w):
-                    out |= 1 << w
-            return out
-
-        return per_world
+def _compiled(phi: Formula) -> _Compiled:
+    """The compiled form of ``phi``, cached on the node."""
+    try:
+        return phi._compiled_cache  # type: ignore[attr-defined]
+    except AttributeError:
+        out = _Compiled(phi)
+        object.__setattr__(phi, "_compiled_cache", out)
+        return out
 
 
 def extension(model: Model, g: Assignment, phi: Formula) -> int:
-    """World mask of [phi]^g."""
+    """World mask of [phi]^g: a block of one interpretation, the model's."""
     missing = free_variables(phi) - set(g)
     if missing:
         raise UncoveredVariable(f"assignment misses {sorted(v.index for v in missing)}")
-    program = _Program(model.frame, phi)
-    program.load_interp(model.interp)
-    return program.run(program.env(g))
-
-
-def _lewis(frame: OrderingFrame, ant: int, cons: int, w: int) -> bool:
-    """[phi] & R(w) empty, or some x in [phi] & R(w) with every [phi]-world
-    at or below x a [psi]-world."""
-    live = ant & frame.r[w]
-    if not live:
-        return True
-    bad = ant & ~cons
-    for x in _bits(live):
-        if frame.ble(w, x) & bad == 0:
-            return True
-    return False
-
-
-def _quasi(order: OrderingFrame, ant: int, cons: int, w: int) -> bool:
-    """The minimal [phi]-worlds under the order at w are all [psi]-worlds."""
-    return order.min_set(ant, w) & ~cons == 0
+    compiled, frame = _compiled(phi), model.frame
+    nd, full = frame.n_domain, (1 << frame.n_worlds) - 1
+    tables = [[0] * nd**p.arity for p in compiled.preds]
+    for table, p in zip(tables, compiled.preds):
+        for w, tuples in model.interp.get(p, {}).items():
+            for tup in tuples:
+                table[_tuple_index(tup, nd)] |= (1 << w) & full
+    block = _Block(frame, 1, tables, compiled.n_memos)
+    block.env = [g.get(v, 0) for v in compiled.slots]
+    for v, a in zip(compiled.slots, block.env):
+        if not 0 <= a < nd:
+            raise SemanticsError(f"value {a} of {v} outside the domain")
+    return compiled.run(block)
 
 
 def evaluate(model: Model, w: int, g: Assignment, phi: Formula) -> bool:
@@ -550,26 +561,15 @@ class ValidityResult:
         return self.valid
 
 
-def _assignments(
-    variables: Sequence[Variable], n_domain: int
-) -> Iterable[dict[Variable, int]]:
-    for values in itertools.product(range(n_domain), repeat=len(variables)):
-        yield dict(zip(variables, values))
-
-
 def model_valid(model: Model, gamma: Iterable[Formula]) -> ValidityResult:
     """Truth at every world under every assignment to the free variables."""
     formulas = list(gamma)
-    fv = sorted(
-        {v for f in formulas for v in free_variables(f)}, key=lambda v: v.index
-    )
-    programs = [_Program(model.frame, f) for f in formulas]
-    for program in programs:
-        program.load_interp(model.interp)
-    full = (1 << model.frame.n_worlds) - 1
-    for g in _assignments(fv, model.frame.n_domain):
-        for f, program in zip(formulas, programs):
-            mask = program.run(program.env(g))
+    fv = sorted({v for f in formulas for v in free_variables(f)}, key=lambda v: v.index)
+    nd, full = model.frame.n_domain, (1 << model.frame.n_worlds) - 1
+    for values in itertools.product(range(nd), repeat=len(fv)):
+        g = dict(zip(fv, values))
+        for f in formulas:
+            mask = extension(model, g, f)
             if mask != full:
                 w = next(_bits(full & ~mask))
                 return ValidityResult(False, Counterexample(w, g, f))
@@ -596,62 +596,111 @@ def subset_options(n_domain: int, arity: int) -> list[frozenset[tuple[int, ...]]
     ]
 
 
-def interpretations(
-    frame: "SelectionFrame | OrderingFrame | QuasiSelectionFrame",
-    preds: Sequence[Predicate],
-) -> Iterable[Interpretation]:
-    """All interpretations of the given predicates over (W, D)."""
-    n, nd = frame.n_worlds, frame.n_domain
-    cells = [(p, w) for p in preds for w in range(n)]
-    options = {a: subset_options(nd, a) for a in {p.arity for p in preds}}
-    for choice in itertools.product(*(options[p.arity] for p, _ in cells)):
-        interp: dict[Predicate, dict[int, frozenset[tuple[int, ...]]]] = {}
-        for (p, w), tuples in zip(cells, choice):
-            interp.setdefault(p, {})[w] = tuples
-        yield interp
+class _Interpretations:
+    """The interpretations of a compiled formula's predicates over n worlds
+    and nd elements: the product over the cells (p, w), the last cell
+    fastest, of the values ``options(nd, p.arity)``.  It keeps every
+    assignment's variable values and each block's atom tables once built."""
+
+    def __init__(self, compiled: _Compiled, n: int, nd: int, options):
+        self.key, self.preds, self.width = (n, nd, options), compiled.preds, n + 1
+        values = {a: options(nd, a) for a in {p.arity for p in self.preds}}
+        # (predicate slot, world, the cell's values, their tuple indices)
+        self.cells = [
+            (k, w, vals, [[_tuple_index(t, nd) for t in v] for v in vals])
+            for k, vals in enumerate(values[p.arity] for p in self.preds)
+            for w in range(n)
+        ]
+        self.sizes = [nd**p.arity for p in self.preds]
+        self.total = math.prod(len(cell[2]) for cell in self.cells)
+        pad = [0] * (len(compiled.slots) - len(compiled.free))
+        self.envs = [
+            [*values, *pad]
+            for values in itertools.product(range(nd), repeat=len(compiled.free))
+        ]
+        self._blocks: dict[int, list[list[int]]] = {}
+
+    def _digits(self, i: int) -> list[int]:
+        out = []
+        for cell in reversed(self.cells):
+            i, d = divmod(i, len(cell[2]))
+            out.append(d)
+        return out[::-1]
+
+    def interpretation(self, i: int) -> Interpretation:
+        interp: dict = {p: {} for p in self.preds}
+        for (k, w, values, _), d in zip(self.cells, self._digits(i)):
+            interp[self.preds[k]][w] = values[d]
+        return interp
+
+    def tables(self, start: int, size: int) -> list[list[int]]:
+        if start not in self._blocks:
+            tables = self._blocks[start] = [[0] * s for s in self.sizes]
+            for j in range(size):
+                for (k, w, _, members), d in zip(self.cells, self._digits(start + j)):
+                    for t in members[d]:
+                        tables[k][t] |= 1 << (j * self.width + w)
+        return self._blocks[start]
+
+
+# Interpretations are decided in blocks of 1, 8, 64 and then _MAX_BLOCK, so
+# a failure at the first interpretation costs a block of one.
+_GROWTH = 8
+_MAX_BLOCK = 256
+
+
+def first_failure(
+    frame: Frame, phi: Formula, options=subset_options
+) -> Optional[tuple[int, Interpretation, dict[Variable, int], int]]:
+    """The first point where ``phi`` is false on ``frame``, as (index,
+    interpretation, assignment, world), or None when phi is valid there.
+    Points are ordered by interpretation (``_Interpretations`` order), then
+    by assignment to phi's free variables in product order, then by world."""
+    compiled, n, nd = _compiled(phi), frame.n_worlds, frame.n_domain
+    space = compiled.space
+    if space is None or space.key != (n, nd, options):
+        space = compiled.space = _Interpretations(compiled, n, nd, options)
+    start, size = 0, 1
+    while start < space.total:
+        size = min(size, space.total - start)
+        block = _Block(frame, size, space.tables(start, size), compiled.n_memos)
+        best = None
+        for env in space.envs:
+            block.env = env
+            value = compiled.run(block)
+            failing = ((block.full ^ value) + block.full) & block.guard
+            if failing and (best is None or failing & -failing < best[0]):
+                best = (failing & -failing, env, value)
+                if best[0] == 1 << n:
+                    break
+        if best is not None:
+            low, env, value = best
+            j = (low.bit_length() - 1) // space.width
+            false = (block.full ^ value) >> (j * space.width)
+            i, w = start + j, (false & -false).bit_length() - 1
+            return i, space.interpretation(i), dict(zip(compiled.free, env)), w
+        start, size = start + size, min(size * _GROWTH, _MAX_BLOCK)
+    return None
 
 
 def frame_valid(
-    frame: "SelectionFrame | OrderingFrame | QuasiSelectionFrame",
-    phi: Formula,
-    max_worlds: int = 5,
-    max_domain: int = 3,
-    max_arity: int = 2,
+    frame: Frame, phi: Formula, max_worlds: int = 5, max_domain: int = 3, max_arity: int = 2
 ) -> FrameValidityResult:
     """Enumerate all interpretations of the predicates occurring in phi."""
-    preds = sorted(predicates(phi), key=lambda p: (p.index, p.arity))
     n, nd = frame.n_worlds, frame.n_domain
     if n > max_worlds or nd > max_domain:
         raise ResourceGuard(
             f"frame validity ceiling exceeded: |W|={n}, |D|={nd} "
             f"(limits {max_worlds}, {max_domain}; raise them explicitly to override)"
         )
-    for p in preds:
+    for p in _compiled(phi).preds:
         if p.arity > max_arity:
             raise ResourceGuard(f"predicate arity {p.arity} above ceiling {max_arity}")
-    program = _Program(frame, phi)
-    full = (1 << n) - 1
-    assignments = [
-        (g, program.env(g)) for g in _assignments(ordered_free_variables(phi), nd)
-    ]
-    cells = [(p, w) for p in preds for w in range(n)]
-    loads = [program.cell(p, w) for p, w in cells]
-    options = {a: subset_options(nd, a) for a in {p.arity for p in preds}}
-    for choice in itertools.product(*(options[p.arity] for p, _ in cells)):
-        program.load(zip(loads, choice))
-        for g, env in assignments:
-            mask = program.run(env)
-            if mask != full:
-                w = next(_bits(full & ~mask))
-                interp: dict[Predicate, dict[int, frozenset[tuple[int, ...]]]] = {
-                    p: {} for p in preds
-                }
-                for (p, v), tuples in zip(cells, choice):
-                    interp[p][v] = tuples
-                return FrameValidityResult(
-                    False, Model(frame, interp), Counterexample(w, g, phi)
-                )
-    return FrameValidityResult(True)
+    hit = first_failure(frame, phi)
+    if hit is None:
+        return FrameValidityResult(True)
+    _index, interp, g, w = hit
+    return FrameValidityResult(False, Model(frame, interp), Counterexample(w, g, phi))
 
 
 # ---------------------------------------------------------------------------

@@ -585,10 +585,3 @@ def replace_other_atoms(phi: Formula, keep: Iterable[Predicate] = (F,)) -> Formu
         raise FormulaError(f"not a formula: {f!r}")
 
     return walk(phi)
-
-
-def validate_language(phi: Formula, lang: Lang) -> None:
-    """Raise unless the formula fits inside the given language."""
-    actual = language(phi)
-    if not actual <= lang:
-        raise FormulaError(f"formula uses {actual} primitives, language is {lang}")

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,34 @@ def test_prove_fixture_and_mutation(tmp_path):
     assert res.exit_code == 1
     assert json.loads(res.output)["line"] == 5
 
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        ('{"logic": "QC2", "lines": 5}', "lines must be a list"),
+        ('{"logic": "QC2", "lines": ["formula"]}', "line 1 must be an object"),
+        (
+            '{"logic": "QC2", "lines": [{"formula": "A > A", "just": 5}]}',
+            "line 1 just must be an object",
+        ),
+        (
+            '{"logic": "QC2", "lines": [{"formula": "A > A", '
+            '"just": {"rule": "MP", "premises": 7}}]}',
+            "line 1 premises must be a list",
+        ),
+        ('{"logic": ["QC2"], "lines": []}', "unknown logic"),
+        ('"logic"', "proof document must be an object"),
+    ],
+    ids=["lines", "line", "just", "premises", "logic", "document"],
+)
+def test_prove_malformed_document_exits_2(tmp_path, text, field):
+    path = tmp_path / "proof.json"
+    path.write_text(text)
+    res = run("prove", "--proof", str(path))
+    assert res.exit_code == 2, res.output
+    assert field in res.output
+    assert "Traceback" not in res.output
 
 def test_kmodel_eval_ds():
     res = run(
@@ -295,3 +324,11 @@ def test_frame_props_json_golden(model):
     assert res.exit_code == 0
     golden = FIXTURES / "golden" / f"frame-props-{model}"
     assert res.output == golden.read_text()
+
+
+@pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])
+def test_kmodel_cem_sweep_jobs_out_of_range_exits_2(jobs):
+    """Click rejects the value before the command runs, so no worker starts."""
+    res = run("kmodel", "cem-sweep", "--max-size", "3", "--jobs", str(jobs))
+    assert res.exit_code == 2
+    assert "Invalid value for '--jobs'" in res.output

@@ -13,7 +13,7 @@ from condlog.fileformats import (
     loads_model,
 )
 from condlog.frameprops import check_selection_props
-from condlog.hilbert import mod_theorem_proof, verify_proof
+from condlog.hilbert import ProofScript, mod_theorem_proof, verify_proof
 from condlog.semantics import (
     Model,
     OrderingFrame,
@@ -219,10 +219,20 @@ def _paths(value, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+_PROOF_FIELDS = ("logic", "lines")
+
+# (fixture, loader, the type it returns, top-level fields to add)
+_MUTATED_DOCUMENTS = (
+    ("remark25.json", load_model, Model, _MODEL_FIELDS),
+    ("mod_qc2.json", load_proof, ProofScript, _PROOF_FIELDS),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_documents_load_or_raise_document_error(data):
-    doc = read_fixture("remark25.json")
+    name, load, loaded, fields = data.draw(st.sampled_from(_MUTATED_DOCUMENTS))
+    doc = read_fixture(name)
     for _ in range(data.draw(st.integers(1, 3))):
         path = data.draw(st.sampled_from([p for p in _paths(doc) if p]))
         parent = doc
@@ -234,12 +244,12 @@ def test_mutated_documents_load_or_raise_document_error(data):
         elif action == "delete":
             del parent[path[-1]]
         else:
-            doc[data.draw(st.sampled_from(_MODEL_FIELDS))] = data.draw(_JSON_VALUES)
+            doc[data.draw(st.sampled_from(fields))] = data.draw(_JSON_VALUES)
     try:
-        model = load_model(doc)
+        got = load(doc)
     except DocumentError:
         return
-    assert isinstance(model, Model)
+    assert isinstance(got, loaded)
 
 
 @pytest.mark.parametrize("doc", [[], 3, "model"])

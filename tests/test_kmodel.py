@@ -39,6 +39,7 @@ from condlog.syntax import (
     Top,
     Variable,
     build_ds,
+    conj,
     counting_exists,
     free_variables,
     material_reduct,
@@ -347,6 +348,28 @@ def test_truncation_oracle_ds():
         for k in range(-18, 0):
             assert eval_truncated(n, ds, k, {}) == eval_k(ds, k, {})
 
+
+
+def _at_least_non_f(m):
+    """N_m: at least m distinct elements lie outside F."""
+    zs = [Variable(i) for i in range(1, m + 1)]
+    parts = [Not(Atom(F, (z,))) for z in zs]
+    parts += [Not(Eq(zs[i], zs[j])) for i in range(m) for j in range(i + 1, m)]
+    out = conj(parts)
+    for z in reversed(zs):
+        out = Exists(z, out)
+    return out
+
+
+@pytest.mark.parametrize("lo", [1, 2, 3])
+def test_minus_inf_witness_window_reaches_below_the_anchors(lo):
+    """From -inf, F(x) > psi reads psi at world x, and N_m holds at world k
+    iff k <= -1 - m.  So the only witness for x is -1 - lo, lo steps below
+    the anchor -1: a test set cut to the anchors alone answers False."""
+    phi = Exists(
+        x, And(Cond(fx, _at_least_non_f(lo)), Not(Cond(fx, _at_least_non_f(lo + 1))))
+    )
+    assert eval_k(phi, MINUS_INF, {})
 
 def _dia(phi):
     from condlog.syntax import Dia

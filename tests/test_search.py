@@ -1,6 +1,5 @@
 import itertools
 import os
-import random
 import subprocess
 import sys
 import textwrap
@@ -15,14 +14,12 @@ from condlog.search import (
     compactness_witness,
     ds_sweep,
     enumerate_frames,
-    _ds_holds_fast,
-    _f_masks,
+    _f_values,
     _perm_tables,
     correspondence_sweep,
-    ds_model,
 )
-from condlog.semantics import Model, SelectionFrame, evaluate
-from condlog.syntax import build_ds
+from condlog.semantics import Model, SelectionFrame, evaluate, first_failure
+from condlog.syntax import F, Not, build_ds
 
 from test_semantics import remark25_frame
 
@@ -146,27 +143,84 @@ def _images(n, r, rows, local):
     return out
 
 
-def test_ds_fast_check_matches_generic_eval():
-    rng = random.Random(7)
+# (max worlds, max domain, required properties, found, frames, points,
+# witness) as ds_sweep reported them before it shared the generic evaluator
+_DS_PINNED = [
+    (2, 2, ("weaklyStalnakerian",), False, 77, 1816, None),
+    (2, 3, ("weaklyStalnakerian",), False, 180, 14520, None),
+    (
+        2,
+        2,
+        ("Success", "Uniqueness"),
+        True,
+        1098,
+        13014,
+        {"world": "w1", "interpretation": {"w0": ["a0"], "w1": ["a1"]}},
+    ),
+    (
+        2,
+        3,
+        ("Success", "Uniqueness"),
+        True,
+        1110,
+        13110,
+        {"world": "w1", "interpretation": {"w0": ["a0"], "w1": ["a1"]}},
+    ),
+    (
+        3,
+        3,
+        ("Success", "WeakCentering", "Uniqueness"),
+        True,
+        12996,
+        377091,
+        {"world": "w2", "interpretation": {"w0": ["a0"], "w1": ["a1"], "w2": []}},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "max_worlds,max_domain,props,found,frames,points,witness", _DS_PINNED
+)
+def test_ds_sweep_pinned(max_worlds, max_domain, props, found, frames, points, witness):
+    outcome = ds_sweep(EnumerationParams(max_worlds, max_domain, frozenset(props)))
+    got = outcome.to_json()
+    assert (got["found"], got["framesEnumerated"], got["pointsChecked"]) == (
+        found,
+        frames,
+        points,
+    )
+    assert got.get("witness") == witness
+
+
+def test_ds_points_follow_bitmask_order_per_world():
+    """On three-element domains the bitmask order of F's extensions differs
+    from ``subset_options`` order; ``first_failure`` on the negated formula,
+    as ``ds_sweep`` asks it, finds the first satisfying point in bitmask
+    order, the last world fastest."""
     ds = build_ds()
-    params = EnumerationParams(max_worlds=2, max_domain=2)
-    frames = []
-    for frame in enumerate_frames(params):
-        if rng.random() < 0.01:
-            frames.append(frame)
-        if len(frames) >= 40:
-            break
-    assert frames
+    frames = [
+        frame
+        for frame in enumerate_frames(
+            EnumerationParams(2, 3, frozenset({"Success", "Uniqueness"}))
+        )
+        if frame.n_domain == 3
+    ][::25]
+    assert len(frames) >= 10
+    hits = 0
     for frame in frames:
         n, nd = frame.n_worlds, frame.n_domain
-        for _ in range(4):
-            interp_bits = tuple(rng.randrange(1 << nd) for _ in range(n))
-            masks = _f_masks(interp_bits, nd, n)
-            model = ds_model(frame, interp_bits)
-            for w in range(n):
-                assert _ds_holds_fast(frame, masks, w) == evaluate(
-                    model, w, {}, ds
-                ), (frame, interp_bits, w)
+        want = None
+        for index, bits in enumerate(itertools.product(range(1 << nd), repeat=n)):
+            extensions = [frozenset((a,) for a in range(nd) if b >> a & 1) for b in bits]
+            interp = {F: dict(enumerate(extensions))}
+            model = Model(frame, interp)
+            w = next((w for w in range(n) if evaluate(model, w, {}, ds)), None)
+            if w is not None:
+                want = (index, interp, {}, w)
+                break
+        assert first_failure(frame, Not(ds), _f_values) == want, frame
+        hits += want is not None
+    assert hits
 
 
 def test_ds_sweep_weakly_stalnakerian_two_worlds_finds_nothing():
@@ -247,13 +301,20 @@ def test_correspondence_sweep_two_worlds_one_element():
     assert rep["disagreements"] == []
 
 
-def test_fast_path_disagreement_raises_under_optimize():
+def test_witness_replay_failure_raises_under_optimize():
     """The replay check is a real exception, so ``python -O`` keeps it."""
     script = textwrap.dedent(
         """
         from condlog import search
 
-        search._ds_holds_fast = lambda frame, masks, w: True
+        # propose the first world under the empty extension of F, which
+        # does not satisfy the formula
+        search.first_failure = lambda frame, phi, options: (
+            0,
+            {search.F: {w: frozenset() for w in range(frame.n_worlds)}},
+            {},
+            0,
+        )
         params = search.EnumerationParams(
             max_worlds=2,
             max_domain=2,
@@ -264,7 +325,7 @@ def test_fast_path_disagreement_raises_under_optimize():
         except search.ReplayError as err:
             print("raised:", err)
         else:
-            raise SystemExit("no error: the disagreement went unnoticed")
+            raise SystemExit("no error: the failed replay went unnoticed")
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -280,4 +341,4 @@ def test_fast_path_disagreement_raises_under_optimize():
         timeout=120,
     )
     assert res.returncode == 0, res.stdout + res.stderr
-    assert "fast path disagrees" in res.stdout
+    assert "witness failed replay" in res.stdout

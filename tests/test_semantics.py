@@ -24,6 +24,7 @@ from condlog.semantics import (
     model_valid,
     ordering_to_selection,
     selection_to_ordering,
+    subset_options,
 )
 from condlog.syntax import (
     And,
@@ -44,7 +45,10 @@ from condlog.syntax import (
     Predicate,
     Variable,
     build_ds,
+    conj,
+    free_variables,
     material_reduct,
+    predicates,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -656,3 +660,86 @@ def test_extension_matches_reference_evaluator(kind, seed):
 def test_extension_rejects_values_outside_the_domain():
     with pytest.raises(SemanticsError):
         extension(footnote_model(), {x: 1}, Atom(P, (x,)))
+
+
+# ---------------------------------------------------------------------------
+# Reference frame validity: every interpretation in ``subset_options``
+# product order, then every assignment, then every world, through
+# ``reference_truth``.  ``frame_valid`` must find the same first failure.
+
+
+def reference_frame_valid(frame, phi):
+    """(index, countermodel, counterexample) of the first failing point, or
+    None when phi is valid on the frame."""
+    preds = sorted(predicates(phi), key=lambda p: (p.index, p.arity))
+    n, nd = frame.n_worlds, frame.n_domain
+    cells = [(p, w) for p in preds for w in range(n)]
+    fv = sorted(free_variables(phi), key=lambda v: v.index)
+    options = [subset_options(nd, p.arity) for p, _ in cells]
+    for index, choice in enumerate(itertools.product(*options)):
+        interp = {p: {} for p in preds}
+        for (p, w), tuples in zip(cells, choice):
+            interp[p][w] = tuples
+        model = Model(frame, interp)
+        for values in itertools.product(range(nd), repeat=len(fv)):
+            g = dict(zip(fv, values))
+            for w in range(n):
+                if not reference_truth(model, w, g, phi):
+                    return index, model, Counterexample(w, g, phi)
+    return None
+
+
+def _interpretation_count(frame, phi) -> int:
+    count = 1
+    for p in predicates(phi):
+        count *= (1 << frame.n_domain**p.arity) ** frame.n_worlds
+    return count
+
+
+def _random_atom(rng):
+    pred = rng.choice(_REF_PREDICATES)
+    return Atom(pred, tuple(rng.choice(_REF_VARIABLES) for _ in range(pred.arity)))
+
+
+@pytest.mark.parametrize("kind", ["selection", "ordering", "quasi"])
+@pytest.mark.parametrize("seed", range(4))
+def test_frame_valid_matches_reference_loop(kind, seed):
+    """Random formulas, valid ones (phi -> phi) that walk every block,
+    negated conjunctions of atoms that fail late in the order, implications
+    between atoms, where a later assignment can fail at an earlier
+    interpretation of the same block, and implications between conditionals
+    whose antecedents differ across the interpretations of a block."""
+    rng = random.Random(f"frame-valid-{kind}-{seed}")
+    # blocks of 1, 8 and 64 cover the first 73 interpretations and later ones
+    # are decided in blocks of 256, so frames are drawn until a case gets there
+    late = 0
+    for frames in range(40):
+        if frames >= 10 and late:
+            break
+        frame = _random_model(rng, kind).frame
+        for _ in range(10):
+            phi = _random_formula(rng, rng.randint(1, 7))
+            atoms = [_random_atom(rng) for _ in range(4)]
+            shape = rng.randrange(5)
+            if shape == 1:
+                phi = Imp(phi, phi)
+            elif shape == 2:
+                phi = Not(conj(atoms[: rng.randint(2, 4)]))
+            elif shape == 3:
+                phi = Imp(atoms[0], atoms[1])
+            elif shape == 4:
+                phi = Imp(Cond(atoms[0], atoms[1]), Cond(atoms[2], atoms[3]))
+            count = _interpretation_count(frame, phi)
+            if count > 1024 or count * frame.n_domain**2 > 4096:
+                continue
+            want = reference_frame_valid(frame, phi)
+            res = frame_valid(frame, phi)
+            assert res.valid == (want is None), (phi, frame)
+            if want is None:
+                late += count > 73
+                continue
+            index, model, counterexample = want
+            late += index >= 73
+            assert res.countermodel == model, (phi, frame)
+            assert res.counterexample == counterexample, (phi, frame)
+    assert late
