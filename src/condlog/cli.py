@@ -49,8 +49,7 @@ def _finish(fmt: str, ok: bool, payload: dict, text_lines: list[str]) -> None:
 
 def _read_formulas(value: str, lang: Lang):
     if value.startswith("@"):
-        text = Path(value[1:]).read_text(encoding="utf-8")
-        formulas = parse_formula_file(text, lang)
+        formulas = parse_formula_file(_read_text(value[1:]), lang)
         if not formulas:
             raise click.UsageError(f"no formulas in {value[1:]}")
         return formulas
@@ -80,10 +79,17 @@ def _variable_of(name: str) -> Variable:
     raise click.UsageError(f"bad variable name {name!r}")
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise click.UsageError(f"cannot read {path}: {err}") from None
+
+
 def _load_model(path: str) -> semantics.Model:
     try:
-        return fileformats.load_model(json.loads(Path(path).read_text()))
-    except (OSError, json.JSONDecodeError, fileformats.DocumentError) as err:
+        return fileformats.load_model(json.loads(_read_text(path)))
+    except (json.JSONDecodeError, fileformats.DocumentError) as err:
         raise click.UsageError(f"cannot load model {path}: {err}") from None
 
 
@@ -319,9 +325,9 @@ def cmd_convert(model_path, target, out, fmt) -> None:
 def cmd_prove(proof_path, fmt) -> None:
     """Verify a Hilbert proof script."""
     try:
-        script = fileformats.load_proof(json.loads(Path(proof_path).read_text()))
-    except (OSError, json.JSONDecodeError, fileformats.DocumentError) as err:
-        raise click.UsageError(f"cannot load proof: {err}") from None
+        script = fileformats.load_proof(json.loads(_read_text(proof_path)))
+    except (json.JSONDecodeError, fileformats.DocumentError) as err:
+        raise click.UsageError(f"cannot load proof {proof_path}: {err}") from None
     verdict = hilbert.verify_proof(script)
     if verdict.accepted:
         _finish(fmt, True, {"lines": len(script.lines)}, ["accepted"])

@@ -44,11 +44,11 @@ def _require(doc: Mapping, key: str, context: str) -> Any:
     return doc[key]
 
 
-_SHAPES = {Mapping: "an object", list: "a list"}
+_SHAPES = {Mapping: "an object", list: "a list", str: "a string"}
 
 
 def _shaped(value: Any, shape: type, what: str) -> Any:
-    """The value itself, when it is a JSON object or list as required."""
+    """The value itself, when it has the required JSON shape."""
     if not isinstance(value, shape):
         raise DocumentError(
             f"{what} must be {_SHAPES[shape]}, got {type(value).__name__}"
@@ -309,18 +309,20 @@ def load_proof(doc: Mapping) -> ProofScript:
         just_doc = _shaped(_require(entry, "just", context), Mapping, f"{context} just")
         if "axiom" in just_doc:
             just: "AxiomInstance | RuleApplication" = AxiomInstance(
-                str(just_doc["axiom"])
+                _shaped(just_doc["axiom"], str, f"{context} axiom")
             )
         elif "rule" in just_doc:
             premises = tuple(
                 _shaped(just_doc.get("premises", []), list, f"{context} premises")
             )
             for p in premises:
-                if not isinstance(p, int) or not 1 <= p < i:
+                if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p < i:
                     raise DocumentError(
                         f"{context}: premise {p!r} does not name an earlier line"
                     )
-            just = RuleApplication(str(just_doc["rule"]), premises)
+            just = RuleApplication(
+                _shaped(just_doc["rule"], str, f"{context} rule"), premises
+            )
         else:
             raise DocumentError(f"{context}: justification needs 'axiom' or 'rule'")
         lines.append(ProofLine(formula, just))

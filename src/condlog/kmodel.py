@@ -9,15 +9,23 @@ Definable world sets are canonical: finitely many intervals, at most one
 downward ray, and a -inf bit.  Denotation is computed compositionally:
 boolean nodes are set algebra, a conditional's integer part is its material
 reading (each integer world only sees itself) with the Lewis clause at
--inf, and quantifier nodes drop into the monadic counting-type engine for
-their integer part and a finite test set with a stabilization assertion at
--inf.
+-inf.  A quantifier node reads its integer part, and its -inf bit when the
+body is conditional-free, off the counting normal form of its fragment;
+otherwise -inf uses a finite test set with a stabilization assertion.
+
+Counting normal forms eliminate quantifiers over one unary predicate with
+equality, bottom up.  Each conditional-free node holds the bitmask of the
+complete types over its free variables, counts capped at its quantifier
+rank, on which it holds.  Not and Imp are bit operations once the children
+are lifted to the node's variables and cap; Forall keeps the types whose
+one-element extensions all lie in the body's mask.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .semantics import Model, OrderingFrame, evaluate
@@ -37,7 +45,6 @@ from .syntax import (
     free_variables,
     material_reduct,
     ordered_free_variables,
-    quantifier_rank,
     replace_other_atoms,
     size,
     subformulas,
@@ -285,20 +292,55 @@ class CountingType:
 
 @dataclass(frozen=True)
 class CountingNormalForm:
+    """The complete counting types over ``named`` on which ``formula``
+    holds, as a bitmask over the type index of (len(named), threshold)."""
+
+    formula: Formula
     named: tuple[Variable, ...]
     threshold: int
-    eq_matters: bool
-    types: frozenset
-    presented: tuple[CountingType, ...]
+    mask: int
 
-    def satisfied(
-        self,
-        blocks: tuple[int, ...],
-        flits: tuple[bool, ...],
-        fc: CountClass,
-        nc: CountClass,
-    ) -> bool:
-        return (blocks, flits, fc, nc) in self.types
+    def satisfied(self, blocks: tuple, flits: tuple, fc: CountClass, nc: CountClass):
+        classes = _count_classes(self.threshold)
+        k = _profiles(len(self.named))[1].get((blocks, flits))
+        if k is None or fc not in classes or nc not in classes:
+            return False
+        w = len(classes)
+        return bool(self.mask >> (k * w + fc[1]) * w + nc[1] & 1)
+
+    @cached_property
+    def types(self) -> frozenset:
+        """The types as (blocks, flits, fc, nc) tuples."""
+        classes = _count_classes(self.threshold)
+        w = len(classes)
+        profiles = _profiles(len(self.named))[0]
+        return frozenset(
+            profiles[i // (w * w)] + (classes[i // w % w], classes[i % w])
+            for i in _bits(self.mask)
+        )
+
+    @cached_property
+    def presented(self) -> tuple[CountingType, ...]:
+        """The types merged into ranged presentation types."""
+        r = self.threshold
+        eq_matters = any(isinstance(s, Eq) for s in subformulas(self.formula))
+        grouped: dict = {}
+        cells_by_profile: dict = {}
+        for blocks, flits, fc, nc in self.types:
+            profile = (blocks, flits)
+            key = profile if eq_matters else tuple(flits[b] for b in blocks)
+            grouped.setdefault(key, profile)
+            cells_by_profile.setdefault(key, set()).add((fc[1], nc[1]))
+        out = []
+        for key in sorted(cells_by_profile, key=repr):
+            blocks, flits = grouped[key]
+            literals = tuple((v, flits[blocks[i]]) for i, v in enumerate(self.named))
+            eq_blocks = blocks if eq_matters else None
+            for (f0, f1), (n0, n1) in _rectangles(cells_by_profile[key], r + 1):
+                f_range = (f0, None if f1 == r else f1)
+                n_range = (n0, None if n1 == r else n1)
+                out.append(CountingType(literals, eq_blocks, f_range, n_range))
+        return tuple(out)
 
     def describe(self) -> str:
         if not self.presented:
@@ -306,209 +348,161 @@ class CountingNormalForm:
         return " | ".join(t.describe() for t in self.presented)
 
 
-def _partitions(n: int) -> Iterable[tuple[int, ...]]:
-    """Canonical partitions of positions 0..n-1 as block labelings."""
-    if n == 0:
-        yield ()
-        return
-
-    def rec(prefix: list[int], next_block: int, i: int):
-        if i == n:
-            yield tuple(prefix)
-            return
-        for b in range(next_block + 1):
-            prefix.append(b)
-            yield from rec(prefix, max(next_block, b + 1), i + 1)
-            prefix.pop()
-
-    yield from rec([0], 1, 1)
+@cache
+def _count_classes(threshold: int) -> tuple[CountClass, ...]:
+    """Count class c in 0..threshold, whose count is c: exactly c, or at
+    least c at the top."""
+    return tuple(("exact", c) for c in range(threshold)) + (("atleast", threshold),)
 
 
-def _count_classes(threshold: int) -> list[CountClass]:
-    if threshold == 0:
-        return [("atleast", 0)]
-    return [("exact", j) for j in range(threshold)] + [("atleast", threshold)]
+@cache
+def _profiles(n: int) -> tuple[tuple, dict]:
+    """The profiles over n named positions in index order, and the index of
+    each.  A profile is a partition as a block labelling in first-use
+    order, with one F-literal per block.  Over (n, cap r), the type of
+    profile k with count classes fc and nc is bit (k(r+1) + fc)(r+1) + nc."""
+    out = tuple(
+        (blocks, flits)
+        for blocks in itertools.product(range(n), repeat=n)
+        if all(b <= max(blocks[:i], default=-1) + 1 for i, b in enumerate(blocks))
+        for flits in itertools.product((False, True), repeat=len(set(blocks)))
+    )
+    return out, {p: k for k, p in enumerate(out)}
 
 
-class _TypeEvaluator:
-    """Truth of a monadic formula relative to a counting type.
+def _full(n: int, r: int) -> int:
+    return (1 << len(_profiles(n)[0]) * (r + 1) ** 2) - 1
 
-    ``env`` maps in-scope variables to block ids; ``flits`` holds one
-    F-literal per block; ``fc``/``nc`` bound the F / non-F element counts
-    outside all blocks.  Quantifiers branch over each existing block, one
-    fresh F element (when the count allows) and one fresh non-F element;
-    fresh picks decrement the budget.  Starting the budget at the
-    quantifier rank keeps an "atleast" budget ahead of the remaining rank,
-    which makes the branching exhaustive.
-    """
 
-    def __init__(self) -> None:
-        self.memo: dict = {}
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def clear(self) -> None:
-        self.memo.clear()
 
-    def run(self, phi, env, flits, fc, nc) -> bool:
-        key = self._key(phi, env, flits, fc, nc)
-        got = self.memo.get(key)
-        if got is None:
-            got = self._eval(phi, env, flits, fc, nc)
-            if len(self.memo) > 2_000_000:
-                self.memo.clear()
-            self.memo[key] = got
-        return got
+def _canonical(labels: Iterable, lits) -> tuple:
+    """Blocks relabelled in order of first use, with their F-literals;
+    ``lits`` maps an old label to its literal."""
+    relabel: dict[int, int] = {}
+    blocks = tuple(relabel.setdefault(b, len(relabel)) for b in labels)
+    return blocks, tuple(lits[b] for b in relabel)
 
-    def _key(self, phi, env, flits, fc, nc) -> tuple:
-        """One flat tuple: phi, then 2*label + literal for each free variable
-        (blocks relabelled in order of first use), the numbers of true and
-        false unreferenced blocks, and 2*budget + (kind == "atleast") for fc
-        and for nc.  For a fixed phi its length is fixed, so the encoding is
-        injective."""
-        relabel: dict[int, int] = {}
-        key: list = [phi]
-        for v in ordered_free_variables(phi):
-            b = env[v]
-            if b not in relabel:
-                relabel[b] = len(relabel)
-            key.append(2 * relabel[b] + flits[b])
-        unref_true = sum(lit for b, lit in enumerate(flits) if b not in relabel)
-        key.append(unref_true)
-        key.append(len(flits) - len(relabel) - unref_true)
-        key.append(2 * fc[1] + (fc[0] == "atleast"))
-        key.append(2 * nc[1] + (nc[0] == "atleast"))
-        return tuple(key)
 
-    def _eval(self, phi, env, flits, fc, nc) -> bool:
-        if isinstance(phi, Atom):
-            if phi.pred != F:
-                raise NonFragment(f"predicate {phi.pred} in the monadic engine")
-            return flits[env[phi.args[0]]]
-        if isinstance(phi, Eq):
-            return env[phi.left] == env[phi.right]
-        if isinstance(phi, EPred):
-            raise NonFragment("existence predicate must be pre-replaced")
-        if isinstance(phi, Not):
-            return not self.run(phi.body, env, flits, fc, nc)
-        if isinstance(phi, Imp):
-            return not self.run(phi.left, env, flits, fc, nc) or self.run(
-                phi.right, env, flits, fc, nc
-            )
-        if isinstance(phi, Cond):
-            raise NonFragment("conditional reached the monadic engine")
-        if isinstance(phi, Forall):
-            x, body = phi.var, phi.body
-            old = env.get(x)
-            try:
-                for b in range(len(flits)):
-                    env[x] = b
-                    if not self.run(body, env, flits, fc, nc):
-                        return False
-                for sector, spec, other in ((True, fc, nc), (False, nc, fc)):
-                    kind, budget = spec
-                    if budget < 1:
-                        if kind == "atleast" and budget == 0:
-                            # unreachable when the budget starts at the rank
-                            raise KModelError("count budget below rank")
-                        continue
-                    env[x] = len(flits)
-                    new_spec = (kind, budget - 1)
-                    new_fc, new_nc = (new_spec, other) if sector else (other, new_spec)
-                    if not self.run(body, env, flits + (sector,), new_fc, new_nc):
-                        return False
-                return True
-            finally:
-                if old is None:
-                    env.pop(x, None)
-                else:
-                    env[x] = old
+@cache
+def _lift_table(pos: tuple[int, ...], n: int, r: int, s: int) -> tuple[int, ...]:
+    """For each type over (len(pos) positions, cap s), the mask of the types
+    over (n positions, cap r) that restrict to it; source position i is
+    target position pos[i].  Blocks that no source position names fold
+    back into the counts, which are then capped at s."""
+    index = _profiles(len(pos))[1]
+    out = [0] * (len(index) * (s + 1) ** 2)
+    bit = 0
+    for blocks, flits in _profiles(n)[0]:
+        k = index[_canonical((blocks[p] for p in pos), flits)]
+        kept = {blocks[p] for p in pos}
+        add_f = sum(lit for b, lit in enumerate(flits) if b not in kept)
+        add_n = len(flits) - len(kept) - add_f
+        for fc in range(r + 1):
+            for nc in range(r + 1):
+                i = (k * (s + 1) + min(fc + add_f, s)) * (s + 1) + min(nc + add_n, s)
+                out[i] |= 1 << bit
+                bit += 1
+    return tuple(out)
+
+
+def _lift(phi: Formula, dst: tuple, r: int) -> int:
+    """The mask of a conditional-free node over the types of (dst variables,
+    cap r), for dst covering its free variables and r at least its rank."""
+    s, mask = _node_nf(phi)
+    src = ordered_free_variables(phi)
+    if s == r and src == dst:
+        return mask
+    where = {v: i for i, v in enumerate(dst)}
+    table = _lift_table(tuple(where[v] for v in src), len(dst), r, s)
+    out = 0
+    for i in _bits(mask):
+        out |= table[i]
+    return out
+
+
+@cache
+def _forall_table(n: int, p: int, r: int) -> tuple[int, ...]:
+    """For each type over (n positions, cap r), the mask of its extensions
+    by one element x over (n + 1 positions, cap r - 1), x at position p: x
+    joins a block, or x is a fresh F or non-F element while that count is
+    at least 1.  The other counts are capped at r - 1."""
+    index = _profiles(n + 1)[1]
+    out = []
+    for blocks, flits in _profiles(n)[0]:
+        m = len(flits)
+        for fc in range(r + 1):
+            for nc in range(r + 1):
+                exts = [(b, flits, fc, nc) for b in range(m)]
+                if fc:
+                    exts.append((m, flits + (True,), fc - 1, nc))
+                if nc:
+                    exts.append((m, flits + (False,), fc, nc - 1))
+                ext = 0
+                for b, lits, f_count, n_count in exts:
+                    k = index[_canonical(blocks[:p] + (b,) + blocks[p:], lits)]
+                    ext |= 1 << (k * r + min(f_count, r - 1)) * r + min(n_count, r - 1)
+                out.append(ext)
+    return tuple(out)
+
+
+def _node_nf(phi: Formula) -> tuple[int, int]:
+    """(r, mask): the quantifier rank of a conditional-free node and its
+    types over (its ordered free variables, cap r), cached on the node."""
+    try:
+        return phi._nf_cache  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    fv = ordered_free_variables(phi)
+    if isinstance(phi, Atom):
+        if phi.pred != F:
+            raise NonFragment(f"predicate {phi.pred} is not in the fragment")
+        out = (0, 0b10)  # index order: F false, F true
+    elif isinstance(phi, Eq):
+        # over two variables the first two types are the one-block ones
+        out = (0, 0b11 if len(fv) == 2 else _full(1, 0))
+    elif isinstance(phi, EPred):
+        raise NonFragment("existence predicate is not in the fragment")
+    elif isinstance(phi, Cond):
+        raise NonFragment("input must be conditional-free")
+    elif isinstance(phi, Not):
+        r, body = _node_nf(phi.body)
+        out = (r, body ^ _full(len(fv), r))
+    elif isinstance(phi, Imp):
+        r = max(_node_nf(phi.left)[0], _node_nf(phi.right)[0])
+        a, b = _lift(phi.left, fv, r), _lift(phi.right, fv, r)
+        out = (r, (a ^ _full(len(fv), r)) | b)
+    elif isinstance(phi, Forall):
+        s = _node_nf(phi.body)[0]
+        scope = tuple(sorted(fv + (phi.var,), key=lambda v: v.index))
+        body = _lift(phi.body, scope, s)
+        table = _forall_table(len(fv), scope.index(phi.var), s + 1)
+        out = (s + 1, sum(1 << t for t, ext in enumerate(table) if body & ext == ext))
+    else:
         raise KModelError(f"not a formula: {phi!r}")
-
-
-_NF_CACHE: dict = {}
-_TYPE_EVALUATOR = _TypeEvaluator()
+    object.__setattr__(phi, "_nf_cache", out)
+    return out
 
 
 def monadic_nf(phi: Formula, named: Sequence[Variable]) -> CountingNormalForm:
     """Counting normal form of a conditional-free monadic formula.
 
-    Enumerates the complete counting types over the named variables (count
-    thresholds bounded by the quantifier rank) and keeps those on which the
-    formula holds; the result is equivalent to the input over every
-    structure interpreting one unary predicate, with equality.
+    The complete counting types over the named variables (count thresholds
+    at the quantifier rank) on which the formula holds; the result is
+    equivalent to the input over every structure interpreting one unary
+    predicate, with equality.
     """
     named = tuple(named)
-    key = (phi, named)
-    got = _NF_CACHE.get(key)
-    if got is not None:
-        return got
-    for s in subformulas(phi):
-        if isinstance(s, Cond):
-            raise NonFragment("input must be conditional-free")
-        if isinstance(s, Atom) and s.pred != F:
-            raise NonFragment(f"predicate {s.pred} is not in the fragment")
-        if isinstance(s, EPred):
-            raise NonFragment("existence predicate is not in the fragment")
+    r = _node_nf(phi)[0]
     missing = free_variables(phi) - set(named)
     if missing:
         raise KModelError(f"named variables must cover free variables: {missing}")
-    eq_matters = any(isinstance(s, Eq) for s in subformulas(phi))
-    threshold = quantifier_rank(phi)
-    classes = _count_classes(threshold)
-    types = []
-    for blocks in _partitions(len(named)):
-        n_blocks = max(blocks) + 1 if blocks else 0
-        for flit_bits in itertools.product((False, True), repeat=n_blocks):
-            for fc in classes:
-                for nc in classes:
-                    env = {v: blocks[i] for i, v in enumerate(named)}
-                    if _TYPE_EVALUATOR.run(phi, env, flit_bits, fc, nc):
-                        types.append((blocks, flit_bits, fc, nc))
-    nf = CountingNormalForm(
-        named,
-        threshold,
-        eq_matters,
-        frozenset(types),
-        _present(named, threshold, eq_matters, types),
-    )
-    if len(_NF_CACHE) > 200_000:
-        _NF_CACHE.clear()
-    _NF_CACHE[key] = nf
-    return nf
-
-
-def _present(named, threshold, eq_matters, types) -> tuple[CountingType, ...]:
-    """Merge complete types into ranged presentation types."""
-    classes = _count_classes(threshold)
-    index = {c: i for i, c in enumerate(classes)}
-    grouped: dict = {}
-    cells_by_profile: dict = {}
-    for blocks, flits, fc, nc in types:
-        profile = (blocks, flits)
-        key = profile if eq_matters else tuple(flits[b] for b in blocks)
-        grouped.setdefault(key, profile)
-        cells_by_profile.setdefault(key, set()).add((index[fc], index[nc]))
-    out = []
-    for key in sorted(cells_by_profile, key=repr):
-        blocks, flits = grouped[key]
-        cells = cells_by_profile[key]
-        literals = tuple((v, flits[blocks[i]]) for i, v in enumerate(named))
-        eq_blocks = blocks if eq_matters else None
-        for (f0, f1), (n0, n1) in _rectangles(cells, len(classes)):
-            out.append(
-                CountingType(
-                    literals,
-                    eq_blocks,
-                    _range_of(f0, f1, classes),
-                    _range_of(n0, n1, classes),
-                )
-            )
-    return tuple(out)
-
-
-def _range_of(lo_idx, hi_idx, classes) -> tuple[int, Optional[int]]:
-    lo = classes[lo_idx][1]
-    hi_class = classes[hi_idx]
-    return (lo, None if hi_class[0] == "atleast" else hi_class[1])
+    return CountingNormalForm(phi, named, r, _lift(phi, named, r))
 
 
 def _rectangles(cells: set, n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -568,18 +562,12 @@ def _quantifier_fragment(phi: Formula, empty_predicates: bool) -> Formula:
 
 
 def _realized_type(values_list, k: int, threshold: int):
-    labels: dict[int, int] = {}
-    blocks = []
-    for val in values_list:
-        if val not in labels:
-            labels[val] = len(labels)
-        blocks.append(labels[val])
-    flits = tuple(val <= k for val in labels)
-    fc: CountClass = ("atleast", threshold)
-    distinct_above = sum(1 for val in labels if val > k)
-    neg = (-k - 1) - distinct_above
-    nc: CountClass = ("exact", neg) if neg < threshold else ("atleast", threshold)
-    return tuple(blocks), flits, fc, nc
+    """The type of the values at world k: F holds of n <= k, and every
+    world has infinitely many F elements."""
+    blocks, flits = _canonical(values_list, {val: val <= k for val in values_list})
+    classes = _count_classes(threshold)
+    neg = (-k - 1) - (len(flits) - sum(flits))
+    return blocks, flits, classes[-1], classes[min(neg, threshold)]
 
 
 _DENOTE_CACHE: dict = {}
@@ -698,18 +686,11 @@ def _forall_minus_inf(phi: Forall, g: dict, empty_predicates: bool) -> bool:
     if not any(isinstance(s, Cond) for s in subformulas(phi)):
         fv = ordered_free_variables(phi)
         nf = monadic_nf(_quantifier_fragment(phi, empty_predicates), fv)
-        t = nf.threshold
         values = [g[v] for v in fv]
-        labels: dict[int, int] = {}
-        blocks = []
-        for val in values:
-            if val not in labels:
-                labels[val] = len(labels)
-            blocks.append(labels[val])
-        flits = tuple(False for _ in labels)  # F is empty at -inf
-        fc: CountClass = ("exact", 0) if t >= 1 else ("atleast", 0)
-        nc: CountClass = ("atleast", t)
-        return nf.satisfied(tuple(blocks), flits, fc, nc)
+        # F is empty at -inf: no F elements, and at least t non-F ones
+        blocks, flits = _canonical(values, dict.fromkeys(values, False))
+        classes = _count_classes(nf.threshold)
+        return nf.satisfied(blocks, flits, classes[0], classes[-1])
 
     s = size(phi)
     vals = sorted({g[v] for v in free_variables(phi)})

@@ -153,8 +153,26 @@ def test_prove_fixture_and_mutation(tmp_path):
         ),
         ('{"logic": ["QC2"], "lines": []}', "unknown logic"),
         ('"logic"', "proof document must be an object"),
+        (
+            '{"logic": "QC2", "lines": [{"formula": "A > A", '
+            '"just": {"axiom": ["18"]}}]}',
+            "line 1 axiom must be a string",
+        ),
+        (
+            '{"logic": "QC2", "lines": [{"formula": "A > A", '
+            '"just": {"rule": ["MP"], "premises": []}}]}',
+            "line 1 rule must be a string",
+        ),
+        (
+            '{"logic": "QC2", "lines": [{"formula": "A > A", "just": {"axiom": "18"}}, '
+            '{"formula": "A > A", "just": {"rule": "MP", "premises": [true]}}]}',
+            "premise True does not name an earlier line",
+        ),
     ],
-    ids=["lines", "line", "just", "premises", "logic", "document"],
+    ids=[
+        "lines", "line", "just", "premises", "logic", "document",
+        "axiom-list", "rule-list", "premise-bool",
+    ],
 )
 def test_prove_malformed_document_exits_2(tmp_path, text, field):
     path = tmp_path / "proof.json"
@@ -163,6 +181,40 @@ def test_prove_malformed_document_exits_2(tmp_path, text, field):
     assert res.exit_code == 2, res.output
     assert field in res.output
     assert "Traceback" not in res.output
+
+
+_MODEL = str(FIXTURES / "remark25.json")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--formula", "@{path}"],
+        ["eval", "--model", _MODEL, "--world", "1", "--formula", "@{path}"],
+        ["model-valid", "--model", _MODEL, "--formula", "@{path}"],
+        ["frame-valid", "--model", _MODEL, "--formula", "@{path}"],
+        ["kmodel", "eval", "--world", "-1", "--formula", "@{path}"],
+        ["kmodel", "denote", "--formula", "@{path}"],
+        ["frame-props", "--model", "{path}"],
+        ["prove", "--proof", "{path}"],
+    ],
+    ids=[
+        "parse", "eval", "model-valid", "frame-valid", "kmodel-eval",
+        "kmodel-denote", "frame-props", "prove",
+    ],
+)
+def test_unreadable_input_file_exits_2(tmp_path, argv, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"F(x) \xff")  # not UTF-8
+    res = run(*(arg.format(path=path) for arg in argv))
+    assert res.exit_code == 2, res.output
+    assert str(path) in res.output
+    assert "Traceback" not in res.output
+
 
 def test_kmodel_eval_ds():
     res = run(

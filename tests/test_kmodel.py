@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from condlog.kmodel import (
     qc2_axiom_sweep,
     truncate,
 )
+from condlog.semantics import Model, SelectionFrame, evaluate
 from condlog.syntax import (
     And,
     Atom,
@@ -195,6 +197,73 @@ def test_monadic_nf_rejects_conditional_and_foreign_predicates():
         monadic_nf(Cond(fx, fx), [x])
     with pytest.raises(NonFragment):
         monadic_nf(Atom(Predicate(1, 1), (x,)), [x])
+
+
+def _random_monadic(rng, depth, rank):
+    """A conditional-free formula over F and = in x0..x3 of quantifier rank
+    at most ``rank``; quantifiers may rebind a variable or bind a variable
+    that the body does not use."""
+    variables = [Variable(i) for i in range(4)]
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.6:
+            return Atom(F, (rng.choice(variables),))
+        return Eq(rng.choice(variables), rng.choice(variables))
+    kind = rng.choice(("not", "imp", "forall", "forall") if rank else ("not", "imp"))
+    if kind == "not":
+        return Not(_random_monadic(rng, depth - 1, rank))
+    if kind == "imp":
+        return Imp(
+            _random_monadic(rng, depth - 1, rank), _random_monadic(rng, depth - 1, rank)
+        )
+    return Forall(rng.choice(variables), _random_monadic(rng, depth - 1, rank - 1))
+
+
+def _complete_types(n, r):
+    """Every (blocks, flits, fc, nc) over n named positions, counts capped
+    at r, with the element counts that realise each: "at least r" is
+    realised by r and by r + 1 elements."""
+    classes = [(("exact", j), (j,)) for j in range(r)] + [(("atleast", r), (r, r + 1))]
+    for blocks in itertools.product(range(n), repeat=n):
+        if any(blocks[i] > max(blocks[:i], default=-1) + 1 for i in range(n)):
+            continue  # not a canonical labelling
+        for flits in itertools.product((False, True), repeat=len(set(blocks))):
+            for (fc, f_counts), (nc, n_counts) in itertools.product(classes, repeat=2):
+                for f_count, n_count in itertools.product(f_counts, n_counts):
+                    yield blocks, flits, fc, nc, f_count, n_count
+
+
+def test_monadic_nf_agrees_with_one_world_models():
+    """Each complete type realised as a one-world finite model: the normal
+    form holds on the type iff the formula is true there.  The named
+    variables are the free ones plus random others, in random order; the
+    empty structure is skipped."""
+    rng = random.Random(7)
+    frames = {}
+    points = 0
+    for _ in range(60):
+        phi = _random_monadic(rng, 5, 3)
+        extra = [v for v in map(Variable, range(4)) if v not in free_variables(phi)]
+        named = sorted(free_variables(phi), key=lambda v: v.index)
+        named += rng.sample(extra, rng.randint(0, len(extra)))
+        rng.shuffle(named)
+        nf = monadic_nf(phi, named)
+        for blocks, flits, fc, nc, f_count, n_count in _complete_types(
+            len(named), nf.threshold
+        ):
+            nb = len(flits)
+            n_domain = nb + f_count + n_count
+            if n_domain == 0:
+                continue
+            frame = frames.setdefault(
+                n_domain, SelectionFrame.build(1, (1,), {}, "empty", n_domain)
+            )
+            f_true = [b for b in range(nb) if flits[b]] + list(range(nb, nb + f_count))
+            model = Model(frame, {F: {0: frozenset((a,) for a in f_true)}})
+            g = {v: blocks[i] for i, v in enumerate(named)}
+            want = evaluate(model, 0, g, phi)
+            assert nf.satisfied(blocks, flits, fc, nc) == want, (phi, named, blocks)
+            points += 1
+    assert points == 36_610
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +694,3 @@ def test_quantifier_fragment_normal_forms_pinned():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "d76042335cfe27bdf6af6bd51470520993eb99fdbf62cf9ac2886caebb1df45c"
 
-
-def test_count_budget_below_rank_is_a_kmodel_error():
-    """An "atleast 0" budget under a quantifier is unreachable from
-    monadic_nf; reaching it raises a real exception, kept under -O."""
-    from condlog.kmodel import _TypeEvaluator
-
-    with pytest.raises(KModelError, match="count budget below rank"):
-        _TypeEvaluator().run(Forall(x, fx), {}, (), ("atleast", 0), ("atleast", 0))
