@@ -6,10 +6,12 @@ is Z^- at every world and F(n) holds at world k exactly when n <= k; every
 other predicate is empty.
 
 Definable world sets are canonical: finitely many intervals, at most one
-downward ray, and a -inf bit.  Denotation is computed compositionally:
-boolean nodes are set algebra, a conditional's integer part is its material
-reading (each integer world only sees itself) with the Lewis clause at
--inf.  A quantifier node reads its integer part, and its -inf bit when the
+downward ray, and a -inf bit.  A set is held as one two's-complement int,
+bit 0 for -inf and bit n for the world -n, so a ray is the int's infinite
+sign extension.  Denotation is computed compositionally: boolean nodes are
+``~``, ``|`` and ``&`` on those ints, a conditional's integer part is its
+material reading (each integer world only sees itself) with the Lewis
+clause at -inf.  A quantifier node reads its integer part, and its -inf bit when the
 body is conditional-free, off the counting normal form of its fragment;
 otherwise -inf uses a finite test set with a stabilization assertion.
 
@@ -84,30 +86,21 @@ def _check_assignment(g: Mapping[Variable, int]) -> None:
 # Canonical world sets.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KSet:
-    """{k <= ray} union intervals, plus -inf when the bit is set.
+    """A world set of K held as one int: bit 0 is -inf and bit n >= 1 is
+    the world -n.
 
-    Canonical form: intervals sorted, pairwise disjoint, non-adjacent, and
-    strictly above ray + 1, so equality of canonical sets is field equality.
+    Python ints extend their sign bit without end, so a negative int is a
+    set with a downward ray {k <= ray}, and every int is a distinct
+    canonical set: equality and hashing are those of the int.  Complement
+    is ``~``, union ``|``, intersection ``&``.  A set costs about |lowest
+    endpoint| / 8 bytes.  Read back as endpoints it is {k <= ray} union
+    intervals, plus -inf when the bit is set, with the intervals sorted,
+    pairwise disjoint, non-adjacent and strictly above ray + 1.
     """
 
-    minus_inf: bool = False
-    ray: Optional[int] = None
-    intervals: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.ray is not None and self.ray > -1:
-            raise KModelError(f"ray endpoint {self.ray} outside Z^-")
-        prev_hi: Optional[int] = None
-        for lo, hi in self.intervals:
-            if lo > hi or hi > -1:
-                raise KModelError(f"bad interval [{lo},{hi}]")
-            if self.ray is not None and lo <= self.ray + 1:
-                raise KModelError("interval not strictly above the ray")
-            if prev_hi is not None and lo <= prev_hi + 1:
-                raise KModelError("intervals overlap or touch")
-            prev_hi = hi
+    bits: int
 
     @staticmethod
     def make(
@@ -115,104 +108,87 @@ class KSet:
         ray: Optional[int] = None,
         intervals: Iterable[tuple[int, int]] = (),
     ) -> "KSet":
-        """Normalize arbitrary interval data into canonical form."""
-        merged: list[list[int]] = []
-        for lo, hi in sorted(intervals):
+        """The set from endpoints; an interval with lo > hi is empty."""
+        bits = 1 if minus_inf else 0
+        if ray is not None:
+            if ray > -1:
+                raise KModelError(f"ray endpoint {ray} outside Z^-")
+            bits |= -1 << -ray
+        for lo, hi in intervals:
             if lo > hi:
                 continue
-            if merged and lo <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        out_ray = ray
-        rest: list[tuple[int, int]] = []
-        for lo, hi in merged:
-            if out_ray is not None and lo <= out_ray + 1:
-                out_ray = max(out_ray, hi)
-            else:
-                rest.append((lo, hi))
-        return KSet(minus_inf, out_ray, tuple(rest))
+            if hi > -1:
+                raise KModelError(f"bad interval [{lo},{hi}]")
+            bits |= (1 << 1 - lo) - (1 << -hi)
+        return KSet(bits)
+
+    def __reduce__(self):
+        return KSet, (self.bits,)
+
+    def __repr__(self) -> str:
+        # endpoints, not the int: past about -14,000 the int has more
+        # decimal digits than Python converts to str
+        return f"KSet.make({self.minus_inf}, {self.ray}, {self.intervals})"
 
     def contains(self, w) -> bool:
         if w == MINUS_INF:
             return self.minus_inf
-        if self.ray is not None and w <= self.ray:
-            return True
-        return any(lo <= w <= hi for lo, hi in self.intervals)
+        return w <= -1 and bool(self.bits >> -w & 1)
+
+    @property
+    def minus_inf(self) -> bool:
+        return bool(self.bits & 1)
 
     @property
     def has_ray(self) -> bool:
-        return self.ray is not None
+        return self.bits < 0
+
+    @property
+    def ray(self) -> Optional[int]:
+        if self.bits >= 0:
+            return None
+        return -(~self.bits >> 1).bit_length() - 1
+
+    @property
+    def intervals(self) -> tuple[tuple[int, int], ...]:
+        """The integer worlds above the ray, as maximal runs, lowest first."""
+        ray = self.ray
+        rest = self.bits >> 1
+        if ray is not None:
+            rest &= (1 << -ray - 1) - 1
+        out = []
+        while rest:
+            low = rest & -rest
+            run = rest & ~(rest + low)  # the lowest run of set bits
+            out.append((-run.bit_length(), -low.bit_length()))
+            rest ^= run
+        return tuple(reversed(out))
 
     @property
     def integer_empty(self) -> bool:
-        return self.ray is None and not self.intervals
+        return self.bits >> 1 == 0
 
     @property
     def is_empty(self) -> bool:
-        return not self.minus_inf and self.integer_empty
+        return self.bits == 0
 
     def least_integer(self) -> Optional[int]:
         """Smallest integer member; None when empty or unbounded below."""
-        if self.ray is not None or not self.intervals:
+        if self.bits < 2:
             return None
-        return self.intervals[0][0]
-
-    def _segments(self) -> list[tuple[Optional[int], int]]:
-        segs: list[tuple[Optional[int], int]] = []
-        if self.ray is not None:
-            segs.append((None, self.ray))
-        segs.extend(self.intervals)
-        return segs
-
-    @staticmethod
-    def _from_segments(
-        minus_inf: bool, segs: Iterable[tuple[Optional[int], int]]
-    ) -> "KSet":
-        ray = None
-        intervals = []
-        for lo, hi in segs:
-            if lo is None:
-                ray = hi if ray is None else max(ray, hi)
-            else:
-                intervals.append((lo, hi))
-        return KSet.make(minus_inf, ray, intervals)
+        return 1 - self.bits.bit_length()
 
     def union(self, other: "KSet") -> "KSet":
-        return KSet._from_segments(
-            self.minus_inf or other.minus_inf, self._segments() + other._segments()
-        )
+        return KSet(self.bits | other.bits)
 
     def intersect(self, other: "KSet") -> "KSet":
-        segs = []
-        for alo, ahi in self._segments():
-            for blo, bhi in other._segments():
-                lo = blo if alo is None else (alo if blo is None else max(alo, blo))
-                hi = min(ahi, bhi)
-                if lo is None or lo <= hi:
-                    segs.append((lo, hi))
-        return KSet._from_segments(self.minus_inf and other.minus_inf, segs)
+        return KSet(self.bits & other.bits)
 
     def complement(self) -> "KSet":
-        segs = []
-        cursor: Optional[int] = None  # None: unbounded below
-        for lo, hi in self._segments():
-            if lo is None:
-                cursor = hi + 1
-                continue
-            if cursor is None:
-                segs.append((None, lo - 1))
-            elif cursor <= lo - 1:
-                segs.append((cursor, lo - 1))
-            cursor = hi + 1
-        if cursor is None:
-            segs.append((None, -1))
-        elif cursor <= -1:
-            segs.append((cursor, -1))
-        return KSet._from_segments(not self.minus_inf, segs)
+        return KSet(~self.bits)
 
     def minus(self, other: "KSet") -> "KSet":
-        return self.intersect(other.complement())
+        return KSet(self.bits & ~other.bits)
 
     def to_json(self) -> dict:
         return {
@@ -225,15 +201,15 @@ class KSet:
         parts = []
         if self.minus_inf:
             parts.append("-inf")
-        if self.ray is not None:
+        if self.has_ray:
             parts.append(f"(..,{self.ray}]")
         parts.extend(f"[{lo},{hi}]" for lo, hi in self.intervals)
         return "{" + " ".join(parts) + "}" if parts else "{}"
 
 
-K_FULL = KSet.make(True, -1, ())
-K_INTEGERS = KSet.make(False, -1, ())
-K_EMPTY = KSet.make()
+K_FULL = KSet(-1)
+K_INTEGERS = KSet(-2)
+K_EMPTY = KSet(0)
 
 
 def cond_at_origin(a: KSet, b: KSet) -> bool:
@@ -245,14 +221,13 @@ def cond_at_origin(a: KSet, b: KSet) -> bool:
     downward ray, the antecedent worlds must eventually all satisfy the
     consequent going down.
     """
-    if a.minus_inf:
-        return b.minus_inf
-    if a.integer_empty:
-        return True
-    least = a.least_integer()
-    if least is not None:
-        return b.contains(least)
-    return not a.minus(b).has_ray
+    x, y = a.bits, b.bits
+    if x & 1:
+        return bool(y & 1)
+    if x >= 0:
+        # x < 2: no integer world; else the top bit is the least world
+        return x < 2 or bool(y >> x.bit_length() - 1 & 1)
+    return x & ~y >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +570,7 @@ def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
     out: KSet
     if isinstance(phi, Atom):
         if phi.pred == F:
-            out = KSet.make(False, None, [(g[phi.args[0]], -1)])
+            out = KSet((1 << 1 - g[phi.args[0]]) - 2)
         elif empty_predicates:
             out = K_EMPTY
         else:
@@ -607,14 +582,14 @@ def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
     elif isinstance(phi, EPred):
         out = K_FULL  # the domain is globally Z^-
     elif isinstance(phi, Not):
-        out = _denote(phi.body, g, empty_predicates).complement()
+        out = KSet(~_denote(phi.body, g, empty_predicates).bits)
     elif isinstance(phi, Imp):
-        a = _denote(phi.left, _restrict(g, phi.left), empty_predicates)
-        b = _denote(phi.right, _restrict(g, phi.right), empty_predicates)
-        out = a.complement().union(b)
+        a = _denote(phi.left, g, empty_predicates)
+        b = _denote(phi.right, g, empty_predicates)
+        out = KSet(~a.bits | b.bits)
     elif isinstance(phi, Cond):
-        a = _denote(phi.left, _restrict(g, phi.left), empty_predicates)
-        b = _denote(phi.right, _restrict(g, phi.right), empty_predicates)
+        a = _denote(phi.left, g, empty_predicates)
+        b = _denote(phi.right, g, empty_predicates)
         out = _cond_denotation(a, b)
     elif isinstance(phi, Forall):
         nf = monadic_nf(_quantifier_fragment(phi, empty_predicates), fv)
@@ -628,10 +603,9 @@ def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
             for k in range(scan_from, 0)
             if nf.satisfied(*_realized_type(values, k, t))
         ]
-        ray = scan_from if scan_from in members else None
-        intervals = _group(m for m in members if ray is None or m > ray)
+        ray = scan_from if members[:1] == [scan_from] else None
         out = KSet.make(
-            _forall_minus_inf(phi, g, empty_predicates), ray, intervals
+            _forall_minus_inf(phi, g, empty_predicates, nf), ray, _group(members)
         )
     else:
         raise KModelError(f"not a formula: {phi!r}")
@@ -641,13 +615,10 @@ def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
     return out
 
 
-def _restrict(g: dict, phi: Formula) -> dict:
-    return {v: g[v] for v in free_variables(phi)}
-
-
 def _group(points: Iterable[int]) -> list[tuple[int, int]]:
+    """Sorted points as maximal runs of consecutive values."""
     out: list[list[int]] = []
-    for p in sorted(points):
+    for p in points:
         if out and p == out[-1][1] + 1:
             out[-1][1] = p
         else:
@@ -673,20 +644,21 @@ def eval_k(
     return _denote(phi, sub, empty_predicates).contains(w)
 
 
-def _forall_minus_inf(phi: Forall, g: dict, empty_predicates: bool) -> bool:
+def _forall_minus_inf(
+    phi: Forall, g: dict, empty_predicates: bool, nf: CountingNormalForm
+) -> bool:
     """Quantifier at -inf over the infinite domain.
 
     The world -inf is itself a monadic structure (F empty, domain Z^-), so
-    a conditional-free body is decided exactly by the counting-type engine.
+    a conditional-free body is decided exactly by ``nf``, the counting
+    normal form of the node's quantifier fragment over its free variables.
     With conditionals below, witness candidates cluster around the named
     values and around -1 within a distance bounded by the formula size; far
     below everything the truth value must be constant, which the deep block
     asserts.
     """
     if not any(isinstance(s, Cond) for s in subformulas(phi)):
-        fv = ordered_free_variables(phi)
-        nf = monadic_nf(_quantifier_fragment(phi, empty_predicates), fv)
-        values = [g[v] for v in fv]
+        values = [g[v] for v in nf.named]
         # F is empty at -inf: no F elements, and at least t non-F ones
         blocks, flits = _canonical(values, dict.fromkeys(values, False))
         classes = _count_classes(nf.threshold)
@@ -703,14 +675,8 @@ def _forall_minus_inf(phi: Forall, g: dict, empty_predicates: bool) -> bool:
     deep_top = (min(vals) if vals else -1) - s - 2
     deep = [deep_top - i for i in range(s + 1)]
 
-    x, body = phi.var, phi.body
-    body_fv = free_variables(body)
-
     def at(a: int) -> bool:
-        sub = {v: g[v] for v in body_fv if v != x}
-        if x in body_fv:
-            sub[x] = a
-        return _denote(body, sub, empty_predicates).minus_inf
+        return _denote(phi.body, {**g, phi.var: a}, empty_predicates).minus_inf
 
     deep_values = [at(a) for a in deep]
     if len(set(deep_values)) != 1:
@@ -1108,8 +1074,7 @@ def qc2_axiom_sweep(
 def _cond_denotation(a: KSet, b: KSet) -> KSet:
     """Denotation of a conditional from its component denotations: integer
     worlds see only themselves, so > is material there."""
-    material = a.complement().union(b)
-    return KSet.make(cond_at_origin(a, b), material.ray, material.intervals)
+    return KSet((~a.bits | b.bits) & -2 | cond_at_origin(a, b))
 
 
 def rebuild_formula(nf: CountingNormalForm) -> Formula:

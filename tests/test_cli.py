@@ -384,3 +384,41 @@ def test_kmodel_cem_sweep_jobs_out_of_range_exits_2(jobs):
     res = run("kmodel", "cem-sweep", "--max-size", "3", "--jobs", str(jobs))
     assert res.exit_code == 2
     assert "Invalid value for '--jobs'" in res.output
+
+
+# Formulas whose assignment values lie far apart, so that their world sets
+# reach far below -1: (name, lang, formula, assignment).
+FAR_APART_DENOTATIONS = [
+    ("cond-million", "L", "F(x0) > F(x1)", "x0=-1,x1=-1000000"),
+    ("forall-cond", "L", "forall x2. (F(x2) -> F(x1)) > F(x0)", "x0=-1,x1=-3000"),
+    (
+        "ray-and-intervals",
+        "L",
+        "(F(x0) & ~F(x1)) | (F(x2) & ~F(x3)) | ~F(x4)",
+        "x0=-100000,x1=-1000,x2=-10,x3=-2,x4=-500000",
+    ),
+    ("cond-deep-antecedent", "L", "F(x1) > (F(x0) & ~F(x1))", "x0=-300000,x1=-7"),
+    (
+        "exists-identity",
+        "L=",
+        "exists x2. ~(x2 = x1) & ~(x2 = x0) & (F(x2) > F(x0)) & ~F(x1)",
+        "x0=-4,x1=-20000",
+    ),
+    ("forall-material", "L", "forall x2. (F(x2) -> F(x1)) | F(x0)", "x0=-10,x1=-40000"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, lang, formula, assign",
+    FAR_APART_DENOTATIONS,
+    ids=[case[0] for case in FAR_APART_DENOTATIONS],
+)
+def test_kmodel_denote_far_apart_json_golden(name, lang, formula, assign):
+    """The JSON denotation of each formula, byte for byte."""
+    res = run(
+        "kmodel", "denote", "--lang", lang, "--formula", formula,
+        "--assign", assign, "--format", "json",
+    )
+    assert res.exit_code == 0
+    golden = FIXTURES / "golden" / f"kmodel-denote-{name}.json"
+    assert res.output == golden.read_text()

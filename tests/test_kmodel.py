@@ -1,5 +1,7 @@
 import itertools
 import random
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +110,189 @@ def test_kset_union_intersect_membership(a, b):
 def test_kset_canonical_is_unique(a):
     rebuilt = KSet.make(a.minus_inf, a.ray, a.intervals)
     assert rebuilt == a
+
+
+def test_kset_make_rejects_endpoints_above_minus_one():
+    with pytest.raises(KModelError, match="ray endpoint 0"):
+        KSet.make(False, 0)
+    for intervals in ([(-3, 0)], [(0, 0)], [(-9, -8), (-2, 0)]):
+        with pytest.raises(KModelError, match="bad interval"):
+            KSet.make(False, None, intervals)
+    # an interval with lo > hi is empty and skipped, whatever its ends
+    assert KSet.make(False, None, [(0, -1)]) == KSet.make()
+
+
+def test_kset_pickle_round_trip():
+    import pickle
+
+    for s in (
+        K_FULL,
+        K_INTEGERS,
+        KSet.make(),
+        KSet.make(True, -8, [(-5, -4), (-2, -2)]),
+        KSet.make(False, None, [(-100_000, -99_000), (-3, -1)]),
+    ):
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and hash(back) == hash(s)
+        assert (back.ray, back.intervals) == (s.ray, s.intervals)
+
+
+@dataclass(frozen=True)
+class _RefSet:
+    """The canonical set as segment lists: {k <= ray} union intervals plus
+    -inf, every operation re-normalised through ``make``.  Kept as the
+    reference for the int encoding of KSet."""
+
+    minus_inf: bool = False
+    ray: Optional[int] = None
+    intervals: tuple = ()
+
+    @staticmethod
+    def make(minus_inf=False, ray=None, intervals=()):
+        merged = []
+        for lo, hi in sorted(intervals):
+            if lo > hi:
+                continue
+            if merged and lo <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        out_ray = ray
+        rest = []
+        for lo, hi in merged:
+            if out_ray is not None and lo <= out_ray + 1:
+                out_ray = max(out_ray, hi)
+            else:
+                rest.append((lo, hi))
+        return _RefSet(minus_inf, out_ray, tuple(rest))
+
+    def contains(self, w):
+        if w == MINUS_INF:
+            return self.minus_inf
+        if self.ray is not None and w <= self.ray:
+            return True
+        return any(lo <= w <= hi for lo, hi in self.intervals)
+
+    def least_integer(self):
+        if self.ray is not None or not self.intervals:
+            return None
+        return self.intervals[0][0]
+
+    def _segments(self):
+        return ([(None, self.ray)] if self.ray is not None else []) + list(
+            self.intervals
+        )
+
+    @staticmethod
+    def _from_segments(minus_inf, segs):
+        ray, intervals = None, []
+        for lo, hi in segs:
+            if lo is None:
+                ray = hi if ray is None else max(ray, hi)
+            else:
+                intervals.append((lo, hi))
+        return _RefSet.make(minus_inf, ray, intervals)
+
+    def union(self, other):
+        return _RefSet._from_segments(
+            self.minus_inf or other.minus_inf, self._segments() + other._segments()
+        )
+
+    def intersect(self, other):
+        segs = []
+        for alo, ahi in self._segments():
+            for blo, bhi in other._segments():
+                lo = blo if alo is None else (alo if blo is None else max(alo, blo))
+                hi = min(ahi, bhi)
+                if lo is None or lo <= hi:
+                    segs.append((lo, hi))
+        return _RefSet._from_segments(self.minus_inf and other.minus_inf, segs)
+
+    def complement(self):
+        segs, cursor = [], None
+        for lo, hi in self._segments():
+            if lo is None:
+                cursor = hi + 1
+                continue
+            if cursor is None:
+                segs.append((None, lo - 1))
+            elif cursor <= lo - 1:
+                segs.append((cursor, lo - 1))
+            cursor = hi + 1
+        if cursor is None:
+            segs.append((None, -1))
+        elif cursor <= -1:
+            segs.append((cursor, -1))
+        return _RefSet._from_segments(not self.minus_inf, segs)
+
+    def cond_at_origin(self, b):
+        if self.minus_inf:
+            return b.minus_inf
+        if self.ray is None and not self.intervals:
+            return True
+        least = self.least_integer()
+        if least is not None:
+            return b.contains(least)
+        return self.intersect(b.complement()).ray is None
+
+    def cond_denotation(self, b):
+        material = self.complement().union(b)
+        return _RefSet.make(self.cond_at_origin(b), material.ray, material.intervals)
+
+    def __str__(self):
+        parts = ["-inf"] if self.minus_inf else []
+        if self.ray is not None:
+            parts.append(f"(..,{self.ray}]")
+        parts.extend(f"[{lo},{hi}]" for lo, hi in self.intervals)
+        return "{" + " ".join(parts) + "}" if parts else "{}"
+
+
+# Endpoints down to -200, plus some near -100,000.
+_endpoints = st.one_of(st.integers(-200, -1), st.integers(-100_010, -99_990))
+_endpoint_data = st.tuples(
+    st.booleans(),
+    st.one_of(st.none(), _endpoints),
+    st.lists(st.tuples(_endpoints, _endpoints), max_size=5),
+)
+
+
+def _agree(k, ref):
+    """k and ref are the same set, read through every accessor."""
+    assert (k.minus_inf, k.ray, k.intervals) == (ref.minus_inf, ref.ray, ref.intervals)
+    assert k.has_ray == (ref.ray is not None)
+    assert k.integer_empty == (ref.ray is None and not ref.intervals)
+    assert k.is_empty == (k.integer_empty and not ref.minus_inf)
+    assert k.least_integer() == ref.least_integer()
+    assert str(k) == str(ref)
+    assert k.to_json() == {
+        "minusInf": ref.minus_inf,
+        "ray": ref.ray,
+        "intervals": [list(iv) for iv in ref.intervals],
+    }
+    worlds = {MINUS_INF, -1, -2}
+    for lo, hi in ref._segments():
+        for end in (hi,) if lo is None else (lo, hi):
+            worlds.update(w for w in (end - 1, end, end + 1) if w <= -1)
+    for w in worlds:
+        assert k.contains(w) == ref.contains(w), w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_endpoint_data, _endpoint_data)
+def test_kset_agrees_with_the_segment_reference(da, db):
+    from condlog.kmodel import _cond_denotation
+
+    a, b = KSet.make(*da), KSet.make(*db)
+    ra, rb = _RefSet.make(*da), _RefSet.make(*db)
+    _agree(a, ra)
+    _agree(b, rb)
+    _agree(a.complement(), ra.complement())
+    _agree(a.union(b), ra.union(rb))
+    _agree(a.intersect(b), ra.intersect(rb))
+    _agree(a.minus(b), ra.intersect(rb.complement()))
+    assert cond_at_origin(a, b) == ra.cond_at_origin(rb)
+    _agree(_cond_denotation(a, b), ra.cond_denotation(rb))
+    assert (a == b) == (ra == rb)
 
 
 # ---------------------------------------------------------------------------
