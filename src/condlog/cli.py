@@ -343,8 +343,8 @@ def cmd_prove(proof_path, fmt) -> None:
 @main.command("correspondence")
 @click.option("--model", "model_path", type=click.Path(exists=True), default=None)
 @click.option("--sweep", is_flag=True, help="Check all enumerated frames instead.")
-@click.option("--max-worlds", default=2, show_default=True)
-@click.option("--max-domain", default=2, show_default=True)
+@click.option("--max-worlds", default=2, show_default=True, type=click.IntRange(min=1))
+@click.option("--max-domain", default=2, show_default=True, type=click.IntRange(min=1))
 @format_option
 def cmd_correspondence(model_path, sweep, max_worlds, max_domain, fmt) -> None:
     """Instance-family validity versus the frame conditions."""
@@ -497,7 +497,7 @@ def cmd_k_truncate(n, out) -> None:
 @click.option("--max-vars", default=2, show_default=True, type=click.IntRange(min=1))
 @click.option("--identity", is_flag=True, help="Sweep the identity language.")
 @click.option("--axioms", is_flag=True, help="Also sweep the non-CEM axiom schemas.")
-@click.option("--samples", default=200, show_default=True)
+@click.option("--samples", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True)
 @click.option(
     "--jobs", type=click.IntRange(1, os.cpu_count() or 1), default=1, show_default=True
@@ -580,8 +580,8 @@ def _params(max_worlds, max_domain, require, policy) -> search.EnumerationParams
 
 
 @search_group.command("frames")
-@click.option("--max-worlds", default=2, show_default=True)
-@click.option("--max-domain", default=1, show_default=True)
+@click.option("--max-worlds", default=2, show_default=True, type=click.IntRange(min=1))
+@click.option("--max-domain", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--require", multiple=True)
 @click.option("--policy", type=click.Choice(["all", "reflexive-only"]), default="all")
 @click.option("--limit", default=0, help="Print up to this many frames as documents.")
@@ -605,8 +605,8 @@ def cmd_search_frames(max_worlds, max_domain, require, policy, limit, fmt) -> No
 
 
 @search_group.command("ds")
-@click.option("--max-worlds", default=3, show_default=True)
-@click.option("--max-domain", default=2, show_default=True)
+@click.option("--max-worlds", default=3, show_default=True, type=click.IntRange(min=1))
+@click.option("--max-domain", default=2, show_default=True, type=click.IntRange(min=1))
 @click.option(
     "--require",
     multiple=True,

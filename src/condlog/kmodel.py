@@ -552,9 +552,19 @@ def denote_k(
     phi: Formula, g: Mapping[Variable, int], empty_predicates: bool = False
 ) -> KSet:
     """The exact set {w : K,w,g satisfies phi}, in canonical form."""
-    sub = {v: g[v] for v in ordered_free_variables(phi)}
+    return _denote(phi, _checked_assignment(phi, g), empty_predicates)
+
+
+def _checked_assignment(phi: Formula, g: Mapping[Variable, int]) -> dict:
+    """g on the free variables of phi, which it must cover within Z^-."""
+    fv = ordered_free_variables(phi)
+    try:
+        sub = {v: g[v] for v in fv}
+    except KeyError:
+        missing = [v.index for v in fv if v not in g]
+        raise KModelError(f"assignment misses {missing}") from None
     _check_assignment(sub)
-    return _denote(phi, sub, empty_predicates)
+    return sub
 
 
 def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
@@ -635,13 +645,7 @@ def eval_k(
     """Truth of phi at a world of K under the assignment: membership in its
     denotation, which at -inf is the denotation's -inf bit."""
     _check_world(w)
-    fv = free_variables(phi)
-    missing = fv - set(g)
-    if missing:
-        raise KModelError(f"assignment misses {sorted(v.index for v in missing)}")
-    sub = {v: g[v] for v in fv}
-    _check_assignment(sub)
-    return _denote(phi, sub, empty_predicates).contains(w)
+    return _denote(phi, _checked_assignment(phi, g), empty_predicates).contains(w)
 
 
 def _forall_minus_inf(
@@ -657,7 +661,9 @@ def _forall_minus_inf(
     below everything the truth value must be constant, which the deep block
     asserts.
     """
-    if not any(isinstance(s, Cond) for s in subformulas(phi)):
+    # a node is its own material reduct, cached on it, iff it holds no
+    # conditional
+    if material_reduct(phi) is phi:
         values = [g[v] for v in nf.named]
         # F is empty at -inf: no F elements, and at least t non-F ones
         blocks, flits = _canonical(values, dict.fromkeys(values, False))

@@ -226,7 +226,9 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
     The permutation tables (inverse and mask images of every world
     permutation) and the default world names are built once per world
     count, and the domain permutation tables and names once per domain
-    size; the canonicity checks index the tables.
+    size; the canonicity checks index the tables.  Every row draws f(P,w)
+    within R(w), so the frames skip the construction scan of
+    ``SelectionFrame``.
     """
     if params.max_worlds > params.hard_world_limit:
         raise ResourceGuard(
@@ -238,6 +240,7 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
     success_only = not constrained and "Success" in conditions
     post = [c for c in conditions if c != "GloballyConstant"]
     dperms_of = {nd: _perm_tables(nd) for nd in range(1, params.max_domain + 1)}
+    probe_names = _default_names("a", 1)
     for n in range(1, params.max_worlds + 1):
         wperms = _perm_tables(n)
         world_names = _default_names("w", n)
@@ -261,13 +264,15 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
                     if auts is None:
                         continue
                     if post:
-                        probe = SelectionFrame(n, tuple(r), table, 1, ((1,) * n))
+                        probe = SelectionFrame._unchecked(
+                            n, r, table, 1, (1,) * n, world_names, probe_names
+                        )
                         report = check_selection_props(probe, post)
                         if not all(report.verdicts.values()):
                             continue
                     for local in local_list:
                         if _local_canonical(local, auts, dperms):
-                            yield SelectionFrame(
+                            yield SelectionFrame._unchecked(
                                 n, r, table, nd, local, world_names, domain_names
                             )
 

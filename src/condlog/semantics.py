@@ -10,14 +10,22 @@ interpretations into one int (bitslicing, Biham 1997).  ``extension``,
 the model's.  ``first_failure`` walks the interpretations of a formula's
 predicates in blocks that start at one and grow geometrically; both
 ``frame_valid`` and the descending-sequence sweep ask it.
+
+A sweep checks one formula on many frames.  The formula's interpretation
+space keeps the atom tables of each block and the frame-independent part
+of a block's layout per local domains, so the frames of a sweep share
+them; a block reads the selection table, or the order rows cached on an
+ordering or quasi frame, from its own frame.  A failing ``frame_valid``
+builds its countermodel only when it is read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .syntax import (
     Atom,
@@ -152,6 +160,15 @@ class SelectionFrame:
             tuple(world_names),
             tuple(domain_names),
         )
+
+    @staticmethod
+    def _unchecked(*fields) -> "SelectionFrame":
+        """A frame from all its field values, in order, that are valid by
+        construction (every f(P,w) within R(w), names given), built without
+        the construction scan."""
+        frame = object.__new__(SelectionFrame)
+        frame.__dict__.update(zip(SelectionFrame.__dataclass_fields__, fields))
+        return frame
 
     def f(self, p_mask: int, w: int) -> int:
         return self.table[w][p_mask]
@@ -331,37 +348,49 @@ def _tuple_index(tup: Iterable[int], n_domain: int) -> int:
     return i
 
 
-def _layout(frame: Frame, size: int) -> tuple:
-    """(ones, full, guard, exists, elements, rows, clause) for blocks of
-    ``size`` interpretations.  ``exists`` maps an element to the worlds
+def _shape(n: int, nd: int, local: tuple[int, ...], size: int) -> tuple:
+    """(ones, full, guard, exists, elements) for blocks of ``size``
+    interpretations over n worlds and nd elements with local domains
+    ``local``: all a block needs that does not depend on the frame's
+    selection function or order.  ``exists`` maps an element to the worlds
     whose local domain holds it; ``elements`` pairs each element of some
-    local domain with the worlds that lack it.  On an ordering or quasi frame
+    local domain with the worlds that lack it."""
+    width = n + 1
+    ones = ((1 << (width * size)) - 1) // ((1 << width) - 1)
+    full = ones * ((1 << n) - 1)
+    exists = [0] * nd
+    for w, dom in enumerate(local):
+        for a in _bits(dom):
+            exists[a] |= ones << w
+    elements = [(a, full ^ mask) for a, mask in enumerate(exists) if mask]
+    return ones, full, ones << n, exists, elements
+
+
+def _order_rows(frame: Union[OrderingFrame, QuasiSelectionFrame], ones: int) -> tuple:
+    """(rows, clause) of an ordering or quasi frame for blocks whose bit 0
+    of every interpretation is set in ``ones``, cached on the frame.
     ``rows`` has per world w the shift from a guard to bit w, R(w), and per
     x in R(w) the shift from bit x to a guard with the worlds at or below x
     (ordering) or the accessible worlds not at or above x (quasi)."""
-    n, width = frame.n_worlds, frame.n_worlds + 1
-    ones = ((1 << (width * size)) - 1) // ((1 << width) - 1)
-    full = ones * ((1 << n) - 1)
-    exists = [0] * frame.n_domain
-    for w, local in enumerate(frame.local):
-        for a in _bits(local):
-            exists[a] |= ones << w
-    elements = [(a, full ^ mask) for a, mask in enumerate(exists) if mask]
-    if isinstance(frame, SelectionFrame):
-        return ones, full, ones << n, exists, elements, frame.table, "_selection"
+    cache = frame.__dict__.setdefault("_rows", {})
+    got = cache.get(ones)
+    if got is not None:
+        return got
+    n = frame.n_worlds
     order = frame.order if isinstance(frame, QuasiSelectionFrame) else frame
     rows = []
     for w in range(n):
         r = order.r[w]
         rel = order.ble_table[w] if order is frame else [r & ~a for a in order.bge[w]]
         rows.append((n - w, r * ones, [(n - x, rel[x] * ones) for x in _bits(r)]))
-    clause = "_lewis" if order is frame else "_quasi"
-    return ones, full, ones << n, exists, elements, rows, clause
+    got = cache[ones] = rows, "_lewis" if order is frame else "_quasi"
+    return got
 
 
 class _Block:
-    """A block of interpretations on a frame: the frame's ``_layout``,
-    cached on the frame, and the state compiled closures read: the atom
+    """A block of interpretations on a frame: its ``_shape``, the
+    frame's selection table or order ``rows`` and the conditional clause
+    that reads them, and the state compiled closures read: the atom
     ``tables`` of the block, the ``memos`` and the variable values ``env``."""
 
     __slots__ = (
@@ -369,15 +398,14 @@ class _Block:
         "tables", "memos", "env",
     )
 
-    def __init__(self, frame: Frame, size: int, tables: list, n_memos: int):
+    def __init__(self, frame: Frame, shape: tuple, tables: list, n_memos: int):
         self.n, self.nd = frame.n_worlds, frame.n_domain
-        layouts = frame.__dict__.setdefault("_layouts", {})
-        if size not in layouts:
-            layouts[size] = _layout(frame, size)
-        self.ones, self.full, self.guard, self.exists, self.elements, self.rows, clause = (
-            layouts[size]
-        )
-        self.cond = getattr(self, clause)
+        self.ones, self.full, self.guard, self.exists, self.elements = shape
+        if isinstance(frame, SelectionFrame):
+            self.rows, self.cond = frame.table, self._selection
+        else:
+            self.rows, clause = _order_rows(frame, self.ones)
+            self.cond = getattr(self, clause)
         self.tables, self.memos = tables, [{} for _ in range(n_memos)]
 
     def _selection(self, p: int, q: int) -> int:
@@ -533,7 +561,12 @@ def extension(model: Model, g: Assignment, phi: Formula) -> int:
         for w, tuples in model.interp.get(p, {}).items():
             for tup in tuples:
                 table[_tuple_index(tup, nd)] |= (1 << w) & full
-    block = _Block(frame, 1, tables, compiled.n_memos)
+    # a model is evaluated many times: its one-interpretation shape is
+    # cached on the frame
+    shape = frame.__dict__.get("_shape")
+    if shape is None:
+        shape = frame.__dict__["_shape"] = _shape(frame.n_worlds, nd, frame.local, 1)
+    block = _Block(frame, shape, tables, compiled.n_memos)
     block.env = [g.get(v, 0) for v in compiled.slots]
     for v, a in zip(compiled.slots, block.env):
         if not 0 <= a < nd:
@@ -586,6 +619,20 @@ class FrameValidityResult:
         return self.valid
 
 
+class _Failure(FrameValidityResult):
+    """A failing ``frame_valid`` result that builds its countermodel when it
+    is first read: the sweeps read only ``valid``."""
+
+    def __init__(self, counterexample: Counterexample, build: Callable[[], Model]):
+        object.__setattr__(self, "valid", False)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "_build", build)
+
+    @functools.cached_property
+    def countermodel(self) -> Model:  # type: ignore[override]
+        return self._build()
+
+
 def subset_options(n_domain: int, arity: int) -> list[frozenset[tuple[int, ...]]]:
     """All subsets of D^arity, smallest first."""
     universe = list(itertools.product(range(n_domain), repeat=arity))
@@ -600,10 +647,13 @@ class _Interpretations:
     """The interpretations of a compiled formula's predicates over n worlds
     and nd elements: the product over the cells (p, w), the last cell
     fastest, of the values ``options(nd, p.arity)``.  It keeps every
-    assignment's variable values and each block's atom tables once built."""
+    assignment's variable values, each block's atom tables and each block
+    ``_shape`` per local domains once built, so the frames of a sweep share
+    them."""
 
     def __init__(self, compiled: _Compiled, n: int, nd: int, options):
         self.key, self.preds, self.width = (n, nd, options), compiled.preds, n + 1
+        self.n, self.nd = n, nd
         values = {a: options(nd, a) for a in {p.arity for p in self.preds}}
         # (predicate slot, world, the cell's values, their tuple indices)
         self.cells = [
@@ -619,6 +669,7 @@ class _Interpretations:
             for values in itertools.product(range(nd), repeat=len(compiled.free))
         ]
         self._blocks: dict[int, list[list[int]]] = {}
+        self._shapes: dict[tuple, tuple] = {}
 
     def _digits(self, i: int) -> list[int]:
         out = []
@@ -642,6 +693,13 @@ class _Interpretations:
                         tables[k][t] |= 1 << (j * self.width + w)
         return self._blocks[start]
 
+    def shape(self, local: tuple[int, ...], size: int) -> tuple:
+        key = (local, size)
+        got = self._shapes.get(key)
+        if got is None:
+            got = self._shapes[key] = _shape(self.n, self.nd, local, size)
+        return got
+
 
 # Interpretations are decided in blocks of 1, 8, 64 and then _MAX_BLOCK, so
 # a failure at the first interpretation costs a block of one.
@@ -649,21 +707,20 @@ _GROWTH = 8
 _MAX_BLOCK = 256
 
 
-def first_failure(
-    frame: Frame, phi: Formula, options=subset_options
-) -> Optional[tuple[int, Interpretation, dict[Variable, int], int]]:
-    """The first point where ``phi`` is false on ``frame``, as (index,
-    interpretation, assignment, world), or None when phi is valid there.
-    Points are ordered by interpretation (``_Interpretations`` order), then
-    by assignment to phi's free variables in product order, then by world."""
-    compiled, n, nd = _compiled(phi), frame.n_worlds, frame.n_domain
+def _failure(
+    frame: Frame, compiled: _Compiled, options
+) -> Optional[tuple[_Interpretations, int, list[int], int]]:
+    """The first point where the compiled formula is false on ``frame``, as
+    (space, interpretation index, variable values, world), or None."""
+    n, nd = frame.n_worlds, frame.n_domain
     space = compiled.space
     if space is None or space.key != (n, nd, options):
         space = compiled.space = _Interpretations(compiled, n, nd, options)
     start, size = 0, 1
     while start < space.total:
         size = min(size, space.total - start)
-        block = _Block(frame, size, space.tables(start, size), compiled.n_memos)
+        shape = space.shape(frame.local, size)
+        block = _Block(frame, shape, space.tables(start, size), compiled.n_memos)
         best = None
         for env in space.envs:
             block.env = env
@@ -677,30 +734,47 @@ def first_failure(
             low, env, value = best
             j = (low.bit_length() - 1) // space.width
             false = (block.full ^ value) >> (j * space.width)
-            i, w = start + j, (false & -false).bit_length() - 1
-            return i, space.interpretation(i), dict(zip(compiled.free, env)), w
+            return space, start + j, env, (false & -false).bit_length() - 1
         start, size = start + size, min(size * _GROWTH, _MAX_BLOCK)
     return None
+
+
+def first_failure(
+    frame: Frame, phi: Formula, options=subset_options
+) -> Optional[tuple[int, Interpretation, dict[Variable, int], int]]:
+    """The first point where ``phi`` is false on ``frame``, as (index,
+    interpretation, assignment, world), or None when phi is valid there.
+    Points are ordered by interpretation (``_Interpretations`` order), then
+    by assignment to phi's free variables in product order, then by world."""
+    compiled = _compiled(phi)
+    hit = _failure(frame, compiled, options)
+    if hit is None:
+        return None
+    space, i, env, w = hit
+    return i, space.interpretation(i), dict(zip(compiled.free, env)), w
 
 
 def frame_valid(
     frame: Frame, phi: Formula, max_worlds: int = 5, max_domain: int = 3, max_arity: int = 2
 ) -> FrameValidityResult:
-    """Enumerate all interpretations of the predicates occurring in phi."""
+    """Enumerate all interpretations of the predicates occurring in phi.
+    A failing result builds its countermodel when it is first read."""
     n, nd = frame.n_worlds, frame.n_domain
     if n > max_worlds or nd > max_domain:
         raise ResourceGuard(
             f"frame validity ceiling exceeded: |W|={n}, |D|={nd} "
             f"(limits {max_worlds}, {max_domain}; raise them explicitly to override)"
         )
-    for p in _compiled(phi).preds:
+    compiled = _compiled(phi)
+    for p in compiled.preds:
         if p.arity > max_arity:
             raise ResourceGuard(f"predicate arity {p.arity} above ceiling {max_arity}")
-    hit = first_failure(frame, phi)
+    hit = _failure(frame, compiled, subset_options)
     if hit is None:
         return FrameValidityResult(True)
-    _index, interp, g, w = hit
-    return FrameValidityResult(False, Model(frame, interp), Counterexample(w, g, phi))
+    space, i, env, w = hit
+    counterexample = Counterexample(w, dict(zip(compiled.free, env)), phi)
+    return _Failure(counterexample, lambda: Model(frame, space.interpretation(i)))
 
 
 # ---------------------------------------------------------------------------

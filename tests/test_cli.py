@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from condlog.cli import main
 
@@ -422,3 +423,165 @@ def test_kmodel_denote_far_apart_json_golden(name, lang, formula, assign):
     assert res.exit_code == 0
     golden = FIXTURES / "golden" / f"kmodel-denote-{name}.json"
     assert res.output == golden.read_text()
+
+
+@pytest.mark.parametrize("model", ["remark25.json", "order_faulty.json"])
+def test_frame_valid_json_golden(model):
+    """The JSON report of a failing frame validity check on a selection and
+    on an ordering frame, its countermodel dumped, byte for byte."""
+    res = run(
+        "frame-valid", "--model", str(FIXTURES / model),
+        "--formula", "(F(x) > G(x)) -> (G(x) > F(x))", "--format", "json",
+    )
+    assert res.exit_code == 1
+    golden = FIXTURES / "golden" / f"frame-valid-{model}"
+    assert res.output == golden.read_text()
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (("correspondence", "--sweep", "--max-domain", "0"), "--max-domain"),
+        (("correspondence", "--sweep", "--max-worlds", "-1"), "--max-worlds"),
+        (("search", "ds", "--max-worlds", "0"), "--max-worlds"),
+        (("search", "ds", "--max-domain", "0"), "--max-domain"),
+        (("search", "frames", "--max-worlds", "0"), "--max-worlds"),
+        (("search", "frames", "--max-domain", "-2"), "--max-domain"),
+        (("kmodel", "cem-sweep", "--max-size", "3", "--samples", "-1"), "--samples"),
+    ],
+)
+def test_empty_size_range_exits_2(args, option):
+    """An empty range of sizes is a usage error, not an empty sweep."""
+    res = run(*args)
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}'" in res.output
+
+
+# ---------------------------------------------------------------------------
+# Option fuzz: every command with drawn option values, sizes capped so that
+# each run takes milliseconds, with zero, negative and non-numeric values.
+# Whatever the values, the command exits 0, 1 or 2 and prints no traceback.
+
+# Each pool repeats its valid values so that most runs get past the usage
+# check.  An option the command requires, or whose default would make a
+# sweep run for seconds, is always given (``_REQUIRED``), so a usage error
+# comes from a value or from a stray argument.
+_INTS = st.sampled_from(["-2", "-1", "0", "1", "1", "2", "2", "3", "x"])
+_WORLDS_CAP = st.sampled_from(["-1", "0", "1", "1", "1", "x"])
+_MODEL_PATHS = st.sampled_from(
+    [str(FIXTURES / name) for name in ("remark25.json", "order_faulty.json")] * 3
+    + [str(FIXTURES / "mod_qc2.json"), str(FIXTURES / "missing.json")]
+)
+_FORMULAS = st.sampled_from(
+    ["F(x) > F(x)", "dia F(x)", "F(x) -> F(y)", "x = y", "E(x) > F(x)", "A & ~A",
+     "forall x. F(x) > G(y)", "F(x) > G(x)", "P(x)", "F(x", "",
+     "@" + str(FIXTURES / "ds.cl"), "@" + str(FIXTURES / "missing.cl")]
+)
+_K_WORLDS = st.sampled_from(["-inf", "-1", "-3", "-1", "0", "4", "x"])
+_K_ASSIGN = st.sampled_from(
+    ["x=-1", "y=-3,x=-2", "x=-1,y=-1", "x=-2", "x=0", "x=5", "x=a", "x", "q=-1", ""]
+)
+_ASSIGN = st.sampled_from(["x=a", "x=a", "x=a,y=a", "x=b", "y=a", "x", "q=a", "x=a,", ""])
+_LANGS = st.sampled_from(["L", "LE", "L=", "L", "Q"])
+_FORMATS = st.sampled_from(["text", "json", "text", "json", "xml"])
+_FLAG = st.just(None)
+_REQUIRED, _OPTIONAL = True, False
+
+# command -> [(option, values, always given)]; a None value is a flag
+_COMMANDS = {
+    ("parse",): [("--formula", _FORMULAS, _REQUIRED), ("--lang", _LANGS, _OPTIONAL)],
+    ("eval",): [
+        ("--model", _MODEL_PATHS, _REQUIRED),
+        ("--world", st.sampled_from(["1", "2", "0", "9"]), _REQUIRED),
+        ("--formula", _FORMULAS, _REQUIRED),
+        ("--assign", _ASSIGN, _OPTIONAL),
+        ("--lang", _LANGS, _OPTIONAL),
+    ],
+    ("model-valid",): [
+        ("--model", _MODEL_PATHS, _REQUIRED),
+        ("--formula", _FORMULAS, _REQUIRED),
+        ("--lang", _LANGS, _OPTIONAL),
+    ],
+    ("frame-valid",): [
+        ("--model", _MODEL_PATHS, _REQUIRED),
+        ("--formula", _FORMULAS, _REQUIRED),
+        ("--max-worlds", _INTS, _OPTIONAL),
+        ("--max-domain", _INTS, _OPTIONAL),
+        ("--max-arity", _INTS, _OPTIONAL),
+        ("--lang", _LANGS, _OPTIONAL),
+    ],
+    ("frame-props",): [("--model", _MODEL_PATHS, _REQUIRED)],
+    ("convert",): [
+        ("--model", _MODEL_PATHS, _REQUIRED),
+        ("--to", st.sampled_from(["selection", "ordering", "graph"]), _REQUIRED),
+    ],
+    ("prove",): [("--proof", _MODEL_PATHS, _REQUIRED)],
+    ("correspondence",): [
+        ("--model", _MODEL_PATHS, _OPTIONAL),
+        ("--sweep", _FLAG, _OPTIONAL),
+        ("--max-worlds", _WORLDS_CAP, _REQUIRED),
+        ("--max-domain", _INTS, _OPTIONAL),
+    ],
+    ("kmodel", "eval"): [
+        ("--world", _K_WORLDS, _REQUIRED),
+        ("--formula", _FORMULAS, _REQUIRED),
+        ("--assign", _K_ASSIGN, _OPTIONAL),
+        ("--empty-predicates", _FLAG, _OPTIONAL),
+        ("--lang", _LANGS, _OPTIONAL),
+    ],
+    ("kmodel", "denote"): [
+        ("--formula", _FORMULAS, _REQUIRED),
+        ("--assign", _K_ASSIGN, _OPTIONAL),
+        ("--empty-predicates", _FLAG, _OPTIONAL),
+        ("--lang", _LANGS, _OPTIONAL),
+    ],
+    ("kmodel", "truncate"): [("--n", _INTS, _REQUIRED)],
+    ("kmodel", "cem-sweep"): [
+        ("--max-size", _INTS, _REQUIRED),
+        ("--max-vars", _INTS, _OPTIONAL),
+        ("--identity", _FLAG, _OPTIONAL),
+        ("--axioms", _FLAG, _OPTIONAL),
+        ("--samples", _INTS, _OPTIONAL),
+        ("--seed", _INTS, _OPTIONAL),
+        ("--jobs", st.sampled_from(["-1", "0", "1", "1"]), _OPTIONAL),
+    ],
+    ("kmodel", "probe"): [],
+    ("search", "frames"): [
+        ("--max-worlds", _WORLDS_CAP, _REQUIRED),
+        ("--max-domain", _INTS, _OPTIONAL),
+        ("--require", st.sampled_from(["Success", "weaklyStalnakerian", "Bogus"]), _OPTIONAL),
+        ("--policy", st.sampled_from(["all", "reflexive-only", "none"]), _OPTIONAL),
+        ("--limit", _INTS, _OPTIONAL),
+    ],
+    ("search", "ds"): [
+        ("--max-worlds", _WORLDS_CAP, _REQUIRED),
+        ("--max-domain", _INTS, _OPTIONAL),
+        ("--require", st.sampled_from(["Success", "Stalnakerian", "Bogus"]), _OPTIONAL),
+        ("--policy", st.sampled_from(["all", "reflexive-only", "none"]), _OPTIONAL),
+    ],
+    ("search", "compactness"): [("--n", _INTS, _REQUIRED)],
+}
+_NO_FORMAT = {("kmodel", "truncate")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_option_fuzz(data):
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    options = list(_COMMANDS[command])
+    if command not in _NO_FORMAT:
+        options.append(("--format", _FORMATS, _OPTIONAL))
+    argv = list(command)
+    for option, values, required in options:
+        if required or data.draw(st.booleans()):
+            value = data.draw(values)
+            argv += [option] if value is None else [option, value]
+    stray = data.draw(st.sampled_from([None] * 9 + ["--bogus", "stray", "--max-worlds"]))
+    if stray is not None:
+        argv.append(stray)
+    res = run(*argv)
+    assert res.exit_code in (0, 1, 2), (argv, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (
+        argv, repr(res.exception),
+    )
+    assert "Traceback" not in res.output, argv

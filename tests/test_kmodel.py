@@ -501,6 +501,25 @@ def test_eval_k_rejects_bad_input():
     assert not eval_k(Atom(Predicate(1, 1), (x,)), -1, {x: -1}, empty_predicates=True)
 
 
+def test_denote_k_rejects_an_uncovered_variable():
+    """A missing free variable is a ``KModelError``, as in ``eval_k``."""
+    with pytest.raises(KModelError, match=r"assignment misses \[0\]"):
+        denote_k(Cond(fx, fx), {})
+    with pytest.raises(KModelError, match=r"assignment misses \[1\]"):
+        denote_k(Imp(fx, fy), {x: -1})
+
+
+def test_a_node_is_its_own_reduct_iff_it_holds_no_conditional():
+    """The quantifier clause at -inf reads whether its node holds a
+    conditional off the material reduct cached on the node."""
+    from condlog.syntax import subformulas
+
+    for phi in fragment_pool(4, 2, with_identity=True):
+        for sub in subformulas(phi):
+            has_cond = any(isinstance(s, Cond) for s in subformulas(sub))
+            assert (material_reduct(sub) is not sub) is has_cond
+
+
 def test_ds_holds_at_minus_inf():
     assert eval_k(build_ds(), MINUS_INF, {})
 

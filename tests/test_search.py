@@ -68,6 +68,28 @@ def test_enumerated_frames_satisfy_required_properties():
     assert count > 0
 
 
+@pytest.mark.parametrize(
+    "max_worlds, max_domain, props, count",
+    [(3, 2, {"weaklyStalnakerian"}, 7587), (2, 1, set(), 167341)],
+)
+def test_enumerated_frames_pass_the_checked_constructor(
+    max_worlds, max_domain, props, count
+):
+    """The enumerator builds its frames without the construction scan of
+    ``SelectionFrame``; each one passes that scan when rebuilt through the
+    public constructor, default names included, and equals the rebuild."""
+    seen = 0
+    for frame in enumerate_frames(
+        EnumerationParams(max_worlds, max_domain, frozenset(props))
+    ):
+        rebuilt = SelectionFrame(
+            frame.n_worlds, frame.r, frame.table, frame.n_domain, frame.local
+        )
+        assert rebuilt == frame
+        seen += 1
+    assert seen == count
+
+
 def test_enumeration_completeness_against_brute_force():
     """At two worlds, one domain element, reflexive R: the canonical count
     must match an unpruned brute-force enumeration deduplicated by

@@ -620,19 +620,23 @@ def _random_ordering_frame(rng, n: int, nd: int, local) -> OrderingFrame:
     return OrderingFrame.build(n, r, pairs, nd, local)
 
 
+def _random_selection_frame(rng, n: int, nd: int, local) -> SelectionFrame:
+    r = [rng.randrange(1 << n) for _ in range(n)]
+    table = tuple(
+        tuple(
+            rng.choice([s for s in range(1 << n) if not s & ~r[w]])
+            for _p in range(1 << n)
+        )
+        for w in range(n)
+    )
+    return SelectionFrame(n, tuple(r), table, nd, tuple(local))
+
+
 def _random_model(rng, kind: str) -> Model:
     n, nd = rng.randint(1, 3), rng.randint(1, 3)
     local = [rng.randrange(1 << nd) for _ in range(n)]
     if kind == "selection":
-        r = [rng.randrange(1 << n) for _ in range(n)]
-        table = tuple(
-            tuple(
-                rng.choice([s for s in range(1 << n) if not s & ~r[w]])
-                for _p in range(1 << n)
-            )
-            for w in range(n)
-        )
-        frame = SelectionFrame(n, tuple(r), table, nd, tuple(local))
+        frame = _random_selection_frame(rng, n, nd, local)
     elif kind == "ordering":
         frame = _random_ordering_frame(rng, n, nd, local)
     else:
@@ -743,3 +747,68 @@ def test_frame_valid_matches_reference_loop(kind, seed):
             assert res.countermodel == model, (phi, frame)
             assert res.counterexample == counterexample, (phi, frame)
     assert late
+
+
+def _check_against_reference(frame, phi):
+    want = reference_frame_valid(frame, phi)
+    res = frame_valid(frame, phi)
+    assert res.valid == (want is None), (phi, frame)
+    if want is not None:
+        _index, model, counterexample = want
+        assert res.countermodel == model, (phi, frame)
+        assert res.counterexample == counterexample, (phi, frame)
+    return want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_frame_valid_frames_sharing_local_domains_share_no_rows(seed):
+    """One compiled formula over an interleaved sequence of frames with the
+    same worlds, domain and local domains: selection frames with different
+    tables, ordering frames and quasi frames.  They share the block shapes
+    of the formula's interpretation space; a selection table, an order row
+    or a conditional clause carried over from the frame before would change
+    a verdict, a countermodel or a counterexample."""
+    rng = random.Random(f"shared-shapes-{seed}")
+    n, nd = 2, 2
+    local = tuple(rng.randrange(1, 1 << nd) for _ in range(n))
+    frames = []
+    for _ in range(3):
+        frames.append(_random_selection_frame(rng, n, nd, local))
+        frames.append(_random_ordering_frame(rng, n, nd, local))
+        frames.append(QuasiSelectionFrame(_random_ordering_frame(rng, n, nd, local)))
+    rng.shuffle(frames)
+    a, b = Atom(P, (x,)), Atom(G, (y,))
+    formulas = [
+        Imp(Cond(a, b), Cond(b, a)),
+        Not(Cond(a, Not(b))),
+        Imp(Cond(a, b), Cond(a, b)),  # valid: walks every block
+        Forall(x, Cond(Or(a, Not(b)), b)),
+    ]
+    outcomes = set()
+    for phi in formulas:
+        for frame in frames + frames[::-1]:
+            want = _check_against_reference(frame, phi)
+            outcomes.add((type(frame), want is None))
+    assert {kind for kind, valid in outcomes if not valid} == {
+        SelectionFrame, OrderingFrame, QuasiSelectionFrame
+    }
+
+
+def test_frame_valid_builds_the_countermodel_when_read(monkeypatch):
+    """A failing result builds its countermodel on first read, once."""
+    import condlog.semantics as semantics
+
+    built = []
+    original = semantics._Interpretations.interpretation
+
+    def counting(space, i):
+        built.append(i)
+        return original(space, i)
+
+    monkeypatch.setattr(semantics._Interpretations, "interpretation", counting)
+    frame = load_model(json.loads((FIXTURES / "remark25.json").read_text())).frame
+    res = frame_valid(frame, Dia(Atom(F, (x,))))
+    assert not res.valid and built == []
+    model = res.countermodel
+    assert built == [0] and res.countermodel is model
+    assert model == Model(frame, {F: {0: frozenset(), 1: frozenset()}})
