@@ -343,11 +343,13 @@ def cmd_prove(proof_path, fmt) -> None:
 @main.command("correspondence")
 @click.option("--model", "model_path", type=click.Path(exists=True), default=None)
 @click.option("--sweep", is_flag=True, help="Check all enumerated frames instead.")
-@click.option("--max-worlds", default=2, show_default=True, type=click.IntRange(min=1))
-@click.option("--max-domain", default=2, show_default=True, type=click.IntRange(min=1))
+@click.option("--max-worlds", type=click.IntRange(min=1), help="[default: 2, or 5 with --model]")
+@click.option("--max-domain", type=click.IntRange(min=1), help="[default: 2, or 3 with --model]")
 @format_option
 def cmd_correspondence(model_path, sweep, max_worlds, max_domain, fmt) -> None:
     """Instance-family validity versus the frame conditions."""
+    max_worlds = max_worlds or (2 if sweep else 5)
+    max_domain = max_domain or (2 if sweep else 3)
     if sweep:
         try:
             report = search.correspondence_sweep(
@@ -371,7 +373,7 @@ def cmd_correspondence(model_path, sweep, max_worlds, max_domain, fmt) -> None:
     if not isinstance(model.frame, semantics.SelectionFrame):
         raise click.UsageError("correspondence checks need a selection model")
     try:
-        res = frameprops.qc2_correspondence_check(model.frame)
+        res = frameprops.qc2_correspondence_check(model.frame, max_worlds, max_domain)
     except semantics.ResourceGuard as err:
         raise click.UsageError(str(err)) from None
     _finish(

@@ -11,9 +11,12 @@ bit 0 for -inf and bit n for the world -n, so a ray is the int's infinite
 sign extension.  Denotation is computed compositionally: boolean nodes are
 ``~``, ``|`` and ``&`` on those ints, a conditional's integer part is its
 material reading (each integer world only sees itself) with the Lewis
-clause at -inf.  A quantifier node reads its integer part, and its -inf bit when the
-body is conditional-free, off the counting normal form of its fragment;
-otherwise -inf uses a finite test set with a stabilization assertion.
+clause at -inf.  A quantifier node reads its integer part, and its -inf bit
+when the body is conditional-free, off the counting normal form of its
+fragment; otherwise -inf uses a finite test set with a stabilization
+assertion.  Denotations are memoised on the formula node, like normal
+forms and fragments, and the sweeps share one fragment pool per (size,
+vars, identity), so the sweeps over one pool hit each other's memos.
 
 Counting normal forms eliminate quantifiers over one unary predicate with
 equality, bottom up.  Each conditional-free node holds the bitmask of the
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .semantics import Model, OrderingFrame, evaluate
+from .semantics import Model, OrderingFrame, _bits, evaluate
 from .syntax import (
     And,
     Atom,
@@ -349,13 +352,6 @@ def _full(n: int, r: int) -> int:
     return (1 << len(_profiles(n)[0]) * (r + 1) ** 2) - 1
 
 
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _canonical(labels: Iterable, lits) -> tuple:
     """Blocks relabelled in order of first use, with their F-literals;
     ``lits`` maps an old label to its literal."""
@@ -545,9 +541,6 @@ def _realized_type(values_list, k: int, threshold: int):
     return blocks, flits, classes[-1], classes[min(neg, threshold)]
 
 
-_DENOTE_CACHE: dict = {}
-
-
 def denote_k(
     phi: Formula, g: Mapping[Variable, int], empty_predicates: bool = False
 ) -> KSet:
@@ -570,11 +563,17 @@ def _checked_assignment(phi: Formula, g: Mapping[Variable, int]) -> dict:
 def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
     """The denotation under g, which covers the free variables of phi.  It
     is the one source of the -inf bit: eval_k and the quantifier clause at
-    -inf both read it.  The cache key is flat: phi, the flag, then the value
-    of each free variable in index order."""
+    -inf both read it.  The memo lives on the node, so it is freed with it;
+    its key is the flag, then the value of each free variable in index
+    order."""
     fv = ordered_free_variables(phi)
-    key = (phi, empty_predicates, *[g[v] for v in fv])
-    got = _DENOTE_CACHE.get(key)
+    try:
+        memo = phi._denote_cache  # type: ignore[attr-defined]
+    except AttributeError:
+        memo = {}
+        object.__setattr__(phi, "_denote_cache", memo)
+    key = (empty_predicates, *[g[v] for v in fv])
+    got = memo.get(key)
     if got is not None:
         return got
     out: KSet
@@ -619,9 +618,7 @@ def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
         )
     else:
         raise KModelError(f"not a formula: {phi!r}")
-    if len(_DENOTE_CACHE) > 1_000_000:
-        _DENOTE_CACHE.clear()
-    _DENOTE_CACHE[key] = out
+    memo[key] = out
     return out
 
 
@@ -697,9 +694,7 @@ def _forall_minus_inf(
 # ---------------------------------------------------------------------------
 # Finite truncations of K: the cross-validation oracle.
 
-_TRUNCATION_CACHE: dict[int, Model] = {}
-
-
+@cache
 def truncate(n: int) -> Model:
     """The ordering model on worlds {-n..-1, -inf} with domain {-n..-1}.
 
@@ -710,9 +705,6 @@ def truncate(n: int) -> Model:
     """
     if n < 1:
         raise KModelError("truncation needs n >= 1")
-    got = _TRUNCATION_CACHE.get(n)
-    if got is not None:
-        return got
     n_worlds = n + 1
     inf = n
     r = [1 << w for w in range(n)] + [(1 << n_worlds) - 1]
@@ -732,9 +724,7 @@ def truncate(n: int) -> Model:
     )
     interp = {F: {w: frozenset((i,) for i in range(w, n)) for w in range(n)}}
     interp[F][inf] = frozenset()
-    model = Model(frame, interp)
-    _TRUNCATION_CACHE[n] = model
-    return model
+    return Model(frame, interp)
 
 
 def truncation_world(n: int, w) -> int:
@@ -811,11 +801,16 @@ def probe_truncation(n: int) -> bool:
     return not (premise and f_all != f_single)
 
 
+@cache
 def fragment_pool(
     max_size: int, max_vars: int, with_identity: bool = False
-) -> list[Formula]:
+) -> tuple[Formula, ...]:
     """Every core-node formula over F-atoms (plus ordered identity atoms)
-    up to the size bound, over variables x0..x(max_vars-1)."""
+    up to the size bound, over variables x0..x(max_vars-1).
+
+    Cached per call: the sweeps all pass the three arguments by position,
+    so they share one pool per (size, vars, identity) and read the
+    denotations memoised on its nodes."""
     variables = [Variable(i) for i in range(max_vars)]
     leaves: list[Formula] = [Atom(F, (v,)) for v in variables]
     if with_identity:
@@ -836,12 +831,12 @@ def fragment_pool(
                     bucket.append(Imp(a, b))
                     bucket.append(Cond(a, b))
         by_size[s] = bucket
-    return [phi for s in range(1, max_size + 1) for phi in by_size[s]]
+    return tuple(phi for s in range(1, max_size + 1) for phi in by_size[s])
 
 
 def _sweep_setup(
     max_size: int, max_vars: int, with_identity: bool, jobs: int
-) -> tuple[list[Formula], dict[Variable, int], dict[KSet, Formula], SweepReport]:
+) -> tuple[Sequence[Formula], dict[Variable, int], dict[KSet, Formula], SweepReport]:
     """The fragment pool of a sweep, which must not be empty; the canonical
     assignment; the first pool formula of each distinct denotation; and a
     report holding the pool and denotation counts."""

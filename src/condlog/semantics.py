@@ -67,13 +67,11 @@ class NotStalnakerian(SemanticsError):
 
 
 def _bits(mask: int) -> Iterable[int]:
-    i = 0
+    """The indices of the set bits of a non-negative mask, lowest first."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
-    return
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _default_names(prefix: str, n: int) -> tuple[str, ...]:

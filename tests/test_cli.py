@@ -362,6 +362,17 @@ def test_correspondence_model_above_validity_ceiling_exits_2(tmp_path):
     assert "frame validity ceiling exceeded: |W|=7" in res.output
 
 
+def test_correspondence_model_honours_max_worlds():
+    """``--max-worlds`` below the model's 2 worlds exits 2, as it does
+    for ``frame-valid``."""
+    res = run(
+        "correspondence", "--model", str(FIXTURES / "remark25.json"),
+        "--max-worlds", "1",
+    )
+    assert res.exit_code == 2
+    assert "frame validity ceiling exceeded" in res.output
+
+
 @pytest.mark.parametrize("option", ["--max-size", "--max-vars"])
 def test_kmodel_cem_sweep_empty_pool_exits_2(option):
     res = run("kmodel", "cem-sweep", "--max-size", "3", "--max-vars", "1", option, "0")

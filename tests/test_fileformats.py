@@ -234,7 +234,10 @@ def test_mutated_documents_load_or_raise_document_error(data):
     name, load, loaded, fields = data.draw(st.sampled_from(_MUTATED_DOCUMENTS))
     doc = read_fixture(name)
     for _ in range(data.draw(st.integers(1, 3))):
-        path = data.draw(st.sampled_from([p for p in _paths(doc) if p]))
+        paths = [p for p in _paths(doc) if p]
+        if not paths:  # every field was deleted: load the empty document
+            break
+        path = data.draw(st.sampled_from(paths))
         parent = doc
         for key in path[:-1]:
             parent = parent[key]

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -509,6 +510,19 @@ def test_denote_k_rejects_an_uncovered_variable():
         denote_k(Imp(fx, fy), {x: -1})
 
 
+@pytest.mark.parametrize("flag_first", [True, False])
+def test_denotation_memo_is_keyed_by_the_flag(flag_first):
+    """One node denoted under both flag values, in either order: a memo
+    entry for one flag never answers for the other."""
+    phi = Atom(Predicate(1, 1), (x,))
+    g = {x: -1}
+    if flag_first:
+        assert denote_k(phi, g, empty_predicates=True).is_empty
+    with pytest.raises(NonFragment):
+        denote_k(phi, g)
+    assert denote_k(phi, g, empty_predicates=True).is_empty
+
+
 def test_a_node_is_its_own_reduct_iff_it_holds_no_conditional():
     """The quantifier clause at -inf reads whether its node holds a
     conditional off the material reduct cached on the node."""
@@ -760,6 +774,16 @@ def test_cem_sweep_parallel_matches_serial():
     parallel = cem_sweep(4, 2, direct_samples=0, jobs=2)
     assert serial.ok and parallel.ok
     assert serial.distinct_denotations == parallel.distinct_denotations
+    # the sweeps share one pool; by now its nodes carry denotation memos
+    assert fragment_pool(4, 2) is fragment_pool(4, 2)
+    serial_qc2 = qc2_axiom_sweep(4, 2)
+    assert qc2_axiom_sweep(4, 2, jobs=2) == serial_qc2
+    # memos stay in the process: a pickled node of the sweeps' pool ships
+    # none of them
+    node = fragment_pool(4, 2, False)[-1]
+    denote_k(node, canonical_assignment(2))
+    assert hasattr(node, "_denote_cache")
+    assert not [k for k in vars(pickle.loads(pickle.dumps(node))) if k.startswith("_")]
 
 
 @pytest.mark.parametrize("max_size,max_vars", [(0, 2), (3, 0)])
