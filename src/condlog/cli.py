@@ -5,6 +5,12 @@ reports), 1 when a check fails (with a report), 2 on usage or input
 errors.  ``--format json`` emits one JSON document on standard output.
 Formula options accept ``@path`` indirection to a formula file (one
 formula per line, ``#`` comments).
+
+The exit-2 rule lives in one place, ``_Command.invoke``: a library input
+error (a malformed formula, document or proof, a value outside K, or a
+resource ceiling) raised by any command becomes a usage error that names
+its cause.  Command bodies raise ``click.UsageError`` only for checks of
+their own options.
 """
 
 from __future__ import annotations
@@ -19,30 +25,42 @@ import click
 
 from . import fileformats, frameprops, hilbert, kmodel, search, semantics
 from .parser import ParseError, parse_formula, parse_formula_file, print_formula
-from .syntax import Lang, Variable, free_variables
+from .syntax import Lang, Variable, free_variables, metrics, variable_named
 
 LANGS = {"L": Lang.L, "LE": Lang.LE, "L=": Lang.LEQ}
 
+# The library's input errors.  ``search.ReplayError`` is a SemanticsError
+# but an internal fault, so it propagates.
+_INPUT_ERRORS = (
+    ParseError,
+    fileformats.DocumentError,
+    semantics.SemanticsError,
+    kmodel.KModelError,
+    hilbert.ProofError,
+)
 
-class Failure(Exception):
-    """Check failed: report and exit 1."""
 
-    def __init__(self, payload: dict):
-        super().__init__(payload.get("message", "check failed"))
-        self.payload = payload
+class _Command(click.Command):
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except search.ReplayError:
+            raise
+        except _INPUT_ERRORS as err:
+            raise click.UsageError(str(err), ctx=ctx) from None
 
 
-def _emit(fmt: str, payload: dict, text_lines: list[str]) -> None:
-    if fmt == "json":
-        click.echo(json.dumps(payload, indent=2, default=str))
-    else:
-        for line in text_lines:
-            click.echo(line)
+class _Group(click.Group):
+    command_class = _Command
+    group_class = type  # subgroups are _Groups too
 
 
 def _finish(fmt: str, ok: bool, payload: dict, text_lines: list[str]) -> None:
-    payload = {"ok": ok, **payload}
-    _emit(fmt, payload, text_lines)
+    if fmt == "json":
+        click.echo(json.dumps({"ok": ok, **payload}, indent=2, default=str))
+    else:
+        for line in text_lines:
+            click.echo(line)
     if not ok:
         sys.exit(1)
 
@@ -71,12 +89,10 @@ def _parse_assignment(entries: tuple[str, ...]) -> dict[str, str]:
 
 
 def _variable_of(name: str) -> Variable:
-    letters = {"x": 0, "y": 1, "z": 2}
-    if name in letters:
-        return Variable(letters[name])
-    if name.startswith("x") and name[1:].isdigit():
-        return Variable(int(name[1:]))
-    raise click.UsageError(f"bad variable name {name!r}")
+    var = variable_named(name)
+    if var is None:
+        raise click.UsageError(f"bad variable name {name!r}")
+    return var
 
 
 def _read_text(path: str) -> str:
@@ -86,11 +102,15 @@ def _read_text(path: str) -> str:
         raise click.UsageError(f"cannot read {path}: {err}") from None
 
 
-def _load_model(path: str) -> semantics.Model:
+def _load(path: str, what: str, load):
     try:
-        return fileformats.load_model(json.loads(_read_text(path)))
+        return load(json.loads(_read_text(path)))
     except (json.JSONDecodeError, fileformats.DocumentError) as err:
-        raise click.UsageError(f"cannot load model {path}: {err}") from None
+        raise click.UsageError(f"cannot load {what} {path}: {err}") from None
+
+
+def _load_model(path: str) -> semantics.Model:
+    return _load(path, "model", fileformats.load_model)
 
 
 def _domain_assignment(model: semantics.Model, pairs: dict[str, str]):
@@ -127,7 +147,7 @@ format_option = click.option(
 )
 
 
-@click.group()
+@click.group(cls=_Group)
 def main() -> None:
     """Workbench for quantified conditional logic."""
 
@@ -138,15 +158,9 @@ def main() -> None:
 @format_option
 def cmd_parse(formula: str, lang: str, fmt: str) -> None:
     """Parse formulas and report their shape."""
-    try:
-        formulas = _read_formulas(formula, LANGS[lang])
-    except ParseError as err:
-        raise click.UsageError(str(err)) from None
     payload = []
     lines = []
-    for phi in formulas:
-        from .syntax import metrics
-
+    for phi in _read_formulas(formula, LANGS[lang]):
         sz, rank = metrics(phi)
         payload.append(
             {
@@ -173,14 +187,10 @@ def cmd_eval(model_path, world, formula, assign, lang, fmt) -> None:
     model = _load_model(model_path)
     w = _world_index(model, world)
     g = _domain_assignment(model, _parse_assignment(assign))
-    try:
-        formulas = _read_formulas(formula, LANGS[lang])
-        results = [
-            {"formula": print_formula(phi), "value": semantics.evaluate(model, w, g, phi)}
-            for phi in formulas
-        ]
-    except (ParseError, semantics.SemanticsError) as err:
-        raise click.UsageError(str(err)) from None
+    results = [
+        {"formula": print_formula(phi), "value": semantics.evaluate(model, w, g, phi)}
+        for phi in _read_formulas(formula, LANGS[lang])
+    ]
     ok = all(r["value"] for r in results)
     _finish(
         fmt,
@@ -198,11 +208,7 @@ def cmd_eval(model_path, world, formula, assign, lang, fmt) -> None:
 def cmd_model_valid(model_path, formula, lang, fmt) -> None:
     """Truth at every world under every assignment."""
     model = _load_model(model_path)
-    try:
-        formulas = _read_formulas(formula, LANGS[lang])
-        res = semantics.model_valid(model, formulas)
-    except (ParseError, semantics.SemanticsError) as err:
-        raise click.UsageError(str(err)) from None
+    res = semantics.model_valid(model, _read_formulas(formula, LANGS[lang]))
     if res.valid:
         _finish(fmt, True, {}, ["valid in the model"])
     else:
@@ -234,21 +240,14 @@ def cmd_model_valid(model_path, formula, lang, fmt) -> None:
 def cmd_frame_valid(model_path, formula, max_worlds, max_domain, max_arity, lang, fmt):
     """Validity over every interpretation on the model's frame."""
     model = _load_model(model_path)
-    try:
-        formulas = _read_formulas(formula, LANGS[lang])
-    except ParseError as err:
-        raise click.UsageError(str(err)) from None
-    for phi in formulas:
-        try:
-            res = semantics.frame_valid(
-                model.frame,
-                phi,
-                max_worlds=max_worlds,
-                max_domain=max_domain,
-                max_arity=max_arity,
-            )
-        except semantics.ResourceGuard as err:
-            raise click.UsageError(str(err)) from None
+    for phi in _read_formulas(formula, LANGS[lang]):
+        res = semantics.frame_valid(
+            model.frame,
+            phi,
+            max_worlds=max_worlds,
+            max_domain=max_domain,
+            max_arity=max_arity,
+        )
         if not res.valid:
             cx = res.counterexample
             names = model.frame.world_names
@@ -298,8 +297,8 @@ def cmd_frame_props(model_path, fmt) -> None:
 def cmd_convert(model_path, target, out, fmt) -> None:
     """Convert between ordering and selection models (Stalnakerian only)."""
     model = _load_model(model_path)
-    is_sel = isinstance(model.frame, semantics.SelectionFrame)
-    if (target == "selection") == is_sel:
+    kind = semantics.SelectionFrame if target == "selection" else semantics.OrderingFrame
+    if isinstance(model.frame, kind):
         raise click.UsageError(f"model is already of kind {target}")
     try:
         converted = semantics.convert_model(model)
@@ -324,10 +323,7 @@ def cmd_convert(model_path, target, out, fmt) -> None:
 @format_option
 def cmd_prove(proof_path, fmt) -> None:
     """Verify a Hilbert proof script."""
-    try:
-        script = fileformats.load_proof(json.loads(_read_text(proof_path)))
-    except (json.JSONDecodeError, fileformats.DocumentError) as err:
-        raise click.UsageError(f"cannot load proof {proof_path}: {err}") from None
+    script = _load(proof_path, "proof", fileformats.load_proof)
     verdict = hilbert.verify_proof(script)
     if verdict.accepted:
         _finish(fmt, True, {"lines": len(script.lines)}, ["accepted"])
@@ -351,12 +347,9 @@ def cmd_correspondence(model_path, sweep, max_worlds, max_domain, fmt) -> None:
     max_worlds = max_worlds or (2 if sweep else 5)
     max_domain = max_domain or (2 if sweep else 3)
     if sweep:
-        try:
-            report = search.correspondence_sweep(
-                search.EnumerationParams(max_worlds=max_worlds, max_domain=max_domain)
-            )
-        except semantics.ResourceGuard as err:
-            raise click.UsageError(str(err)) from None
+        report = search.correspondence_sweep(
+            search.EnumerationParams(max_worlds=max_worlds, max_domain=max_domain)
+        )
         _finish(
             fmt,
             report["agreeEverywhere"],
@@ -372,10 +365,7 @@ def cmd_correspondence(model_path, sweep, max_worlds, max_domain, fmt) -> None:
     model = _load_model(model_path)
     if not isinstance(model.frame, semantics.SelectionFrame):
         raise click.UsageError("correspondence checks need a selection model")
-    try:
-        res = frameprops.qc2_correspondence_check(model.frame, max_worlds, max_domain)
-    except semantics.ResourceGuard as err:
-        raise click.UsageError(str(err)) from None
+    res = frameprops.qc2_correspondence_check(model.frame, max_worlds, max_domain)
     _finish(
         fmt,
         res.agree,
@@ -427,17 +417,13 @@ def cmd_k_eval(world, formula, assign, empty_predicates, lang, fmt) -> None:
     """Evaluate formulas at a world of the infinite model."""
     w = _k_world(world)
     g = _k_assignment(assign)
-    try:
-        formulas = _read_formulas(formula, LANGS[lang])
-        results = [
-            {
-                "formula": print_formula(phi),
-                "value": kmodel.eval_k(phi, w, g, empty_predicates=empty_predicates),
-            }
-            for phi in formulas
-        ]
-    except (ParseError, kmodel.KModelError) as err:
-        raise click.UsageError(str(err)) from None
+    results = [
+        {
+            "formula": print_formula(phi),
+            "value": kmodel.eval_k(phi, w, g, empty_predicates=empty_predicates),
+        }
+        for phi in _read_formulas(formula, LANGS[lang])
+    ]
     ok = all(r["value"] for r in results)
     _finish(
         fmt,
@@ -456,14 +442,10 @@ def cmd_k_eval(world, formula, assign, empty_predicates, lang, fmt) -> None:
 def cmd_k_denote(formula, assign, empty_predicates, lang, fmt) -> None:
     """Canonical world set of each formula."""
     g = _k_assignment(assign)
-    try:
-        formulas = _read_formulas(formula, LANGS[lang])
-        results = [
-            (phi, kmodel.denote_k(phi, g, empty_predicates=empty_predicates))
-            for phi in formulas
-        ]
-    except (ParseError, kmodel.KModelError) as err:
-        raise click.UsageError(str(err)) from None
+    results = [
+        (phi, kmodel.denote_k(phi, g, empty_predicates=empty_predicates))
+        for phi in _read_formulas(formula, LANGS[lang])
+    ]
     payload = [
         {"formula": print_formula(phi), "denotation": den.to_json()}
         for phi, den in results
@@ -481,11 +463,7 @@ def cmd_k_denote(formula, assign, empty_predicates, lang, fmt) -> None:
 @click.option("--out", type=click.Path(), default=None)
 def cmd_k_truncate(n, out) -> None:
     """Write the finite truncation as an ordering-model document."""
-    try:
-        model = kmodel.truncate(n)
-    except kmodel.KModelError as err:
-        raise click.UsageError(str(err)) from None
-    doc = fileformats.dump_model(model)
+    doc = fileformats.dump_model(kmodel.truncate(n))
     text = json.dumps(doc, indent=2)
     if out:
         Path(out).write_text(text)
@@ -569,37 +547,25 @@ def search_group() -> None:
     """Frame enumeration and countermodel searches."""
 
 
-def _params(max_worlds, max_domain, require, policy) -> search.EnumerationParams:
-    try:
-        return search.EnumerationParams(
-            max_worlds=max_worlds,
-            max_domain=max_domain,
-            required_properties=frozenset(require),
-            policy=policy,
-        )
-    except ValueError as err:
-        raise click.UsageError(str(err)) from None
+_PROPERTIES = click.Choice(sorted(search.PROPERTY_NAMES))
 
 
 @search_group.command("frames")
 @click.option("--max-worlds", default=2, show_default=True, type=click.IntRange(min=1))
 @click.option("--max-domain", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option("--require", multiple=True)
+@click.option("--require", multiple=True, type=_PROPERTIES)
 @click.option("--policy", type=click.Choice(["all", "reflexive-only"]), default="all")
 @click.option("--limit", default=0, help="Print up to this many frames as documents.")
 @format_option
 def cmd_search_frames(max_worlds, max_domain, require, policy, limit, fmt) -> None:
     """Enumerate canonical frames with the required properties."""
-    params = _params(max_worlds, max_domain, require, policy)
+    params = search.EnumerationParams(max_worlds, max_domain, frozenset(require), policy)
     shown = []
     count = 0
-    try:
-        for frame in search.enumerate_frames(params):
-            count += 1
-            if len(shown) < limit:
-                shown.append(fileformats.dump_model(semantics.Model(frame)))
-    except semantics.ResourceGuard as err:
-        raise click.UsageError(str(err)) from None
+    for frame in search.enumerate_frames(params):
+        count += 1
+        if len(shown) < limit:
+            shown.append(fileformats.dump_model(semantics.Model(frame)))
     payload = {"count": count}
     if shown:
         payload["frames"] = shown
@@ -612,6 +578,7 @@ def cmd_search_frames(max_worlds, max_domain, require, policy, limit, fmt) -> No
 @click.option(
     "--require",
     multiple=True,
+    type=_PROPERTIES,
     default=("weaklyStalnakerian",),
     show_default=True,
 )
@@ -622,11 +589,9 @@ def cmd_search_ds(max_worlds, max_domain, require, policy, fmt) -> None:
 
     Finding none over weakly Stalnakerian frames is the expected outcome;
     a witness would falsify the implementation and exits 1."""
-    params = _params(max_worlds, max_domain, require, policy)
-    try:
-        outcome = search.ds_sweep(params)
-    except semantics.ResourceGuard as err:
-        raise click.UsageError(str(err)) from None
+    outcome = search.ds_sweep(
+        search.EnumerationParams(max_worlds, max_domain, frozenset(require), policy)
+    )
     if not outcome.found:
         _finish(
             fmt,
@@ -647,14 +612,11 @@ def cmd_search_ds(max_worlds, max_domain, require, policy, fmt) -> None:
 
 
 @search_group.command("compactness")
-@click.option("--n", required=True, type=int)
+@click.option("--n", required=True, type=click.IntRange(min=1))
 @format_option
 def cmd_search_compactness(n, fmt) -> None:
     """Find a Stalnakerian model of the n-prefix of the compactness family."""
-    try:
-        outcome = search.compactness_witness(n)
-    except ValueError as err:
-        raise click.UsageError(str(err)) from None
+    outcome = search.compactness_witness(n)
     if outcome.found:
         _finish(
             fmt,

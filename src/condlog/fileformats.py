@@ -18,11 +18,12 @@ from typing import Any, Optional, Sequence
 from .hilbert import (
     LOGICS,
     AxiomInstance,
+    ProofError,
     ProofLine,
     ProofScript,
     RuleApplication,
 )
-from .parser import parse_formula
+from .parser import ParseError, parse_formula
 from .semantics import (
     Model,
     OrderingFrame,
@@ -31,7 +32,7 @@ from .semantics import (
     SemanticsError,
     _bits,
 )
-from .syntax import Predicate, predicate_name
+from .syntax import Predicate, numeral, predicate_name, predicate_named
 
 
 class DocumentError(Exception):
@@ -86,28 +87,19 @@ def _index_of(name: str, names: Sequence[str], what: str) -> int:
         raise DocumentError(f"unknown {what} {name!r}") from None
 
 
-def _is_numeral(text: str) -> bool:
-    return text.isascii() and text.isdigit()
-
-
 def _parse_predicate_key(key: str, arity_hint: Optional[int]) -> Predicate:
     name, slash, arity_text = key.partition("/")
-    letters = {"F": 0, "G": 1, "H": 2, "A": 0, "B": 1, "C": 2, "P": 0}
-    if name.startswith("P") and _is_numeral(name[1:]):
-        index = int(name[1:])
-    elif name in letters:
-        index = letters[name]
-    else:
+    arity = numeral(arity_text) if slash else arity_hint
+    pred = predicate_named(name, arity or 0)
+    if pred is None:
         raise DocumentError(f"bad predicate name {key!r}")
-    if slash:
-        if not _is_numeral(arity_text):
-            raise DocumentError(f"bad arity in predicate name {key!r}")
-        return Predicate(index, int(arity_text))
-    if arity_hint is None:
+    if slash and arity is None:
+        raise DocumentError(f"bad arity in predicate name {key!r}")
+    if arity is None:
         raise DocumentError(
             f"predicate {key!r} has no tuples; state its arity as '{name}/n'"
         )
-    return Predicate(index, arity_hint)
+    return pred
 
 
 def load_model(doc: Mapping) -> Model:
@@ -301,10 +293,10 @@ def load_proof(doc: Mapping) -> ProofScript:
     for i, entry in enumerate(_shaped(doc.get("lines", []), list, "lines"), start=1):
         context = f"line {i}"
         _shaped(entry, Mapping, context)
-        text = _require(entry, "formula", context)
+        text = _shaped(_require(entry, "formula", context), str, f"{context} formula")
         try:
             formula = parse_formula(text, logic.lang)
-        except Exception as err:
+        except ParseError as err:
             raise DocumentError(f"{context}: {err}") from None
         just_doc = _shaped(_require(entry, "just", context), Mapping, f"{context} just")
         if "axiom" in just_doc:
@@ -328,7 +320,7 @@ def load_proof(doc: Mapping) -> ProofScript:
         lines.append(ProofLine(formula, just))
     try:
         return ProofScript(logic_name, tuple(lines))
-    except Exception as err:
+    except ProofError as err:
         raise DocumentError(str(err)) from None
 
 

@@ -130,28 +130,22 @@ def _match(pattern: Formula, target: Formula, b: Bindings) -> bool:
     if type(pattern) is not type(target):
         return False
     if isinstance(pattern, Atom):
-        assert isinstance(target, Atom)
         return pattern.pred == target.pred and all(
             _match_var(p, t, b) for p, t in zip(pattern.args, target.args)
         )
     if isinstance(pattern, Eq):
-        assert isinstance(target, Eq)
         return _match_var(pattern.left, target.left, b) and _match_var(
             pattern.right, target.right, b
         )
     if isinstance(pattern, EPred):
-        assert isinstance(target, EPred)
         return _match_var(pattern.arg, target.arg, b)
     if isinstance(pattern, Not):
-        assert isinstance(target, Not)
         return _match(pattern.body, target.body, b)
     if isinstance(pattern, (Imp, Cond)):
-        assert isinstance(target, (Imp, Cond))
         return _match(pattern.left, target.left, b) and _match(
             pattern.right, target.right, b
         )
     if isinstance(pattern, Forall):
-        assert isinstance(target, Forall)
         return _match_var(pattern.var, target.var, b) and _match(
             pattern.body, target.body, b
         )

@@ -565,7 +565,19 @@ def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
     is the one source of the -inf bit: eval_k and the quantifier clause at
     -inf both read it.  The memo lives on the node, so it is freed with it;
     its key is the flag, then the value of each free variable in index
-    order."""
+    order.  A leaf costs one shift or comparison, so it has no memo."""
+    if isinstance(phi, Atom):
+        if phi.pred == F:
+            return KSet((1 << 1 - g[phi.args[0]]) - 2)
+        if empty_predicates:
+            return K_EMPTY
+        raise NonFragment(
+            f"predicate {phi.pred} is empty in K; pass empty_predicates=True"
+        )
+    if isinstance(phi, Eq):
+        return K_FULL if g[phi.left] == g[phi.right] else K_EMPTY
+    if isinstance(phi, EPred):
+        return K_FULL  # the domain is globally Z^-
     fv = ordered_free_variables(phi)
     try:
         memo = phi._denote_cache  # type: ignore[attr-defined]
@@ -577,20 +589,7 @@ def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
     if got is not None:
         return got
     out: KSet
-    if isinstance(phi, Atom):
-        if phi.pred == F:
-            out = KSet((1 << 1 - g[phi.args[0]]) - 2)
-        elif empty_predicates:
-            out = K_EMPTY
-        else:
-            raise NonFragment(
-                f"predicate {phi.pred} is empty in K; pass empty_predicates=True"
-            )
-    elif isinstance(phi, Eq):
-        out = K_FULL if g[phi.left] == g[phi.right] else K_EMPTY
-    elif isinstance(phi, EPred):
-        out = K_FULL  # the domain is globally Z^-
-    elif isinstance(phi, Not):
+    if isinstance(phi, Not):
         out = KSet(~_denote(phi.body, g, empty_predicates).bits)
     elif isinstance(phi, Imp):
         a = _denote(phi.left, g, empty_predicates)

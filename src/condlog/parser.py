@@ -39,9 +39,10 @@ from .syntax import (
     Not,
     Predicate,
     Variable,
-    free_variables,
     predicate_name,
+    predicate_named,
     var_name,
+    variable_named,
 )
 
 
@@ -49,9 +50,6 @@ from .syntax import (
 class SourceSpan:
     start: int
     end: int
-
-    def __post_init__(self) -> None:
-        assert self.start <= self.end
 
 
 class ParseError(Exception):
@@ -65,13 +63,6 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<arrow><->|->)|(?P<op>[~&|>=(),.])"
     r"|(?P<word>[A-Za-z][A-Za-z0-9]*))"
 )
-
-_KEYWORDS = {"forall", "exists", "box", "dia", "top", "bot"}
-_VAR_RE = re.compile(r"^(x|y|z|x[0-9]+)$")
-_PRED_RE = re.compile(r"^([FGHABCP]|P[0-9]+)$")
-
-_VAR_LETTER_INDEX = {"x": 0, "y": 1, "z": 2}
-_PRED_LETTER_INDEX = {"F": 0, "G": 1, "H": 2, "A": 0, "B": 1, "C": 2, "P": 0}
 
 
 @dataclass(frozen=True)
@@ -218,8 +209,8 @@ class _Parser:
                 fresh = Variable(0 if var.index != 0 else 1)
                 return Exists(fresh, Eq(var, fresh))
             raise ParseError(tok.span, "existence predicate E requires language LE or L=")
-        if _VAR_RE.match(tok.text):
-            left = self.var_from_token(tok)
+        left = variable_named(tok.text)
+        if left is not None:
             eq = self.next()
             if eq.text != "=":
                 raise self.fail(eq, "'=' after a variable")
@@ -227,35 +218,25 @@ class _Parser:
                 raise ParseError(eq.span, "identity requires language L=")
             right = self.variable()
             return Eq(left, right)
-        if _PRED_RE.match(tok.text):
-            if self.peek().text == "(":
-                self.next()
-                args = [self.variable()]
-                while self.peek().text == ",":
-                    self.next()
-                    args.append(self.variable())
-                self.expect(")")
-                return Atom(self.pred_from_token(tok, len(args)), tuple(args))
-            return Atom(self.pred_from_token(tok, 0))
-        raise self.fail(tok, "an atom, quantifier, or '('")
+        pred = predicate_named(tok.text, 0)
+        if pred is None:
+            raise self.fail(tok, "an atom, quantifier, or '('")
+        if self.peek().text != "(":
+            return Atom(pred)
+        self.next()
+        args = [self.variable()]
+        while self.peek().text == ",":
+            self.next()
+            args.append(self.variable())
+        self.expect(")")
+        return Atom(Predicate(pred.index, len(args)), tuple(args))
 
     def variable(self) -> Variable:
         tok = self.next()
-        if tok.kind != "word" or not _VAR_RE.match(tok.text):
+        var = variable_named(tok.text) if tok.kind == "word" else None
+        if var is None:
             raise self.fail(tok, "a variable")
-        return self.var_from_token(tok)
-
-    @staticmethod
-    def var_from_token(tok: _Token) -> Variable:
-        if tok.text in _VAR_LETTER_INDEX:
-            return Variable(_VAR_LETTER_INDEX[tok.text])
-        return Variable(int(tok.text[1:]))
-
-    @staticmethod
-    def pred_from_token(tok: _Token, arity: int) -> Predicate:
-        if len(tok.text) > 1:
-            return Predicate(int(tok.text[1:]), arity)
-        return Predicate(_PRED_LETTER_INDEX[tok.text], arity)
+        return var
 
 
 def _top() -> Formula:

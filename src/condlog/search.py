@@ -46,7 +46,8 @@ CLASSIFICATIONS = {
     "Stalnakerian": STALNAKERIAN,
 }
 
-_CONDITION_NAMES = (*SELECTION_CONDITIONS, "GloballyConstant")
+# What ``EnumerationParams.required_properties`` may name.
+PROPERTY_NAMES = (*SELECTION_CONDITIONS, "GloballyConstant", *CLASSIFICATIONS)
 
 
 class ReplayError(SemanticsError):
@@ -65,9 +66,7 @@ class EnumerationParams:
     def __post_init__(self) -> None:
         if self.policy not in ("all", "reflexive-only"):
             raise ValueError(f"unknown accessibility policy {self.policy!r}")
-        unknown = set(self.required_properties) - set(_CONDITION_NAMES) - set(
-            CLASSIFICATIONS
-        )
+        unknown = set(self.required_properties) - set(PROPERTY_NAMES)
         if unknown:
             raise ValueError(f"unknown properties {sorted(unknown)}")
 

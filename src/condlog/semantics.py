@@ -840,4 +840,4 @@ def convert_model(model: Model) -> Model:
         return Model(ordering_to_selection(model.frame), model.interp)
     if isinstance(model.frame, SelectionFrame):
         return Model(selection_to_ordering(model.frame), model.interp)
-    raise SemanticsError("only ordering and selection models convert")
+    raise SemanticsError("a quasi-selection model does not convert")

@@ -16,8 +16,9 @@ function that expands to core nodes; there are no extra node kinds.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class Lang(enum.Enum):
@@ -207,6 +208,43 @@ def predicate_name(p: Predicate) -> str:
     if p.index < len(letters):
         return letters[p.index]
     return f"P{p.index}"
+
+
+# The reading side: a letter names its index whatever the arity, so ``A``
+# and ``F`` are one predicate, and ``x<k>`` and ``P<k>`` name index k.
+_VAR_INDEX = {name: i for i, name in enumerate(_VAR_LETTERS)}
+_PRED_INDEX = {
+    name: i for letters in _PRED_LETTERS.values() for i, name in enumerate(letters)
+} | {"P": 0}
+_NUMERAL = re.compile(r"[0-9]+")
+
+
+def numeral(text: str) -> Optional[int]:
+    """The value of an ASCII decimal numeral, or None for any other text,
+    also for one longer than ``int`` converts."""
+    if _NUMERAL.fullmatch(text) is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def variable_named(text: str) -> Optional[Variable]:
+    """The variable named ``text`` (``x``, ``y``, ``z`` or ``x<k>``), or None."""
+    if text in _VAR_INDEX:
+        return Variable(_VAR_INDEX[text])
+    index = numeral(text[1:]) if text[:1] == "x" else None
+    return None if index is None else Variable(index)
+
+
+def predicate_named(text: str, arity: int) -> Optional[Predicate]:
+    """The predicate of this arity named ``text`` (``F``, ``G``, ``H``,
+    ``A``, ``B``, ``C``, ``P`` or ``P<k>``), or None."""
+    if text in _PRED_INDEX:
+        return Predicate(_PRED_INDEX[text], arity)
+    index = numeral(text[1:]) if text[:1] == "P" else None
+    return None if index is None else Predicate(index, arity)
 
 
 # ---------------------------------------------------------------------------
@@ -477,24 +515,18 @@ def _alpha(a: Formula, b: Formula, la: dict[Variable, int], lb: dict[Variable, i
     if type(a) is not type(b):
         return False
     if isinstance(a, Atom):
-        assert isinstance(b, Atom)
         return a.pred == b.pred and all(
             _var_match(x, y, la, lb) for x, y in zip(a.args, b.args)
         )
     if isinstance(a, Eq):
-        assert isinstance(b, Eq)
         return _var_match(a.left, b.left, la, lb) and _var_match(a.right, b.right, la, lb)
     if isinstance(a, EPred):
-        assert isinstance(b, EPred)
         return _var_match(a.arg, b.arg, la, lb)
     if isinstance(a, Not):
-        assert isinstance(b, Not)
         return _alpha(a.body, b.body, la, lb)
     if isinstance(a, (Imp, Cond)):
-        assert isinstance(b, (Imp, Cond))
         return _alpha(a.left, b.left, la, lb) and _alpha(a.right, b.right, la, lb)
     if isinstance(a, Forall):
-        assert isinstance(b, Forall)
         depth = len(la)
         la2 = dict(la)
         lb2 = dict(lb)

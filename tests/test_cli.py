@@ -349,6 +349,36 @@ def test_enumeration_ceiling_exits_2(args):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kmodel", "eval", "--world", "-1", "--formula", "F(x)", "--assign", "x²=-1"],
+         "bad variable name 'x²'"),
+        (["eval", "--model", _MODEL, "--world", "1", "--formula", "F(y)",
+          "--assign", "x١=a"], "bad variable name 'x١'"),
+        (["prove", "--proof", str(FIXTURES / "tautology_17_atoms.json")],
+         "tautology check ceiling: 17 boolean atoms"),
+        (["frame-props", "--model", str(FIXTURES / "selection_11_worlds.json")],
+         "property check needs |W| <= 10, frame has 11"),
+        (["convert", "--to", "ordering", "--model", str(FIXTURES / "quasi_one_world.json")],
+         "a quasi-selection model does not convert"),
+        (["frame-props", "--model", str(FIXTURES / "long_predicate_name.json")],
+         "bad predicate name 'P111"),
+        (["parse", "--formula", "F(x" + "1" * 5000 + ")"], "expected a variable"),
+    ],
+    ids=[
+        "k-assign-superscript", "assign-arabic-indic", "tautology-ceiling",
+        "property-ceiling", "convert-quasi", "long-predicate", "long-variable",
+    ],
+)
+def test_input_error_names_its_cause(argv, message):
+    """A library input error exits 2 with the library's own message."""
+    res = run(*argv)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert "Traceback" not in res.output
+
+
 def test_correspondence_model_above_validity_ceiling_exits_2(tmp_path):
     ordering = tmp_path / "k6.json"
     selection = tmp_path / "k6-selection.json"
@@ -481,7 +511,14 @@ _INTS = st.sampled_from(["-2", "-1", "0", "1", "1", "2", "2", "3", "x"])
 _WORLDS_CAP = st.sampled_from(["-1", "0", "1", "1", "1", "x"])
 _MODEL_PATHS = st.sampled_from(
     [str(FIXTURES / name) for name in ("remark25.json", "order_faulty.json")] * 3
-    + [str(FIXTURES / "mod_qc2.json"), str(FIXTURES / "missing.json")]
+    + [
+        str(FIXTURES / name)
+        for name in (
+            "mod_qc2.json", "missing.json", "selection_11_worlds.json",
+            "ordering_17_worlds.json", "quasi_one_world.json",
+            "long_predicate_name.json", "tautology_17_atoms.json",
+        )
+    ]
 )
 _FORMULAS = st.sampled_from(
     ["F(x) > F(x)", "dia F(x)", "F(x) -> F(y)", "x = y", "E(x) > F(x)", "A & ~A",
@@ -490,9 +527,13 @@ _FORMULAS = st.sampled_from(
 )
 _K_WORLDS = st.sampled_from(["-inf", "-1", "-3", "-1", "0", "4", "x"])
 _K_ASSIGN = st.sampled_from(
-    ["x=-1", "y=-3,x=-2", "x=-1,y=-1", "x=-2", "x=0", "x=5", "x=a", "x", "q=-1", ""]
+    ["x=-1", "y=-3,x=-2", "x=-1,y=-1", "x=-2", "x=0", "x=5", "x=a", "x", "q=-1", "",
+     "x²=-1"]
 )
-_ASSIGN = st.sampled_from(["x=a", "x=a", "x=a,y=a", "x=b", "y=a", "x", "q=a", "x=a,", ""])
+_ASSIGN = st.sampled_from(
+    ["x=a", "x=a", "x=a,y=a", "x=b", "y=a", "x", "q=a", "x=a,", "", "x²=a", "x١=a",
+     "x" + "1" * 5000 + "=a"]
+)
 _LANGS = st.sampled_from(["L", "LE", "L=", "L", "Q"])
 _FORMATS = st.sampled_from(["text", "json", "text", "json", "xml"])
 _FLAG = st.just(None)

@@ -510,17 +510,20 @@ def test_denote_k_rejects_an_uncovered_variable():
         denote_k(Imp(fx, fy), {x: -1})
 
 
+@pytest.mark.parametrize(
+    "wrap, empty", [(lambda a: a, True), (Not, False)], ids=["atom", "negation"]
+)
 @pytest.mark.parametrize("flag_first", [True, False])
-def test_denotation_memo_is_keyed_by_the_flag(flag_first):
+def test_denotation_memo_is_keyed_by_the_flag(flag_first, wrap, empty):
     """One node denoted under both flag values, in either order: a memo
     entry for one flag never answers for the other."""
-    phi = Atom(Predicate(1, 1), (x,))
+    phi = wrap(Atom(Predicate(1, 1), (x,)))
     g = {x: -1}
     if flag_first:
-        assert denote_k(phi, g, empty_predicates=True).is_empty
+        assert denote_k(phi, g, empty_predicates=True).is_empty is empty
     with pytest.raises(NonFragment):
         denote_k(phi, g)
-    assert denote_k(phi, g, empty_predicates=True).is_empty
+    assert denote_k(phi, g, empty_predicates=True).is_empty is empty
 
 
 def test_a_node_is_its_own_reduct_iff_it_holds_no_conditional():
