@@ -19,13 +19,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 import click
 
 from . import fileformats, frameprops, hilbert, kmodel, search, semantics
 from .parser import ParseError, parse_formula, parse_formula_file, print_formula
-from .syntax import Lang, Variable, free_variables, metrics, variable_named
+from .syntax import Lang, Variable, free_variables, metrics, numeral, variable_named
 
 LANGS = {"L": Lang.L, "LE": Lang.LE, "L=": Lang.LEQ}
 
@@ -387,22 +386,25 @@ def kmodel_group() -> None:
     """The infinite ordering countermodel."""
 
 
+def _k_integer(text: str, error: str) -> int:
+    """The integer that an optional '-' and a numeral spell; else exit 2."""
+    value = numeral(text.removeprefix("-"))
+    if value is None:
+        raise click.UsageError(error)
+    return -value if text[:1] == "-" else value
+
+
 def _k_world(text: str):
     if text in ("-inf", "inf", "-oo"):
         return kmodel.MINUS_INF
-    try:
-        return int(text)
-    except ValueError:
-        raise click.UsageError(f"world must be -inf or a negative integer, got {text!r}")
+    return _k_integer(text, f"world must be -inf or a negative integer, got {text!r}")
 
 
 def _k_assignment(entries: tuple[str, ...]) -> dict[Variable, int]:
     out = {}
     for name, value in _parse_assignment(entries).items():
-        try:
-            out[_variable_of(name)] = int(value)
-        except ValueError:
-            raise click.UsageError(f"assignment value {value!r} is not an integer")
+        val = _k_integer(value, f"assignment value {value!r} is not an integer")
+        out[_variable_of(name)] = val
     return out
 
 

@@ -37,26 +37,34 @@ MAX_WORLDS_PAIR = 10
 
 @dataclass
 class FrameReport:
+    """Verdicts and witnesses of one kind of condition (selection, ordering
+    or domain), recorded when built.  Reading a frame class of another kind,
+    or one whose conditions were not all decided, raises ``ValueError``."""
+
+    kind: str
     verdicts: dict[str, bool] = field(default_factory=dict)
     witnesses: dict[str, tuple] = field(default_factory=dict)
 
+    def _holds(self, name: str) -> bool:
+        conditions = _CLASSES[self.kind].get(name)
+        if conditions is None:
+            raise ValueError(f"{name} is not a class of {self.kind} frames")
+        missing = [c for c in conditions if c not in self.verdicts]
+        if missing:
+            raise ValueError(f"{name} needs the undecided conditions {missing}")
+        return all(self.verdicts[c] for c in conditions)
+
     @property
     def stalnakerian(self) -> bool:
-        if "Success" in self.verdicts:
-            return all(self.verdicts[c] for c in STALNAKERIAN)
-        return all(self.verdicts.get(c, False) for c in ORDERING_CONDITIONS)
+        return self._holds("stalnakerian")
 
     @property
     def weakly_stalnakerian(self) -> bool:
-        return all(self.verdicts.get(c, False) for c in WEAKLY_STALNAKERIAN)
+        return self._holds("weaklyStalnakerian")
 
     @property
     def lewisian(self) -> bool:
-        return all(
-            self.verdicts.get(c, False)
-            for c in ORDERING_CONDITIONS
-            if c != "SLA"
-        )
+        return self._holds("lewisian")
 
     def first_failure(self, order: Sequence[str]) -> str:
         for c in order:
@@ -66,12 +74,9 @@ class FrameReport:
 
     def to_json(self) -> dict:
         out: dict = {"verdicts": dict(self.verdicts)}
-        if "Success" in self.verdicts:
-            out["stalnakerian"] = self.stalnakerian
-            out["weaklyStalnakerian"] = self.weakly_stalnakerian
-        if "SLA" in self.verdicts:
-            out["stalnakerian"] = self.stalnakerian
-            out["lewisian"] = self.lewisian
+        for name, conditions in _CLASSES[self.kind].items():
+            if all(c in self.verdicts for c in conditions):
+                out[name] = self._holds(name)
         out["witnesses"] = {k: repr(v) for k, v in self.witnesses.items()}
         return out
 
@@ -277,12 +282,19 @@ DOMAIN_CONDITIONS = (*_DOMAIN, "LocallyConstant")
 # The two classes of selection frames, each cheapest condition first.
 WEAKLY_STALNAKERIAN = ("Success", "WeakCentering", "Uniqueness", "Uniformity")
 STALNAKERIAN = ("Success", "WeakCentering", "LA", "Uniqueness", "Uniformity")
+_LEWISIAN = tuple(c for c in ORDERING_CONDITIONS if c != "SLA")
+# The frame classes of each kind of report, by JSON name.
+_CLASSES = {
+    "selection": {"stalnakerian": STALNAKERIAN, "weaklyStalnakerian": WEAKLY_STALNAKERIAN},
+    "ordering": {"stalnakerian": ORDERING_CONDITIONS, "lewisian": _LEWISIAN},
+    "domain": {},
+}
 
 
 def _report(
-    frame: SelectionFrame | OrderingFrame, table: dict, wanted: Container[str]
+    frame: SelectionFrame | OrderingFrame, kind: str, table: dict, wanted: Container[str]
 ) -> FrameReport:
-    rep = FrameReport()
+    rep = FrameReport(kind)
     for name, (shape, violates) in table.items():
         if name in wanted:
             witness = shape.search(frame, violates)
@@ -309,12 +321,12 @@ def check_selection_props(
     if unknown:
         raise ValueError(f"unknown selection conditions {sorted(unknown)}")
     _guard(frame, pairs=bool(wanted & _PAIR_CONDITIONS))
-    return _report(frame, _SELECTION, wanted)
+    return _report(frame, "selection", _SELECTION, wanted)
 
 
 def check_ordering_props(frame: OrderingFrame) -> FrameReport:
     _guard(frame, pairs=False)
-    return _report(frame, _ORDERING, _ORDERING)
+    return _report(frame, "ordering", _ORDERING, _ORDERING)
 
 
 def check_domain_props(
@@ -330,7 +342,7 @@ def check_domain_props(
         raise ValueError(f"unknown domain conditions {sorted(unknown)}")
     if "LocallyConstant" in wanted:
         wanted.update(("LocallyNonDecreasing", "LocallyNonIncreasing"))
-    rep = _report(frame, _DOMAIN, wanted)
+    rep = _report(frame, "domain", _DOMAIN, wanted)
     verdicts = rep.verdicts
     if "LocallyNonDecreasing" in verdicts and "LocallyNonIncreasing" in verdicts:
         verdicts["LocallyConstant"] = (

@@ -14,9 +14,11 @@ material reading (each integer world only sees itself) with the Lewis
 clause at -inf.  A quantifier node reads its integer part, and its -inf bit
 when the body is conditional-free, off the counting normal form of its
 fragment; otherwise -inf uses a finite test set with a stabilization
-assertion.  Denotations are memoised on the formula node, like normal
-forms and fragments, and the sweeps share one fragment pool per (size,
-vars, identity), so the sweeps over one pool hit each other's memos.
+assertion.  The integer part takes one test per stretch of worlds on which
+the realized type is constant, O(t + distinct) whatever the values.
+Denotations are memoised on the formula node, like normal forms and
+fragments, and the sweeps share one fragment pool per (size, vars,
+identity), so the sweeps over one pool hit each other's memos.
 
 Counting normal forms eliminate quantifiers over one unary predicate with
 equality, bottom up.  Each conditional-free node holds the bitmask of the
@@ -57,6 +59,7 @@ from .syntax import (
 )
 
 MINUS_INF = float("-inf")
+MAX_TRUNCATION = 200  # the order at -inf of truncate(n) has Theta(n^2) pairs
 
 
 class KModelError(Exception):
@@ -532,13 +535,14 @@ def _quantifier_fragment(phi: Formula, empty_predicates: bool) -> Formula:
     return out
 
 
-def _realized_type(values_list, k: int, threshold: int):
-    """The type of the values at world k: F holds of n <= k, and every
-    world has infinitely many F elements."""
+def _realized_type(values_list, k, threshold: int):
+    """The type of the values at world k: F holds of n <= k, so every
+    integer world has infinitely many F elements and -inf has none."""
     blocks, flits = _canonical(values_list, {val: val <= k for val in values_list})
     classes = _count_classes(threshold)
     neg = (-k - 1) - (len(flits) - sum(flits))
-    return blocks, flits, classes[-1], classes[min(neg, threshold)]
+    fc = classes[0] if k == MINUS_INF else classes[-1]
+    return blocks, flits, fc, classes[min(neg, threshold)]
 
 
 def denote_k(
@@ -603,33 +607,26 @@ def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
         nf = monadic_nf(_quantifier_fragment(phi, empty_predicates), fv)
         t = nf.threshold
         values = [g[v] for v in fv]
-        distinct = len(set(values))
-        low = min(values) - 1 if values else -1
-        scan_from = min(low, -(t + distinct + 1))
-        members = [
-            k
-            for k in range(scan_from, 0)
-            if nf.satisfied(*_realized_type(values, k, t))
-        ]
-        ray = scan_from if members[:1] == [scan_from] else None
-        out = KSet.make(
-            _forall_minus_inf(phi, g, empty_predicates, nf), ray, _group(members)
-        )
+        # The type realized at k reads only which values are <= k and the
+        # non-F count, capped at or below top.  So each world above top is
+        # a stretch, each value at or below top starts one, and the ray
+        # below the lowest is the last; each is tested at its top world hi.
+        top = -(t + len(set(values)) + 1)
+        starts = [*range(-1, top, -1)]
+        starts += sorted({v for v in values if v <= top}, reverse=True)
+        bits = int(_forall_minus_inf(phi, g, empty_predicates, nf))
+        hi = -1
+        for lo in starts:
+            if nf.satisfied(*_realized_type(values, hi, t)):
+                bits |= (1 << 1 - lo) - (1 << -hi)
+            hi = lo - 1
+        if nf.satisfied(*_realized_type(values, hi, t)):
+            bits |= -1 << -hi
+        out = KSet(bits)
     else:
         raise KModelError(f"not a formula: {phi!r}")
     memo[key] = out
     return out
-
-
-def _group(points: Iterable[int]) -> list[tuple[int, int]]:
-    """Sorted points as maximal runs of consecutive values."""
-    out: list[list[int]] = []
-    for p in points:
-        if out and p == out[-1][1] + 1:
-            out[-1][1] = p
-        else:
-            out.append([p, p])
-    return [tuple(iv) for iv in out]
 
 
 def eval_k(
@@ -661,10 +658,7 @@ def _forall_minus_inf(
     # conditional
     if material_reduct(phi) is phi:
         values = [g[v] for v in nf.named]
-        # F is empty at -inf: no F elements, and at least t non-F ones
-        blocks, flits = _canonical(values, dict.fromkeys(values, False))
-        classes = _count_classes(nf.threshold)
-        return nf.satisfied(blocks, flits, classes[0], classes[-1])
+        return nf.satisfied(*_realized_type(values, MINUS_INF, nf.threshold))
 
     s = size(phi)
     vals = sorted({g[v] for v in free_variables(phi)})
@@ -704,6 +698,8 @@ def truncate(n: int) -> Model:
     """
     if n < 1:
         raise KModelError("truncation needs n >= 1")
+    if n > MAX_TRUNCATION:
+        raise KModelError(f"truncation ceiling exceeded: n={n} above {MAX_TRUNCATION}")
     n_worlds = n + 1
     inf = n
     r = [1 << w for w in range(n)] + [(1 << n_worlds) - 1]

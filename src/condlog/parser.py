@@ -27,17 +27,24 @@ import re
 from dataclasses import dataclass
 
 from .syntax import (
+    And,
     Atom,
+    Bot,
+    Box,
     Cond,
+    Dia,
     EPred,
     Eq,
     Exists,
     Forall,
     Formula,
+    Iff,
     Imp,
     Lang,
     Not,
+    Or,
     Predicate,
+    Top,
     Variable,
     predicate_name,
     predicate_named,
@@ -125,8 +132,7 @@ class _Parser:
         left = self.imp_level()
         if self.peek().text == "<->":
             self.next()
-            right = self.formula()
-            return _iff(left, right)
+            return Iff(left, self.formula())
         return left
 
     def imp_level(self) -> Formula:
@@ -154,14 +160,14 @@ class _Parser:
         left = self.and_level()
         if self.peek().text == "|":
             self.next()
-            return Imp(Not(left), self.or_level())
+            return Or(left, self.or_level())
         return left
 
     def and_level(self) -> Formula:
         left = self.unary()
         if self.peek().text == "&":
             self.next()
-            return Not(Imp(left, Not(self.and_level())))
+            return And(left, self.and_level())
         return left
 
     def unary(self) -> Formula:
@@ -171,20 +177,17 @@ class _Parser:
             return Not(self.unary())
         if tok.text == "box":
             self.next()
-            body = self.unary()
-            return Cond(Not(body), _bot())
+            return Box(self.unary())
         if tok.text == "dia":
             self.next()
-            return Not(Cond(self.unary(), _bot()))
+            return Dia(self.unary())
         if tok.text in ("forall", "exists"):
             self.next()
             var = self.variable()
             if self.peek().text == ".":
                 self.next()
             body = self.formula()
-            if tok.text == "forall":
-                return Forall(var, body)
-            return Not(Forall(var, Not(body)))
+            return (Forall if tok.text == "forall" else Exists)(var, body)
         return self.atom()
 
     def atom(self) -> Formula:
@@ -194,9 +197,9 @@ class _Parser:
             self.expect(")")
             return inner
         if tok.text == "top":
-            return _top()
+            return Top()
         if tok.text == "bot":
-            return _bot()
+            return Bot()
         if tok.kind != "word":
             raise self.fail(tok, "an atom, quantifier, or '('")
         if tok.text == "E":
@@ -239,18 +242,6 @@ class _Parser:
         return var
 
 
-def _top() -> Formula:
-    from .syntax import Top
-
-    return Top()
-
-
-def _bot() -> Formula:
-    from .syntax import Bot
-
-    return Bot()
-
-
 def parse_formula(text: str, lang: Lang = Lang.L) -> Formula:
     parser = _Parser(text, lang)
     out = parser.formula()
@@ -268,10 +259,6 @@ def parse_formula_file(text: str, lang: Lang = Lang.L) -> list[Formula]:
         if body:
             out.append(parse_formula(body, lang))
     return out
-
-
-def _iff(a: Formula, b: Formula) -> Formula:
-    return Not(Imp(Imp(a, b), Not(Imp(b, a))))
 
 
 # ---------------------------------------------------------------------------

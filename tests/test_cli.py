@@ -245,6 +245,33 @@ def test_kmodel_denote_negative_assignment():
     assert doc["results"][0]["denotation"]["intervals"] == [[-3, -1]]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--world", "-1_0", "--formula", "F(x)", "--assign", "x=-1"),
+        ("eval", "--world", "-١", "--formula", "F(x)", "--assign", "x=-1"),
+        ("eval", "--world", "-1", "--formula", "F(x)", "--assign", "x=-١"),
+        ("denote", "--formula", "F(x)", "--assign", "x=-1_000"),
+    ],
+)
+def test_kmodel_world_and_value_need_an_ascii_numeral_exits_2(argv):
+    """K worlds and values read an optional '-' and an ASCII numeral, like
+    every other number of the language."""
+    res = run("kmodel", *argv)
+    assert res.exit_code == 2
+    assert "world must be" in res.output or "is not an integer" in res.output
+
+
+def test_kmodel_truncate_above_the_ceiling_exits_2(tmp_path):
+    from condlog.kmodel import MAX_TRUNCATION
+
+    out = tmp_path / "k.json"
+    res = run("kmodel", "truncate", "--n", str(MAX_TRUNCATION + 1), "--out", str(out))
+    assert res.exit_code == 2
+    assert "truncation ceiling exceeded" in res.output
+    assert not out.exists()
+
+
 def test_kmodel_truncate_roundtrip(tmp_path):
     out = tmp_path / "k3.json"
     res = run("kmodel", "truncate", "--n", "3", "--out", str(out))
@@ -525,10 +552,10 @@ _FORMULAS = st.sampled_from(
      "forall x. F(x) > G(y)", "F(x) > G(x)", "P(x)", "F(x", "",
      "@" + str(FIXTURES / "ds.cl"), "@" + str(FIXTURES / "missing.cl")]
 )
-_K_WORLDS = st.sampled_from(["-inf", "-1", "-3", "-1", "0", "4", "x"])
+_K_WORLDS = st.sampled_from(["-inf", "-1", "-3", "-1", "0", "4", "x", "-1_0", "-١"])
 _K_ASSIGN = st.sampled_from(
     ["x=-1", "y=-3,x=-2", "x=-1,y=-1", "x=-2", "x=0", "x=5", "x=a", "x", "q=-1", "",
-     "x²=-1"]
+     "x²=-1", "x=-١", "x=-1_000"]
 )
 _ASSIGN = st.sampled_from(
     ["x=a", "x=a", "x=a,y=a", "x=b", "y=a", "x", "q=a", "x=a,", "", "x²=a", "x١=a",

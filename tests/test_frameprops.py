@@ -166,6 +166,42 @@ def test_condition_subsets_match_the_full_report():
     assert checked == 55781  # ceil(167,341 / 3)
 
 
+def test_partial_reports_read_only_the_classes_they_decided():
+    """A report records its kind when it is built, so a class is read from
+    that kind's conditions; a class whose conditions were not all decided
+    raises ValueError naming them, and the JSON leaves it out."""
+    from condlog.frameprops import WEAKLY_STALNAKERIAN
+
+    weak = check_selection_props(remark25_frame(), WEAKLY_STALNAKERIAN)
+    assert weak.weakly_stalnakerian
+    with pytest.raises(ValueError, match="LA"):
+        weak.stalnakerian
+    with pytest.raises(ValueError, match="lewisian"):
+        weak.lewisian
+    assert weak.to_json() == {
+        "verdicts": dict.fromkeys(
+            ("Success", "WeakCentering", "Uniformity", "Uniqueness"), True
+        ),
+        "weaklyStalnakerian": True,
+        "witnesses": {},
+    }
+    la = check_selection_props(remark25_frame(), ("LA",))
+    with pytest.raises(ValueError, match="Success"):
+        la.stalnakerian
+    assert set(la.to_json()) == {"verdicts", "witnesses"}
+    full = check_selection_props(remark25_frame())
+    assert full.weakly_stalnakerian and not full.stalnakerian
+    assert list(full.to_json()) == [
+        "verdicts", "stalnakerian", "weaklyStalnakerian", "witnesses"
+    ]
+    ordering = check_ordering_props(chain_order(3))
+    assert ordering.stalnakerian and ordering.lewisian
+    with pytest.raises(ValueError, match="weaklyStalnakerian"):
+        ordering.weakly_stalnakerian
+    with pytest.raises(ValueError, match="stalnakerian"):
+        check_domain_props(remark25_frame()).stalnakerian
+
+
 def test_unknown_condition_name_rejected():
     with pytest.raises(ValueError, match="Centering"):
         check_selection_props(remark25_frame(), ("Success", "Centering"))

@@ -146,6 +146,12 @@ def test_rule_14():
     assert not check_rule("14", [fx], Cond(gy, gy))
 
 
+def test_rule_15():
+    # from psi -> phi infer psi -> forall x phi, unless x is free in psi
+    assert check_rule("15", [Imp(gy, fx)], Imp(gy, Forall(x, fx)))
+    assert not check_rule("15", [Imp(gx, fx)], Imp(gx, Forall(x, fx)))
+
+
 def test_rule_26_nary():
     phi = fx
     psis = [gx, gy, fy]

@@ -925,3 +925,111 @@ def test_quantifier_fragment_normal_forms_pinned():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "d76042335cfe27bdf6af6bd51470520993eb99fdbf62cf9ac2886caebb1df45c"
 
+
+# ---------------------------------------------------------------------------
+# The quantifier clause: one test per stretch of worlds.
+
+
+def _world_scan(phi, g):
+    """The integer part of a quantifier node's denotation by a scan of every
+    world from below the lowest value, and at least t + distinct + 1 down,
+    up to -1; the lowest scanned world stands for the ray below it.  Kept
+    as the reference for the clause, which tests one world per stretch."""
+    from condlog.kmodel import _quantifier_fragment
+
+    fv = tuple(sorted(free_variables(phi), key=lambda v: v.index))
+    nf = monadic_nf(_quantifier_fragment(phi, False), fv)
+    t = nf.threshold
+    values = [g[v] for v in fv]
+    labels = {}
+    blocks = tuple(labels.setdefault(val, len(labels)) for val in values)
+    scan_from = min(min(values, default=0) - 1, -(t + len(labels) + 1))
+
+    def holds(k):
+        flits = tuple(val <= k for val in labels)
+        neg = -k - 1 - flits.count(False)
+        nc = ("exact", neg) if neg < t else ("atleast", t)
+        return nf.satisfied(blocks, flits, ("atleast", t), nc)
+
+    bits = -1 << -scan_from if holds(scan_from) else 0
+    for k in range(scan_from + 1, 0):
+        if holds(k):
+            bits |= 1 << -k
+    return KSet(bits)
+
+
+def test_quantifier_clause_matches_the_world_scan():
+    """Every quantifier subformula of the (5, 3) pool in L=, at random
+    values in -200..-1, a quarter of them drawn from -3..-1 so that values
+    coincide and lie among the top worlds."""
+    from condlog.syntax import subformulas
+
+    nodes = {}
+    for phi in fragment_pool(5, 3, with_identity=True):
+        for s in subformulas(phi):
+            if isinstance(s, Forall):
+                nodes.setdefault(s, None)
+    rng = random.Random(12)
+    for phi in nodes:
+        g = {
+            v: rng.randint(-200, -1) if rng.random() < 0.75 else rng.randint(-3, -1)
+            for v in sorted(free_variables(phi), key=lambda v: v.index)
+        }
+        got = denote_k(phi, g)
+        assert KSet(got.bits & -2) == _world_scan(phi, g), (phi, g)
+    assert len(nodes) == 4338
+
+
+def test_quantifier_clause_calls_do_not_grow_with_the_values(monkeypatch):
+    from condlog.kmodel import CountingNormalForm
+
+    calls = []
+    satisfied = CountingNormalForm.satisfied
+
+    def counted(self, *args):
+        calls.append(args)
+        return satisfied(self, *args)
+
+    monkeypatch.setattr(CountingNormalForm, "satisfied", counted)
+    x1, x2 = Variable(1), Variable(2)
+    counts = []
+    for value in (-10**3, -10**6):
+        phi = Forall(x2, Imp(Atom(F, (x2,)), Atom(F, (x1,))))
+        calls.clear()
+        assert denote_k(phi, {x1: value}) == KSet.make(True, None, [(value, -1)])
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_e_and_foreign_predicates_under_a_quantifier_match_the_truncation():
+    """E and a predicate other than F under a quantifier reach the quantifier
+    fragment (E as top, the others as bottom) and _denote's E leaf; at
+    integer worlds the truncations agree with K."""
+    from condlog.syntax import EPred
+
+    ex, gx, gy = EPred(x), Atom(Predicate(1, 1), (x,)), Atom(Predicate(1, 1), (y,))
+    corpus = [
+        Exists(x, Cond(ex, fx)),
+        Forall(x, Cond(gx, fx)),
+        Exists(x, Cond(ex, Not(fx))),
+        Forall(x, Imp(ex, Or(fx, Not(fy)))),
+        Exists(x, And(Cond(fx, gy), Cond(ex, Not(fx)))),
+        Forall(x, Or(Cond(gx, fy), Cond(ex, fx))),
+    ]
+    for phi in corpus:
+        n = _size(phi) + 6
+        for g in ({y: -1}, {y: -3}):
+            for w in range(-4, 0):
+                want = eval_k(phi, w, g, empty_predicates=True)
+                assert eval_truncated(n, phi, w, g) == want, (phi, g, w)
+
+
+def test_truncation_ceiling():
+    from condlog.kmodel import MAX_TRUNCATION
+
+    with pytest.raises(KModelError, match="ceiling"):
+        truncate(MAX_TRUNCATION + 1)
+    with pytest.raises(KModelError, match="ceiling"):
+        eval_truncated(MAX_TRUNCATION + 1, fx, -1, {x: -1})
+    with pytest.raises(KModelError, match="ceiling"):
+        probe_truncation(MAX_TRUNCATION + 1)

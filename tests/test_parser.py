@@ -131,6 +131,8 @@ def test_print_sugar():
 def test_roundtrip_ds():
     ds = build_ds()
     assert alpha_equal(parse_formula(print_formula(ds), Lang.L), ds)
+    for text in ("A <-> B -> C", "forall x. E(x) <-> F(x)"):
+        assert print_formula(parse_formula(text, Lang.LE)) == text
 
 
 def test_roundtrip_quantifier_in_left_position():
