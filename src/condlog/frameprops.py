@@ -18,18 +18,8 @@ from .semantics import (
     _bits,
     frame_valid,
 )
-from .syntax import (
-    And,
-    Atom,
-    Cond,
-    Forall,
-    Formula,
-    Imp,
-    Not,
-    Or,
-    Predicate,
-    Variable,
-)
+from .hilbert import schema_instance
+from .syntax import Atom, Formula, Predicate, Variable
 
 MAX_WORLDS_SUBSET = 16
 MAX_WORLDS_PAIR = 10
@@ -396,21 +386,12 @@ def _instance_family() -> tuple[tuple[str, Formula], ...]:
     c = Atom(Predicate(2, 1), (x,))
     ay = Atom(Predicate(0, 1), (y,))
     return (
-        ("identity (19)", Cond(a, a)),
-        ("weak centering (21)", Imp(Cond(a, b), Imp(a, b))),
-        ("excluded middle (22)", Or(Cond(a, b), Cond(a, Not(b)))),
-        ("universal instantiation (23)", Imp(Forall(x, a), ay)),
-        (
-            "quantifier distribution (24)",
-            Imp(Forall(x, Cond(ay, b)), Cond(ay, Forall(x, b))),
-        ),
-        (
-            "order transfer (20)",
-            Imp(
-                And(Cond(a, b), And(Cond(b, a), Cond(a, c))),
-                Cond(b, c),
-            ),
-        ),
+        ("identity (19)", schema_instance("19", a=a)),
+        ("weak centering (21)", schema_instance("21", a=a, b=b)),
+        ("excluded middle (22)", schema_instance("22", a=a, b=b)),
+        ("universal instantiation (23)", schema_instance("23", x=x, a=a, c=ay)),
+        ("quantifier distribution (24)", schema_instance("24", x=x, a=ay, b=b)),
+        ("order transfer (20)", schema_instance("20", a=a, b=b, c=c)),
     )
 
 

@@ -239,19 +239,14 @@ def _ui_candidates(consequent: Formula, var: Variable) -> list[Variable]:
     return [var, *ordered_free_variables(consequent)]
 
 
-QST11_REPLACE_S_BY_T = True
-"""Default reading of the substitution axiom: the right formula results
-from the left by replacing free occurrences of the first identity argument
-with the second, never inside a conditional.  The published wording is
-garbled; the reverse direction is available via the checker argument."""
-
-
-def _check_axiom_11(phi: Formula, replace_s_by_t: Optional[bool] = None) -> bool:
+def _check_axiom_11(phi: Formula, replace_s_by_t: bool = True) -> bool:
+    """The substitution axiom s = t -> (a -> b).  By default b results from
+    a by replacing free occurrences of s with t, never inside a conditional.
+    The published wording is garbled; ``replace_s_by_t=False`` reads the
+    reverse direction."""
     m = match(SCHEMAS["11"].patterns[0], phi)  # s = t -> (a -> b), s bound to x
     if m is None:
         return False
-    if replace_s_by_t is None:
-        replace_s_by_t = QST11_REPLACE_S_BY_T
     s, t = m.variables["x"], m.variables["t"]
     old, new = (s, t) if replace_s_by_t else (t, s)
     return _replaceable_outside_conditionals(
@@ -312,8 +307,11 @@ def _replaceable_outside_conditionals(
     return walk(before, after, False, frozenset())
 
 
+_DRAW_VARIABLES = tuple(Variable(i) for i in range(4))
+
+
 def _draw_var(rng: random.Random, exclude: Optional[Variable] = None) -> Variable:
-    return rng.choice([Variable(i) for i in range(4) if Variable(i) != exclude])
+    return rng.choice([v for v in _DRAW_VARIABLES if v != exclude])
 
 
 def _tautology_hook(rng: random.Random, env: dict) -> None:
@@ -807,6 +805,13 @@ def _instantiate(p: Formula, env: dict) -> Formula:
     raise ProofError(f"bad pattern node {p!r}")
 
 
+def schema_instance(schema: str, **env) -> Formula:
+    """The schema's first pattern with its metavariables filled from env:
+    formulas for a, b, c and variables for x, y, t, w.  The caller passes
+    values that meet the side conditions."""
+    return _instantiate(SCHEMAS[schema].patterns[0], env)
+
+
 def generate_instance(
     schema: str, rng: random.Random, pool: Sequence[Formula]
 ) -> Formula:
@@ -825,4 +830,4 @@ def generate_instance(
             env[a] = Forall(env[x], env[a])
     for c, a, x, y in entry.derived:
         env[c] = substitute(env[a], [(env[x], env[y])])
-    return _instantiate(entry.patterns[0], env)
+    return schema_instance(schema, **env)

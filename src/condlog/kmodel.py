@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .hilbert import schema_instance
 from .semantics import Model, OrderingFrame, _bits, evaluate
 from .syntax import (
-    And,
     Atom,
     Cond,
     EPred,
@@ -887,13 +887,15 @@ def cem_sweep(
     seed: int = 0,
     jobs: int = 1,
 ) -> SweepReport:
-    """Check (phi > psi) | (phi > ~psi) at -inf and at worlds down to
-    -(max_size+2) for every pair from the fragment pool.
+    """Check excluded middle (22), (phi > psi) | (phi > ~psi), at every
+    world for every pair from the fragment pool.
 
-    Truth of a conditional at -inf is a function of the two denotations
-    alone, so the pair check runs over distinct denotations; a random
-    sample of pairs additionally goes through the unfactored evaluator as a
-    guard on the factorization.
+    The denotation of a conditional is a function of the two component
+    denotations alone, so the pair check runs over distinct denotations; a
+    random sample of pairs additionally goes through the unfactored
+    evaluator as a guard on the factorization.  A failing pair is reported
+    at -inf and at each failing world down to -(max_size+2), or at its
+    highest failing world when all of them lie lower.
     """
     import random
 
@@ -903,21 +905,21 @@ def cem_sweep(
     for a_set, a_rep in groups.items():
         for b_set, b_rep in groups.items():
             report.pairs_checked += 1
-            if not (
-                cond_at_origin(a_set, b_set)
-                or cond_at_origin(a_set, b_set.complement())
-            ):
-                report.counterexamples.append((a_rep, b_rep, MINUS_INF))
-            for k in worlds:
-                report.points_checked += 1
-                ak, bk = a_set.contains(k), b_set.contains(k)
-                if not ((not ak or bk) or (not ak or not bk)):
-                    report.counterexamples.append((a_rep, b_rep, k))
+            report.points_checked += len(worlds)
+            den = _cond_denotation(a_set, b_set).union(
+                _cond_denotation(a_set, b_set.complement())
+            )
+            if den != K_FULL:
+                missing = [w for w in (MINUS_INF, *worlds) if not den.contains(w)]
+                if not missing:  # only worlds below the window
+                    gaps = ~den.bits & -2
+                    missing = [1 - (gaps & -gaps).bit_length()]
+                report.counterexamples.extend((a_rep, b_rep, w) for w in missing)
 
     rng = random.Random(seed)
     for _ in range(direct_samples):
         phi, psi = rng.choice(pool), rng.choice(pool)
-        cem = Imp(Not(Cond(phi, psi)), Cond(phi, Not(psi)))
+        cem = schema_instance("22", a=phi, b=psi)
         report.direct_samples += 1
         if not eval_k(cem, MINUS_INF, g):
             report.counterexamples.append((phi, psi, MINUS_INF))
@@ -961,36 +963,38 @@ def qc2_axiom_sweep(
     pool, and spot-check the conditional closure rule.
 
     Everything-in-K validity is one canonical-set comparison per instance.
-    For the quantifier-free schemas (identity, detachment, order transfer)
-    truth at every world is a function of the component denotations alone,
-    so those sweeps run over distinct denotations, with random unfactored
-    replays as a guard.  The quantified schemas (universal instantiation
-    and quantifier distribution) are instantiated at every pool formula of
-    the right shape.
+    For the quantifier-free schemas (identity 19, detachment 21, order
+    transfer 20) truth at every world is a function of the component
+    denotations alone, so those sweeps run over distinct denotations, with
+    random unfactored replays of ``hilbert.SCHEMAS`` instances as a guard.
+    The quantified schemas (universal instantiation 23 and quantifier
+    distribution 24) are instantiated at every pool formula of the right
+    shape.
     """
     import random
 
     pool, g, groups, report = _sweep_setup(max_size, max_vars, with_identity, jobs)
     variables = [Variable(i) for i in range(max_vars)]
 
-    # identity of the conditional: phi > phi
-    for a_set, a_rep in groups.items():
+    def check(den: KSet, *counterexample) -> None:
         report.pairs_checked += 1
         report.points_checked += 1
-        if _cond_denotation(a_set, a_set) != K_FULL:
-            report.counterexamples.append(("identity", a_rep))
+        if den != K_FULL:
+            report.counterexamples.append(counterexample)
+
+    # identity of the conditional: phi > phi
+    for a_set, a_rep in groups.items():
+        check(_cond_denotation(a_set, a_set), "identity", a_rep)
 
     # detachment: (a > b) -> (a -> b), a function of the two denotations
     for a_set, a_rep in groups.items():
         for b_set, b_rep in groups.items():
-            report.pairs_checked += 1
-            report.points_checked += 1
             material = a_set.complement().union(b_set)
             cond_den = _cond_denotation(a_set, b_set)
-            if cond_den.complement().union(material) != K_FULL:
-                report.counterexamples.append(
-                    ("conditional detachment", a_rep, b_rep)
-                )
+            check(
+                cond_den.complement().union(material),
+                "conditional detachment", a_rep, b_rep,
+            )
 
     # order transfer over denotation triples
     for a_set, a_rep in groups.items():
@@ -1001,50 +1005,40 @@ def qc2_axiom_sweep(
             if both.is_empty:
                 continue
             for c_set, c_rep in groups.items():
-                report.pairs_checked += 1
-                report.points_checked += 1
                 lhs = both.intersect(_cond_denotation(a_set, c_set))
-                if lhs.complement().union(_cond_denotation(b_set, c_set)) != K_FULL:
-                    report.counterexamples.append(
-                        ("order transfer", a_rep, b_rep, c_rep)
-                    )
+                check(
+                    lhs.complement().union(_cond_denotation(b_set, c_set)),
+                    "order transfer", a_rep, b_rep, c_rep,
+                )
 
-    # universal instantiation at every quantified pool formula
+    # Universal instantiation (23) and quantifier distribution (24) keep the
+    # pool node itself as the antecedent, so its memoised denotation is read.
     for phi in pool:
         if not isinstance(phi, Forall):
             continue
         for y in variables:
-            report.pairs_checked += 1
-            report.points_checked += 1
             inst = Imp(phi, substitute(phi.body, [(phi.var, y)]))
-            if denote_k(inst, g) != K_FULL:
-                report.counterexamples.append(("universal instantiation", inst))
+            check(denote_k(inst, g), "universal instantiation", inst)
 
-    # quantifier distribution at every pool formula of the right shape
     for phi in pool:
         if not (isinstance(phi, Forall) and isinstance(phi.body, Cond)):
             continue
         if phi.var in free_variables(phi.body.left):
             continue
-        report.pairs_checked += 1
-        report.points_checked += 1
         inst = Imp(phi, Cond(phi.body.left, Forall(phi.var, phi.body.right)))
-        if denote_k(inst, g) != K_FULL:
-            report.counterexamples.append(("quantifier distribution", inst))
+        check(denote_k(inst, g), "quantifier distribution", inst)
 
     # unfactored replays of the denotation-level sweeps
     rng = random.Random(seed)
     for _ in range(rule_samples):
         a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
         report.direct_samples += 1
-        for name, inst in (
-            ("identity", Cond(a, a)),
-            ("conditional detachment", Imp(Cond(a, b), Imp(a, b))),
-            (
-                "order transfer",
-                Imp(And(Cond(a, b), And(Cond(b, a), Cond(a, c))), Cond(b, c)),
-            ),
+        for name, schema in (
+            ("identity", "19"),
+            ("conditional detachment", "21"),
+            ("order transfer", "20"),
         ):
+            inst = schema_instance(schema, a=a, b=b, c=c)
             if denote_k(inst, g) != K_FULL:
                 report.counterexamples.append((name + " (direct)", inst))
 

@@ -46,6 +46,9 @@ CLASSIFICATIONS = {
     "Stalnakerian": STALNAKERIAN,
 }
 
+# The largest world count that frame enumeration accepts.
+HARD_WORLD_LIMIT = 4
+
 # What ``EnumerationParams.required_properties`` may name.
 PROPERTY_NAMES = (*SELECTION_CONDITIONS, "GloballyConstant", *CLASSIFICATIONS)
 
@@ -61,7 +64,6 @@ class EnumerationParams:
     max_domain: int = 2
     required_properties: frozenset[str] = frozenset()
     policy: str = "all"  # or "reflexive-only"
-    hard_world_limit: int = 4
 
     def __post_init__(self) -> None:
         if self.policy not in ("all", "reflexive-only"):
@@ -229,9 +231,9 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
     within R(w), so the frames skip the construction scan of
     ``SelectionFrame``.
     """
-    if params.max_worlds > params.hard_world_limit:
+    if params.max_worlds > HARD_WORLD_LIMIT:
         raise ResourceGuard(
-            f"enumeration ceiling is |W| <= {params.hard_world_limit}, "
+            f"enumeration ceiling is |W| <= {HARD_WORLD_LIMIT}, "
             f"asked for {params.max_worlds}"
         )
     conditions = params.conditions()

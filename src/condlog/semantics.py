@@ -186,7 +186,9 @@ class OrderingFrame:
     local: tuple[int, ...]
     world_names: tuple[str, ...] = ()
     domain_names: tuple[str, ...] = ()
-    ble_table: tuple[tuple[int, ...], ...] = ()
+    ble_table: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n_worlds < 1 or self.n_domain < 1:

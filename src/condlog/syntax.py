@@ -83,12 +83,6 @@ class Formula:
                 return False
         return True
 
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __hash__(self) -> int:
         try:
             return self._hash_cache  # type: ignore[attr-defined]

@@ -4,6 +4,7 @@ from condlog.frameprops import (
     check_domain_props,
     check_ordering_props,
     check_selection_props,
+    correspondence_instances,
     qc2_correspondence_check,
     replay_witness,
 )
@@ -134,6 +135,41 @@ def test_correspondence_two_element_selection():
     assert not res.instance_valid
     assert not res.properties_hold
     assert res.agree
+
+
+def test_correspondence_family_instantiates_the_schemas():
+    """The finite family is the hand-built one, in its order and with its
+    names, and each member is an instance of the schema its name cites."""
+    from condlog.hilbert import is_axiom_instance
+    from condlog.syntax import (
+        And, Atom, Cond, Forall, Imp, Not, Or, Predicate, Variable,
+    )
+
+    x, y = Variable(0), Variable(1)
+    a = Atom(Predicate(0, 1), (x,))
+    b = Atom(Predicate(1, 1), (x,))
+    c = Atom(Predicate(2, 1), (x,))
+    ay = Atom(Predicate(0, 1), (y,))
+    by_hand = [
+        ("identity (19)", Cond(a, a)),
+        ("weak centering (21)", Imp(Cond(a, b), Imp(a, b))),
+        ("excluded middle (22)", Or(Cond(a, b), Cond(a, Not(b)))),
+        ("universal instantiation (23)", Imp(Forall(x, a), ay)),
+        (
+            "quantifier distribution (24)",
+            Imp(Forall(x, Cond(ay, b)), Cond(ay, Forall(x, b))),
+        ),
+        (
+            "order transfer (20)",
+            Imp(And(Cond(a, b), And(Cond(b, a), Cond(a, c))), Cond(b, c)),
+        ),
+    ]
+    family = correspondence_instances()
+    assert family == by_hand
+    assert [repr(f) for _, f in family] == [repr(f) for _, f in by_hand]
+    for name, inst in family:
+        schema = name.rsplit("(", 1)[1].rstrip(")")
+        assert is_axiom_instance(schema, inst), name
 
 
 def test_condition_subsets_match_the_full_report():

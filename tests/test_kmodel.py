@@ -730,6 +730,70 @@ def test_axiom_sweep_small():
     assert report.ok
 
 
+@pytest.mark.parametrize("dropped", [MINUS_INF, -3, -50])
+def test_cem_sweep_reports_a_dropped_world_for_every_pair(monkeypatch, dropped):
+    """The pair check reads the conditional's denotation at every world: a
+    conditional denotation missing one world fails every pair there, also
+    below the reported window -6..-1."""
+    from condlog import kmodel
+
+    setup = kmodel._sweep_setup(4, 2, False, 1)  # real pool denotations
+    reps = list(setup[2].values())
+    bit = 1 if dropped == MINUS_INF else 1 << -dropped
+    real = kmodel._cond_denotation
+    monkeypatch.setattr(kmodel, "_sweep_setup", lambda *args: setup)
+    monkeypatch.setattr(
+        kmodel, "_cond_denotation", lambda a, b: KSet(real(a, b).bits & ~bit)
+    )
+    report = cem_sweep(4, 2, direct_samples=0)
+    assert report.counterexamples == [(a, b, dropped) for a in reps for b in reps]
+    assert report.points_checked == 6 * len(reps) ** 2
+
+
+def test_k_sweeps_check_instances_of_the_schemas(monkeypatch):
+    """What the K sweeps check are instances of the axiom schemas: universal
+    instantiation (23) and quantifier distribution (24) at every pool
+    formula of their shape, and the direct replays of 22, 19, 21 and 20."""
+    from condlog import kmodel
+    from condlog.hilbert import is_axiom_instance, schema_instance
+
+    pool, _, _, _ = setup = kmodel._sweep_setup(4, 2, False, 1)
+    with monkeypatch.context() as m:
+        # every instance the sweep denotes itself becomes a counterexample
+        m.setattr(kmodel, "_sweep_setup", lambda *args: setup)
+        m.setattr(kmodel, "denote_k", lambda phi, g: kmodel.K_EMPTY)
+        report = qc2_axiom_sweep(4, 2, rule_samples=0)
+    by_schema = {"universal instantiation": "23", "quantifier distribution": "24"}
+    counts = dict.fromkeys(by_schema, 0)
+    for name, inst in report.counterexamples:
+        assert is_axiom_instance(by_schema[name], inst), (name, inst)
+        counts[name] += 1
+    foralls = [phi for phi in pool if isinstance(phi, Forall)]
+    distributable = [
+        phi for phi in foralls
+        if isinstance(phi.body, Cond)
+        and phi.var not in free_variables(phi.body.left)
+    ]
+    assert counts == {
+        "universal instantiation": 2 * len(foralls),
+        "quantifier distribution": len(distributable),
+    }
+    assert counts["quantifier distribution"] > 0
+
+    built = []
+
+    def recording(schema, **env):
+        built.append((schema, schema_instance(schema, **env)))
+        return built[-1][1]
+
+    monkeypatch.setattr(kmodel, "schema_instance", recording)
+    assert cem_sweep(4, 2, direct_samples=10).ok
+    assert qc2_axiom_sweep(4, 2, rule_samples=10).ok
+    assert [s for s, _ in built] == ["22"] * 10 + ["19", "21", "20"] * 10
+    for schema, inst in built:
+        assert is_axiom_instance(schema, inst), (schema, inst)
+
+
 def test_identity_rigidity():
     phi = Imp(Not(Eq(x, y)), _box(Not(Eq(x, y))))
     assert denote_k(phi, {x: -1, y: -2}) == K_FULL

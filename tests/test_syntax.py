@@ -58,6 +58,12 @@ def test_derived_connectives_expand_to_core():
     assert Box(fx()) == Cond(Not(fx()), Bot())
     assert Dia(fx()) == Not(Cond(fx(), Bot()))
     assert Bot() == Not(Top())
+    # != inverts ==, across node kinds too, and defers on a non-formula
+    assert not And(fx(), fx(y)) != Not(Imp(fx(), Not(fx(y))))
+    assert fx() != fx(y)
+    assert fx() != Not(fx())
+    assert fx() != "F(x)"
+    assert fx().__ne__("F(x)") is NotImplemented
 
 
 def test_language_of_formulas():
