@@ -101,6 +101,13 @@ def _read_text(path: str) -> str:
         raise click.UsageError(f"cannot read {path}: {err}") from None
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise click.UsageError(f"cannot write {path}: {err}") from None
+
+
 def _load(path: str, what: str, load):
     try:
         return load(json.loads(_read_text(path)))
@@ -311,7 +318,7 @@ def cmd_convert(model_path, target, out, fmt) -> None:
         return
     doc = fileformats.dump_model(converted)
     if out:
-        Path(out).write_text(json.dumps(doc, indent=2))
+        _write_text(out, json.dumps(doc, indent=2))
         _finish(fmt, True, {"written": out}, [f"wrote {out}"])
     else:
         click.echo(json.dumps(doc, indent=2))
@@ -468,7 +475,7 @@ def cmd_k_truncate(n, out) -> None:
     doc = fileformats.dump_model(kmodel.truncate(n))
     text = json.dumps(doc, indent=2)
     if out:
-        Path(out).write_text(text)
+        _write_text(out, text)
         click.echo(f"wrote {out}")
     else:
         click.echo(text)

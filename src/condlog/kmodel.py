@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .hilbert import schema_instance
@@ -934,21 +934,9 @@ def _pool_denotations(pool, g, jobs: int) -> list[KSet]:
         return [denote_k(phi, g) for phi in pool]
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = [(pool[i::jobs], dict(g)) for i in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as executor:
-        results = list(executor.map(_denote_chunk, chunks))
-    out: list[Optional[KSet]] = [None] * len(pool)
-    for lane, chunk_result in enumerate(results):
-        for j, den in enumerate(chunk_result):
-            out[lane + j * jobs] = den
-    if any(d is None for d in out):
-        raise KModelError("a worker returned fewer denotations than its chunk")
-    return out  # type: ignore[return-value]
-
-
-def _denote_chunk(args) -> list[KSet]:
-    chunk, g = args
-    return [denote_k(phi, g) for phi in chunk]
+        chunksize = -(-len(pool) // jobs)
+        return list(executor.map(partial(denote_k, g=dict(g)), pool, chunksize=chunksize))
 
 
 def qc2_axiom_sweep(

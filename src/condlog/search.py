@@ -21,6 +21,7 @@ from .frameprops import (
 )
 from .semantics import (
     Model,
+    OrderingFrame,
     ResourceGuard,
     SelectionFrame,
     SemanticsError,
@@ -28,6 +29,7 @@ from .semantics import (
     _default_names,
     evaluate,
     first_failure,
+    ordering_to_selection,
 )
 from .syntax import (
     Atom,
@@ -471,16 +473,11 @@ def _compactness_search(n: int, m: int, outcome: SearchOutcome):
 
 def _chain_selection_frame(m: int) -> SelectionFrame:
     """World 0 sees everything ordered 0 < 1 < ... < m-1; the others see
-    only themselves.  The induced table is Stalnakerian."""
-    entries = {}
-    full = (1 << m) - 1
-    r = [1 << w for w in range(m)]
-    r[0] = full
-    for p in range(1 << m):
-        if p:
-            entries[(p, 0)] = 1 << next(_bits(p))
-        else:
-            entries[(p, 0)] = 0
-    return SelectionFrame.build(
-        m, r, entries, "centering", n_domain=1, world_names=tuple(str(w) for w in range(m))
+    only themselves.  The order is Stalnakerian, so it converts."""
+    pairs = {w: [(w, w)] for w in range(1, m)}
+    pairs[0] = [(x, y) for x in range(m) for y in range(x, m)]
+    r = [(1 << m) - 1] + [1 << w for w in range(1, m)]
+    order = OrderingFrame.build(
+        m, r, pairs, n_domain=1, world_names=tuple(str(w) for w in range(m))
     )
+    return ordering_to_selection(order)

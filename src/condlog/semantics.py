@@ -14,9 +14,10 @@ predicates in blocks that start at one and grow geometrically; both
 A sweep checks one formula on many frames.  The formula's interpretation
 space keeps the atom tables of each block and the frame-independent part
 of a block's layout per local domains, so the frames of a sweep share
-them; a block reads the selection table, or the order rows cached on an
-ordering or quasi frame, from its own frame.  A failing ``frame_valid``
-builds its countermodel only when it is read.
+them; a block reads the order rows cached on an ordering frame, or any
+other frame's selection table (a quasi frame's is min_w of its order),
+from its own frame.  A failing ``frame_valid`` builds its countermodel
+only when it is read.
 """
 
 from __future__ import annotations
@@ -259,24 +260,36 @@ class OrderingFrame:
                 out |= 1 << x
         return out
 
-    def set_names(self, mask: int) -> list[str]:
-        return [self.world_names[i] for i in _bits(mask)]
+
+class _MinRow(dict):
+    """World w's row of a quasi frame's table: ``row[p]`` is min_w(p),
+    computed when first read.  A full row has 2^|W| entries."""
+
+    __slots__ = ("order", "w")
+
+    def __init__(self, order: OrderingFrame, w: int):
+        self.order, self.w = order, w
+
+    def __missing__(self, p: int) -> int:
+        out = self[p] = self.order.min_set(p, self.w)
+        return out
 
 
 @dataclass(frozen=True)
 class QuasiSelectionFrame:
     """Selection function taking formulas and assignments as arguments.
 
-    The only built strategy is "min-of-order": f(phi, w, g) is the set of
-    minimal [phi]^g worlds under an embedded ordering frame.
+    Its one strategy, "min-of-order", selects the minimal [phi]^g worlds
+    under an embedded ordering frame.  It reads phi only through [phi]^g,
+    so the frame is f(P, w) = min_w(P), and its ``table`` is filled as it
+    is read.
     """
 
     order: OrderingFrame
-    strategy: str = "min-of-order"
 
-    def __post_init__(self) -> None:
-        if self.strategy != "min-of-order":
-            raise SemanticsError(f"unknown quasi strategy {self.strategy!r}")
+    @functools.cached_property
+    def table(self) -> tuple[_MinRow, ...]:
+        return tuple(_MinRow(self.order, w) for w in range(self.n_worlds))
 
     @property
     def n_worlds(self) -> int:
@@ -366,32 +379,28 @@ def _shape(n: int, nd: int, local: tuple[int, ...], size: int) -> tuple:
     return ones, full, ones << n, exists, elements
 
 
-def _order_rows(frame: Union[OrderingFrame, QuasiSelectionFrame], ones: int) -> tuple:
-    """(rows, clause) of an ordering or quasi frame for blocks whose bit 0
-    of every interpretation is set in ``ones``, cached on the frame.
-    ``rows`` has per world w the shift from a guard to bit w, R(w), and per
-    x in R(w) the shift from bit x to a guard with the worlds at or below x
-    (ordering) or the accessible worlds not at or above x (quasi)."""
+def _order_rows(frame: OrderingFrame, ones: int) -> list:
+    """The rows of an ordering frame for blocks whose bit 0 of every
+    interpretation is set in ``ones``, cached on the frame: per world w the
+    shift from a guard to bit w, R(w), and per x in R(w) the shift from bit
+    x to a guard with the worlds at or below x."""
     cache = frame.__dict__.setdefault("_rows", {})
-    got = cache.get(ones)
-    if got is not None:
-        return got
-    n = frame.n_worlds
-    order = frame.order if isinstance(frame, QuasiSelectionFrame) else frame
-    rows = []
-    for w in range(n):
-        r = order.r[w]
-        rel = order.ble_table[w] if order is frame else [r & ~a for a in order.bge[w]]
-        rows.append((n - w, r * ones, [(n - x, rel[x] * ones) for x in _bits(r)]))
-    got = cache[ones] = rows, "_lewis" if order is frame else "_quasi"
-    return got
+    rows = cache.get(ones)
+    if rows is None:
+        n, ble = frame.n_worlds, frame.ble_table
+        rows = cache[ones] = [
+            (n - w, r * ones, [(n - x, ble[w][x] * ones) for x in _bits(r)])
+            for w, r in enumerate(frame.r)
+        ]
+    return rows
 
 
 class _Block:
-    """A block of interpretations on a frame: its ``_shape``, the
-    frame's selection table or order ``rows`` and the conditional clause
-    that reads them, and the state compiled closures read: the atom
-    ``tables`` of the block, the ``memos`` and the variable values ``env``."""
+    """A block of interpretations on a frame: its ``_shape``, an ordering
+    frame's order ``rows`` or any other frame's selection table, the
+    conditional clause that reads them, and the state compiled closures
+    read: the atom ``tables`` of the block, the ``memos`` and the variable
+    values ``env``."""
 
     __slots__ = (
         "n", "nd", "ones", "full", "guard", "exists", "elements", "rows", "cond",
@@ -401,11 +410,10 @@ class _Block:
     def __init__(self, frame: Frame, shape: tuple, tables: list, n_memos: int):
         self.n, self.nd = frame.n_worlds, frame.n_domain
         self.ones, self.full, self.guard, self.exists, self.elements = shape
-        if isinstance(frame, SelectionFrame):
-            self.rows, self.cond = frame.table, self._selection
+        if isinstance(frame, OrderingFrame):
+            self.rows, self.cond = _order_rows(frame, self.ones), self._lewis
         else:
-            self.rows, clause = _order_rows(frame, self.ones)
-            self.cond = getattr(self, clause)
+            self.rows, self.cond = frame.table, self._selection
         self.tables, self.memos = tables, [{} for _ in range(n_memos)]
 
     def _selection(self, p: int, q: int) -> int:
@@ -436,20 +444,6 @@ class _Block:
                     break
                 ok |= (p << xshift) & guard & ~((bad & below) + full)
             out |= ok >> shift
-        return out
-
-    def _quasi(self, p: int, q: int) -> int:
-        """w is in [p > q] iff the minimal accessible p-worlds under the
-        order at w are q-worlds."""
-        full, guard = self.full, self.guard
-        bad, out = p & ~q, 0
-        for shift, _reach, pairs in self.rows:
-            fail = 0
-            for xshift, outside in pairs:
-                fail |= (bad << xshift) & guard & ~((p & outside) + full)
-                if fail == guard:
-                    break
-            out |= (guard & ~fail) >> shift
         return out
 
 

@@ -361,6 +361,20 @@ def test_convert_ordering_to_selection(tmp_path):
     assert doc["kind"] == "selection"
 
 
+@pytest.mark.parametrize("command", ["truncate", "convert"])
+def test_out_into_a_missing_directory_exits_2(tmp_path, command):
+    k3 = tmp_path / "k3.json"
+    assert run("kmodel", "truncate", "--n", "3", "--out", str(k3)).exit_code == 0
+    out = tmp_path / "missing" / "x.json"
+    if command == "truncate":
+        res = run("kmodel", "truncate", "--n", "2", "--out", str(out))
+    else:
+        res = run("convert", "--model", str(k3), "--to", "selection", "--out", str(out))
+    assert res.exit_code == 2, res.output
+    assert f"cannot write {out}" in res.output
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize(
     "args",
     [

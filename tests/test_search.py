@@ -14,6 +14,7 @@ from condlog.search import (
     compactness_witness,
     ds_sweep,
     enumerate_frames,
+    _chain_selection_frame,
     _f_values,
     _perm_tables,
     correspondence_sweep,
@@ -298,6 +299,25 @@ def test_compactness_witness_replays_up_to_five():
         model = outcome.witness["model"]
         for phi in compactness_prefix(n):
             assert evaluate(model, 0, {}, phi)
+
+
+def _hand_built_chain_frame(m: int) -> SelectionFrame:
+    """The chain table written out: world 0 selects the first world of P,
+    and the others see only themselves and are centred."""
+    entries = {}
+    full = (1 << m) - 1
+    r = [1 << w for w in range(m)]
+    r[0] = full
+    for p in range(1 << m):
+        entries[(p, 0)] = p & -p
+    return SelectionFrame.build(
+        m, r, entries, "centering", n_domain=1, world_names=tuple(str(w) for w in range(m))
+    )
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_chain_selection_frame_is_the_first_world_table(m):
+    assert _chain_selection_frame(m) == _hand_built_chain_frame(m)
 
 
 def test_perm_tables_match_bitwise_images():

@@ -760,6 +760,57 @@ def _check_against_reference(frame, phi):
     return want
 
 
+def _min_table_frame(order: OrderingFrame) -> SelectionFrame:
+    """The selection frame whose table is min_w of ``order``, built whole."""
+    n = order.n_worlds
+    table = tuple(tuple(order.min_set(p, w) for p in range(1 << n)) for w in range(n))
+    return SelectionFrame(
+        n, order.r, table, order.n_domain, order.local, order.world_names, order.domain_names
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_quasi_frame_is_the_selection_frame_of_its_minima(seed):
+    """On random relations, reflexive or not and transitive or not, a quasi
+    frame and the selection frame whose table is min_w of the same order
+    give the same extensions and the same frame-validity results.  Some of
+    the orders have minima other than P & R(w)."""
+    rng = random.Random(f"quasi-minima-{seed}")
+    seen = {"irreflexive": 0, "intransitive": 0, "not P & R(w)": 0, "failures": 0}
+    for _ in range(12):
+        n, nd = rng.randint(2, 3), rng.randint(1, 2)
+        local = [rng.randrange(1 << nd) for _ in range(n)]
+        order = _random_ordering_frame(rng, n, nd, local)
+        quasi, table = QuasiSelectionFrame(order), _min_table_frame(order)
+        worlds = range(n)
+        seen["irreflexive"] += any(
+            order.r[w] & (1 << a) and not order.leq(w, a, a) for w in worlds for a in worlds
+        )
+        seen["intransitive"] += any(
+            order.leq(w, a, b) and order.leq(w, b, c) and not order.leq(w, a, c)
+            for w in worlds for a in worlds for b in worlds for c in worlds
+        )
+        seen["not P & R(w)"] += any(
+            table.table[w][p] != p & order.r[w] for w in worlds for p in range(1 << n)
+        )
+        interp = _random_interp(rng, n, nd)
+        for _ in range(10):
+            phi = _random_formula(rng, rng.randint(2, 7))
+            for values in itertools.product(range(nd), repeat=len(_REF_VARIABLES)):
+                g = dict(zip(_REF_VARIABLES, values))
+                want = extension(Model(table, interp), g, phi)
+                assert extension(Model(quasi, interp), g, phi) == want, (phi, g, order)
+            if _interpretation_count(order, phi) > 1024:
+                continue
+            want, got = frame_valid(table, phi), frame_valid(quasi, phi)
+            assert got.valid == want.valid, (phi, order)
+            if not want.valid:
+                seen["failures"] += 1
+                assert got.counterexample == want.counterexample, (phi, order)
+                assert got.countermodel == Model(quasi, want.countermodel.interp)
+    assert all(seen.values()), seen
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_frame_valid_frames_sharing_local_domains_share_no_rows(seed):
     """One compiled formula over an interleaved sequence of frames with the
