@@ -64,6 +64,17 @@ def _finish(fmt: str, ok: bool, payload: dict, text_lines: list[str]) -> None:
         sys.exit(1)
 
 
+def _finish_values(fmt: str, world: str, values) -> None:
+    """Report (formula, truth value) pairs; the check passes when all hold."""
+    results = [{"formula": print_formula(phi), "value": v} for phi, v in values]
+    _finish(
+        fmt,
+        all(r["value"] for r in results),
+        {"world": world, "results": results},
+        [f"{r['formula']}  ->  {r['value']}" for r in results],
+    )
+
+
 def _read_formulas(value: str, lang: Lang):
     if value.startswith("@"):
         formulas = parse_formula_file(_read_text(value[1:]), lang)
@@ -111,7 +122,8 @@ def _write_text(path: str, text: str) -> None:
 def _load(path: str, what: str, load):
     try:
         return load(json.loads(_read_text(path)))
-    except (json.JSONDecodeError, fileformats.DocumentError) as err:
+    except (json.JSONDecodeError, RecursionError, fileformats.DocumentError) as err:
+        # json.loads raises RecursionError on arrays or objects nested too deep
         raise click.UsageError(f"cannot load {what} {path}: {err}") from None
 
 
@@ -193,17 +205,8 @@ def cmd_eval(model_path, world, formula, assign, lang, fmt) -> None:
     model = _load_model(model_path)
     w = _world_index(model, world)
     g = _domain_assignment(model, _parse_assignment(assign))
-    results = [
-        {"formula": print_formula(phi), "value": semantics.evaluate(model, w, g, phi)}
-        for phi in _read_formulas(formula, LANGS[lang])
-    ]
-    ok = all(r["value"] for r in results)
-    _finish(
-        fmt,
-        ok,
-        {"world": world, "results": results},
-        [f"{r['formula']}  ->  {r['value']}" for r in results],
-    )
+    phis = _read_formulas(formula, LANGS[lang])
+    _finish_values(fmt, world, [(p, semantics.evaluate(model, w, g, p)) for p in phis])
 
 
 @main.command("model-valid")
@@ -426,19 +429,9 @@ def cmd_k_eval(world, formula, assign, empty_predicates, lang, fmt) -> None:
     """Evaluate formulas at a world of the infinite model."""
     w = _k_world(world)
     g = _k_assignment(assign)
-    results = [
-        {
-            "formula": print_formula(phi),
-            "value": kmodel.eval_k(phi, w, g, empty_predicates=empty_predicates),
-        }
-        for phi in _read_formulas(formula, LANGS[lang])
-    ]
-    ok = all(r["value"] for r in results)
-    _finish(
-        fmt,
-        ok,
-        {"world": world, "results": results},
-        [f"{r['formula']}  ->  {r['value']}" for r in results],
+    phis = _read_formulas(formula, LANGS[lang])
+    _finish_values(
+        fmt, world, [(phi, kmodel.eval_k(phi, w, g, empty_predicates)) for phi in phis]
     )
 
 

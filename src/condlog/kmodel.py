@@ -13,9 +13,10 @@ sign extension.  Denotation is computed compositionally: boolean nodes are
 material reading (each integer world only sees itself) with the Lewis
 clause at -inf.  A quantifier node reads its integer part, and its -inf bit
 when the body is conditional-free, off the counting normal form of its
-fragment; otherwise -inf uses a finite test set with a stabilization
-assertion.  The integer part takes one test per stretch of worlds on which
-the realized type is constant, O(t + distinct) whatever the values.
+fragment; otherwise -inf tests the body at the values within 2^q of an
+assigned value or -1, for q its quantifier rank + 2, a set proven exact.
+The integer part takes one test per stretch of worlds on which the
+realized type is constant, O(t + distinct) whatever the values.
 Denotations are memoised on the formula node, like normal forms and
 fragments, and the sweeps share one fragment pool per (size, vars,
 identity), so the sweeps over one pool hit each other's memos.
@@ -52,14 +53,15 @@ from .syntax import (
     free_variables,
     material_reduct,
     ordered_free_variables,
+    quantifier_rank,
     replace_other_atoms,
-    size,
     subformulas,
     substitute,
 )
 
 MINUS_INF = float("-inf")
 MAX_TRUNCATION = 200  # the order at -inf of truncate(n) has Theta(n^2) pairs
+MAX_MINUS_INF_RANK = 10  # the -inf test set holds 2^(rank+1) + 1 values per anchor
 
 
 class KModelError(Exception):
@@ -71,7 +73,7 @@ class NonFragment(KModelError):
 
 
 class StabilizationError(KModelError):
-    """The deep test-set block failed to stabilize; diagnostic, not a value."""
+    """A -inf test set above MAX_MINUS_INF_RANK: a refusal, not a value."""
 
 
 def _check_world(w) -> None:
@@ -255,21 +257,6 @@ class CountingType:
     f_range: tuple[int, Optional[int]]
     neg_range: tuple[int, Optional[int]]
 
-    def describe(self) -> str:
-        bits = [f"{'' if pos else '~'}F({v})" for v, pos in self.literals]
-        if self.eq_blocks is not None:
-            names = [v for v, _ in self.literals]
-            for i in range(len(names)):
-                for j in range(i + 1, len(names)):
-                    rel = "=" if self.eq_blocks[i] == self.eq_blocks[j] else "!="
-                    bits.append(f"{names[i]} {rel} {names[j]}")
-        for label, (lo, hi) in (("F", self.f_range), ("~F", self.neg_range)):
-            if lo > 0:
-                bits.append(f"E>={lo} {label}")
-            if hi is not None:
-                bits.append(f"~E>={hi + 1} {label}")
-        return " & ".join(bits) if bits else "top"
-
 
 @dataclass(frozen=True)
 class CountingNormalForm:
@@ -322,11 +309,6 @@ class CountingNormalForm:
                 n_range = (n0, None if n1 == r else n1)
                 out.append(CountingType(literals, eq_blocks, f_range, n_range))
         return tuple(out)
-
-    def describe(self) -> str:
-        if not self.presented:
-            return "bot"
-        return " | ".join(t.describe() for t in self.presented)
 
 
 @cache
@@ -649,10 +631,21 @@ def _forall_minus_inf(
     The world -inf is itself a monadic structure (F empty, domain Z^-), so
     a conditional-free body is decided exactly by ``nf``, the counting
     normal form of the node's quantifier fragment over its free variables.
-    With conditionals below, witness candidates cluster around the named
-    values and around -1 within a distance bounded by the formula size; far
-    below everything the truth value must be constant, which the deep block
-    asserts.
+    With conditionals below, truth at -inf is first order over (Z^-, <=):
+    F(n) holds at the world k iff n <= k and never at -inf; an integer
+    world sees only itself, so there a conditional is material and truth
+    has rank qr; at -inf, the least world, A > B holds iff A and B hold
+    there, or A fails there and no integer u has A, or some u has A and
+    A -> B at every v <= u.  That adds two quantifiers, so by induction
+    the body at x = b is a sentence of rank q = qr(body) + 2 with the
+    anchors (the named values and -1) and b as constants.  Tuples of a
+    linear order in one order whose gaps are equal or both at least 2^q
+    are q-equivalent (Libkin 2004, Thm 3.6): Duplicator copies a move's
+    offset from its nearest point if that is below 2^(q-1) or the gaps
+    are equal, else plays 2^(q-1) below the upper end of its gap, and the
+    new gaps agree up to 2^(q-1).  So a value more than 2^q from both ends
+    of its gap stands with lo + 2^q, and one more than 2^q below every
+    anchor with lowest - 2^q: the values within 2^q of an anchor decide.
     """
     # a node is its own material reduct, cached on it, iff it holds no
     # conditional
@@ -660,28 +653,19 @@ def _forall_minus_inf(
         values = [g[v] for v in nf.named]
         return nf.satisfied(*_realized_type(values, MINUS_INF, nf.threshold))
 
-    s = size(phi)
-    vals = sorted({g[v] for v in free_variables(phi)})
-    anchors = vals + [-1]
-    candidates = set(vals)
-    for v in anchors:
-        for delta in range(-(s + 1), s + 2):
-            if v + delta <= -1:
-                candidates.add(v + delta)
-    deep_top = (min(vals) if vals else -1) - s - 2
-    deep = [deep_top - i for i in range(s + 1)]
-
-    def at(a: int) -> bool:
-        return _denote(phi.body, {**g, phi.var: a}, empty_predicates).minus_inf
-
-    deep_values = [at(a) for a in deep]
-    if len(set(deep_values)) != 1:
+    q = quantifier_rank(phi.body) + 2
+    if q > MAX_MINUS_INF_RANK:
         raise StabilizationError(
-            f"deep test block not constant below {deep_top} for {phi}"
+            f"the -inf test set of {phi} needs rank {q}, above the ceiling "
+            f"{MAX_MINUS_INF_RANK}"
         )
-    if not deep_values[0]:
-        return False
-    return all(at(a) for a in sorted(candidates, reverse=True))
+    reach = 1 << q
+    anchors = {g[v] for v in nf.named} | {-1}
+    tests = {a + d for a in anchors for d in range(-reach, reach + 1) if a + d <= -1}
+    return all(
+        _denote(phi.body, {**g, phi.var: b}, empty_predicates).minus_inf
+        for b in sorted(tests, reverse=True)
+    )
 
 
 # ---------------------------------------------------------------------------

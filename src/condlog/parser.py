@@ -52,6 +52,14 @@ from .syntax import (
     variable_named,
 )
 
+# A formula nests at most MAX_NESTING levels: a parenthesis, prefix operator
+# or quantifier body counts one, and so does each right operand of &, |, <->
+# and -> (the i-th operand of an -> chain sits i deep).  A derived connective
+# puts at most four tree levels under one (<-> is ~((a -> b) -> ~(b -> a))),
+# so every reader that recurses on the tree stays within Python's stack.
+MAX_NESTING = 64
+_PREFIX = {"~": Not, "box": Box, "dia": Dia}
+
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -107,6 +115,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.lang = lang
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -122,6 +131,17 @@ class _Parser:
             raise ParseError(tok.span, f"expected {text!r}, found {tok.text!r}")
         return tok
 
+    def nested(self, parse, levels: int = 1) -> Formula:
+        """``parse()`` read ``levels`` deeper than the current nesting."""
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                self.peek().span, f"formula nested deeper than {MAX_NESTING} levels"
+            )
+        out = parse()
+        self.depth -= levels
+        return out
+
     def fail(self, tok: _Token, expected: str) -> ParseError:
         found = tok.text if tok.text else "end of input"
         return ParseError(tok.span, f"expected {expected}, found {found!r}")
@@ -132,7 +152,7 @@ class _Parser:
         left = self.imp_level()
         if self.peek().text == "<->":
             self.next()
-            return Iff(left, self.formula())
+            return Iff(left, self.nested(self.formula))
         return left
 
     def imp_level(self) -> Formula:
@@ -140,7 +160,7 @@ class _Parser:
         ops: list[_Token] = []
         while self.peek().text in ("->", ">"):
             ops.append(self.next())
-            operands.append(self.or_level())
+            operands.append(self.nested(self.or_level, len(ops)))
         if not ops:
             return operands[0]
         kinds = {t.text for t in ops}
@@ -160,40 +180,34 @@ class _Parser:
         left = self.and_level()
         if self.peek().text == "|":
             self.next()
-            return Or(left, self.or_level())
+            return Or(left, self.nested(self.or_level))
         return left
 
     def and_level(self) -> Formula:
         left = self.unary()
         if self.peek().text == "&":
             self.next()
-            return And(left, self.and_level())
+            return And(left, self.nested(self.and_level))
         return left
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok.text == "~":
+        if tok.text in _PREFIX:
             self.next()
-            return Not(self.unary())
-        if tok.text == "box":
-            self.next()
-            return Box(self.unary())
-        if tok.text == "dia":
-            self.next()
-            return Dia(self.unary())
+            return _PREFIX[tok.text](self.nested(self.unary))
         if tok.text in ("forall", "exists"):
             self.next()
             var = self.variable()
             if self.peek().text == ".":
                 self.next()
-            body = self.formula()
+            body = self.nested(self.formula)
             return (Forall if tok.text == "forall" else Exists)(var, body)
         return self.atom()
 
     def atom(self) -> Formula:
         tok = self.next()
         if tok.text == "(":
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.expect(")")
             return inner
         if tok.text == "top":

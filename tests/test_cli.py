@@ -225,6 +225,16 @@ def test_kmodel_eval_ds():
     assert "True" in res.output
 
 
+def test_kmodel_eval_above_the_minus_inf_rank_ceiling_exits_2():
+    # the conditional's body has quantifier rank 9, so its -inf test set
+    # needs rank 11
+    body = "forall y. " * 9 + "(F(y) -> F(x))"
+    res = run("kmodel", "eval", "--world=-inf", "--formula", f"forall x. ({body}) > F(x)")
+    assert res.exit_code == 2, res.output
+    assert "needs rank 11, above the ceiling 10" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_kmodel_eval_rejects_foreign_predicate():
     res = run("kmodel", "eval", "--world", "-1", "--formula", "G(x)", "--assign", "x=-1")
     assert res.exit_code == 2
@@ -415,6 +425,43 @@ def test_enumeration_ceiling_exits_2(args):
 def test_input_error_names_its_cause(argv, message):
     """A library input error exits 2 with the library's own message."""
     res = run(*argv)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert "Traceback" not in res.output
+
+
+_IMP_CHAIN = " -> ".join(["F(x)"] * 3000)
+
+
+@pytest.mark.parametrize(
+    "argv,content,message",
+    [
+        (["parse", "--formula", "(" * 200 + "F(x)" + ")" * 200], None,
+         "nested deeper than"),
+        (["parse", "--formula", "~" * 600 + "F(x)"], None, "nested deeper than"),
+        (["parse", "--formula", _IMP_CHAIN], None, "nested deeper than"),
+        (["kmodel", "eval", "--world", "-1", "--assign", "x=-1", "--formula", _IMP_CHAIN],
+         None, "nested deeper than"),
+        (["parse", "--formula", "@{path}"], " & ".join(["F(x)"] * 1500) + "\n",
+         "nested deeper than"),
+        (["prove", "--proof", "{path}"],
+         json.dumps({"logic": "QC2", "lines": [
+             {"formula": "~" * 3000 + "A", "just": {"axiom": "18"}}]}),
+         "line 1: formula nested deeper than"),
+        (["prove", "--proof", "{path}"], "[" * 100_000, "cannot load proof"),
+    ],
+    ids=[
+        "parse-parens", "parse-negations", "parse-imp-chain", "kmodel-imp-chain",
+        "parse-file-conjuncts", "prove-negations", "prove-json-brackets",
+    ],
+)
+def test_deep_input_exits_2(tmp_path, argv, content, message):
+    """Input nested deeper than the parser's limit, or than json.loads can
+    read, is an input error and not a RecursionError."""
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    res = run(*(arg.format(path=path) for arg in argv))
     assert res.exit_code == 2, res.output
     assert message in res.output
     assert "Traceback" not in res.output

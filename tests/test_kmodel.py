@@ -966,6 +966,90 @@ def test_minus_inf_bit_matches_the_reference_recursion():
     assert checked == 300 * 6 + 1661 * 5
 
 
+# ---------------------------------------------------------------------------
+# The -inf test set: every value within 2^q of an anchor, q = qr(body) + 2.
+
+
+def _identity_body(qr):
+    """A > A for an A of quantifier rank qr over x and x1: valid in K, so
+    the -inf clause asks the body for every value of its test set."""
+    x1, z = Variable(1), Variable(2)
+    a = Or(fx, Atom(F, (x1,)))
+    for _ in range(qr):
+        a = Forall(z, Or(a, Atom(F, (z,))))
+    return Cond(a, a)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_minus_inf_test_set_pinned(monkeypatch, q):
+    """Around the anchors -501 and -1 the body is asked for every value
+    within 2^q of either, once each, from -1 down."""
+    from condlog import kmodel
+
+    body = _identity_body(q - 2)
+    asked = []
+    denote = kmodel._denote
+
+    def recorded(psi, g, empty_predicates):
+        if psi is body:
+            asked.append(g[x])
+        return denote(psi, g, empty_predicates)
+
+    monkeypatch.setattr(kmodel, "_denote", recorded)
+    assert eval_k(Forall(x, body), MINUS_INF, {Variable(1): -501})
+    reach = 2**q
+    near = {*range(-1 - reach, 0), *range(-501 - reach, -500 + reach)}
+    assert asked == sorted(near, reverse=True)
+
+
+def test_minus_inf_test_set_is_exact_against_a_scan():
+    """Every quantifier node with a conditional of the (4, 2) pool in L=, and
+    every 5th of the (5, 3) pool, at the spread assignments: the -inf bit
+    is the conjunction of the body over every value from -1 down to 2^(q+1)
+    below the lowest anchor, which covers every gap interior."""
+    from condlog.kmodel import _denote
+    from condlog.syntax import quantifier_rank, subformulas
+
+    checked = 0
+    for pool, assignments, step in (
+        (fragment_pool(4, 2, with_identity=True), _SPREAD_2, 1),
+        (fragment_pool(5, 3, with_identity=True), _SPREAD_3, 5),
+    ):
+        nodes = {}
+        for phi in pool:
+            for s in subformulas(phi):
+                if isinstance(s, Forall) and material_reduct(s) is not s:
+                    nodes.setdefault(s, None)
+        for phi in list(nodes)[::step]:
+            reach = 2 ** (quantifier_rank(phi.body) + 2)
+            for g in assignments:
+                g = _restrict(g, phi)
+                bottom = min(g.values(), default=-1) - 2 * reach
+                want = all(
+                    _denote(phi.body, {**g, phi.var: b}, False).minus_inf
+                    for b in range(-1, bottom - 1, -1)
+                )
+                assert denote_k(phi, g).minus_inf == want, (phi, g)
+                checked += 1
+    assert checked == 1513
+
+
+def test_minus_inf_rank_ceiling():
+    """At q = MAX_MINUS_INF_RANK the clause still tests; one rank more is
+    refused with the node and its rank named."""
+    from condlog.kmodel import MAX_MINUS_INF_RANK, StabilizationError
+
+    def phi(qr):
+        a = Imp(fy, fx)
+        for _ in range(qr):
+            a = Forall(y, a)
+        return Forall(x, Cond(a, fx))
+
+    assert not eval_k(phi(MAX_MINUS_INF_RANK - 2), MINUS_INF, {})
+    with pytest.raises(StabilizationError, match=f"rank {MAX_MINUS_INF_RANK + 1}"):
+        eval_k(phi(MAX_MINUS_INF_RANK - 1), MINUS_INF, {})
+
+
 def test_quantifier_fragment_normal_forms_pinned():
     """The counting types of every distinct quantifier fragment of the
     (5, 3) pool in L=, over the quantifier's free variables; digest recorded

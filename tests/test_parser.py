@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import given
 
-from condlog.parser import ParseError, parse_formula, parse_formula_file, print_formula
+from condlog.parser import (
+    MAX_NESTING,
+    ParseError,
+    parse_formula,
+    parse_formula_file,
+    print_formula,
+)
 from condlog.syntax import (
     And,
     Atom,
@@ -154,3 +160,40 @@ def test_roundtrip_property(phi):
 @given(formulas(lang=Lang.LEQ))
 def test_roundtrip_property_identity(phi):
     assert alpha_equal(parse_formula(print_formula(phi), Lang.LEQ), phi)
+
+
+_AT_THE_LIMIT = {
+    "parentheses": "(" * MAX_NESTING + "F(x)" + ")" * MAX_NESTING,
+    "negations": "~" * MAX_NESTING + "F(x)",
+    "implications": " -> ".join(["F(x)"] * (MAX_NESTING + 1)),
+    "conjunctions": " & ".join(["F(x)"] * (MAX_NESTING + 1)),
+    "disjunctions": " | ".join(["F(x)"] * (MAX_NESTING + 1)),
+    "conditionals": "F(x) > (" * (MAX_NESTING // 2) + "F(x)" + ")" * (MAX_NESTING // 2),
+    "existentials": "exists x. " * MAX_NESTING + "F(x)",
+    "diamonds": "dia " * MAX_NESTING + "F(x)",
+    "boxes": "box " * MAX_NESTING + "F(x)",
+}
+
+
+@pytest.mark.parametrize("text", _AT_THE_LIMIT.values(), ids=_AT_THE_LIMIT)
+def test_a_formula_at_the_nesting_limit_survives_the_recursive_readers(text):
+    """Printing, re-parsing, free variables, the finite evaluator and the K
+    engine all recurse on the tree; at MAX_NESTING none of them overflows
+    the stack, and one level more is refused with the limit named."""
+    import json
+    from pathlib import Path
+
+    from condlog import kmodel, semantics
+    from condlog.fileformats import load_model
+    from condlog.syntax import free_variables
+
+    phi = parse_formula(text)
+    assert parse_formula(print_formula(phi)) == phi
+    g = {v: 0 for v in free_variables(phi)}
+    fixture = Path(__file__).parent / "fixtures" / "remark25.json"
+    model = load_model(json.loads(fixture.read_text()))
+    semantics.extension(model, g, phi)
+    for w in (kmodel.MINUS_INF, -1):
+        kmodel.eval_k(phi, w, {v: -1 for v in g})
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
+        parse_formula(f"({text})")
