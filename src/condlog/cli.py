@@ -183,7 +183,8 @@ def cmd_parse(formula: str, lang: str, fmt: str) -> None:
         payload.append(
             {
                 "formula": print_formula(phi),
-                "ast": repr(phi),
+                # the repr is the tree, 2^(n+2) - 7 nodes for n <-> operands
+                "ast": repr(phi) if fmt == "json" else None,
                 "size": sz,
                 "quantifierRank": rank,
                 "freeVariables": sorted(str(v) for v in free_variables(phi)),

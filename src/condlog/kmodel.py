@@ -52,6 +52,7 @@ from .syntax import (
     conj,
     free_variables,
     material_reduct,
+    node_cached,
     ordered_free_variables,
     quantifier_rank,
     replace_other_atoms,
@@ -324,10 +325,12 @@ def _profiles(n: int) -> tuple[tuple, dict]:
     each.  A profile is a partition as a block labelling in first-use
     order, with one F-literal per block.  Over (n, cap r), the type of
     profile k with count classes fc and nc is bit (k(r+1) + fc)(r+1) + nc."""
+    labellings = [()]  # restricted growth strings, in lexicographic order
+    for _ in range(n):
+        labellings = [s + (b,) for s in labellings for b in range(len(set(s)) + 1)]
     out = tuple(
         (blocks, flits)
-        for blocks in itertools.product(range(n), repeat=n)
-        if all(b <= max(blocks[:i], default=-1) + 1 for i, b in enumerate(blocks))
+        for blocks in labellings
         for flits in itertools.product((False, True), repeat=len(set(blocks)))
     )
     return out, {p: k for k, p in enumerate(out)}
@@ -407,42 +410,36 @@ def _forall_table(n: int, p: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@node_cached
 def _node_nf(phi: Formula) -> tuple[int, int]:
     """(r, mask): the quantifier rank of a conditional-free node and its
-    types over (its ordered free variables, cap r), cached on the node."""
-    try:
-        return phi._nf_cache  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
+    types over (its ordered free variables, cap r)."""
     fv = ordered_free_variables(phi)
     if isinstance(phi, Atom):
         if phi.pred != F:
             raise NonFragment(f"predicate {phi.pred} is not in the fragment")
-        out = (0, 0b10)  # index order: F false, F true
-    elif isinstance(phi, Eq):
+        return (0, 0b10)  # index order: F false, F true
+    if isinstance(phi, Eq):
         # over two variables the first two types are the one-block ones
-        out = (0, 0b11 if len(fv) == 2 else _full(1, 0))
-    elif isinstance(phi, EPred):
+        return (0, 0b11 if len(fv) == 2 else _full(1, 0))
+    if isinstance(phi, EPred):
         raise NonFragment("existence predicate is not in the fragment")
-    elif isinstance(phi, Cond):
+    if isinstance(phi, Cond):
         raise NonFragment("input must be conditional-free")
-    elif isinstance(phi, Not):
+    if isinstance(phi, Not):
         r, body = _node_nf(phi.body)
-        out = (r, body ^ _full(len(fv), r))
-    elif isinstance(phi, Imp):
+        return (r, body ^ _full(len(fv), r))
+    if isinstance(phi, Imp):
         r = max(_node_nf(phi.left)[0], _node_nf(phi.right)[0])
         a, b = _lift(phi.left, fv, r), _lift(phi.right, fv, r)
-        out = (r, (a ^ _full(len(fv), r)) | b)
-    elif isinstance(phi, Forall):
+        return (r, (a ^ _full(len(fv), r)) | b)
+    if isinstance(phi, Forall):
         s = _node_nf(phi.body)[0]
         scope = tuple(sorted(fv + (phi.var,), key=lambda v: v.index))
         body = _lift(phi.body, scope, s)
         table = _forall_table(len(fv), scope.index(phi.var), s + 1)
-        out = (s + 1, sum(1 << t for t, ext in enumerate(table) if body & ext == ext))
-    else:
-        raise KModelError(f"not a formula: {phi!r}")
-    object.__setattr__(phi, "_nf_cache", out)
-    return out
+        return (s + 1, sum(1 << t for t, ext in enumerate(table) if body & ext == ext))
+    raise KModelError(f"not a formula: {phi!r}")
 
 
 def monadic_nf(phi: Formula, named: Sequence[Variable]) -> CountingNormalForm:
@@ -486,35 +483,31 @@ def _rectangles(cells: set, n: int) -> list[tuple[tuple[int, int], tuple[int, in
 # The decision pipeline for K.
 
 
-# The node attribute that caches the fragment, per empty_predicates flag.
-_FRAGMENT_SLOTS = ("_fragment_cache", "_fragment_cache_empty_predicates")
-
-
 def _quantifier_fragment(phi: Formula, empty_predicates: bool) -> Formula:
     """Material reduct with E replaced by top and, under the flag, other
     predicates replaced by bottom (their interpretation in K is empty).
-
-    The result is cached on the node, one per flag, so the same source
-    subtree always gives the same fragment object and the memo tables keyed
-    by it hit by identity."""
-    slot = _FRAGMENT_SLOTS[empty_predicates]
-    try:
-        return getattr(phi, slot)
-    except AttributeError:
-        pass
-    reduct = material_reduct(phi)
-    others = {
-        s.pred for s in subformulas(reduct) if isinstance(s, Atom) and s.pred != F
-    }
-    has_e = any(isinstance(s, EPred) for s in subformulas(reduct))
-    if others and not empty_predicates:
-        raise NonFragment(
-            f"predicates {sorted((p.index, p.arity) for p in others)} are empty "
-            "in K; pass empty_predicates=True to interpret them as such"
-        )
-    out = replace_other_atoms(reduct, keep=(F,)) if others or has_e else reduct
-    object.__setattr__(phi, slot, out)
+    Without the flag, other predicates are refused."""
+    out = _fragment(phi)
+    if not empty_predicates and out is not material_reduct(phi):
+        others = {s.pred for s in subformulas(phi) if isinstance(s, Atom) and s.pred != F}
+        if others:
+            raise NonFragment(
+                f"predicates {sorted((p.index, p.arity) for p in others)} are empty "
+                "in K; pass empty_predicates=True to interpret them as such"
+            )
     return out
+
+
+@node_cached
+def _fragment(phi: Formula) -> Formula:
+    """The fragment of ``phi`` with other predicates read as empty.  It is
+    cached on the node, so the same source subtree always gives the same
+    fragment object and the memo tables keyed by it hit by identity."""
+    reduct = material_reduct(phi)
+    for s in subformulas(reduct):
+        if isinstance(s, EPred) or isinstance(s, Atom) and s.pred != F:
+            return replace_other_atoms(reduct)
+    return reduct
 
 
 def _realized_type(values_list, k, threshold: int):
@@ -565,11 +558,7 @@ def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
     if isinstance(phi, EPred):
         return K_FULL  # the domain is globally Z^-
     fv = ordered_free_variables(phi)
-    try:
-        memo = phi._denote_cache  # type: ignore[attr-defined]
-    except AttributeError:
-        memo = {}
-        object.__setattr__(phi, "_denote_cache", memo)
+    memo = _denote_cache(phi)
     key = (empty_predicates, *[g[v] for v in fv])
     got = memo.get(key)
     if got is not None:
@@ -609,6 +598,11 @@ def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
         raise KModelError(f"not a formula: {phi!r}")
     memo[key] = out
     return out
+
+
+@node_cached
+def _denote_cache(phi: Formula) -> dict:
+    return {}  # the memo of _denote, keyed as its docstring says
 
 
 def eval_k(

@@ -40,6 +40,7 @@ from .syntax import (
     Predicate,
     Variable,
     free_variables,
+    node_cached,
     ordered_free_variables,
     predicates,
     subformulas,
@@ -533,14 +534,10 @@ class _Compiled:
         return forall
 
 
+@node_cached
 def _compiled(phi: Formula) -> _Compiled:
     """The compiled form of ``phi``, cached on the node."""
-    try:
-        return phi._compiled_cache  # type: ignore[attr-defined]
-    except AttributeError:
-        out = _Compiled(phi)
-        object.__setattr__(phi, "_compiled_cache", out)
-        return out
+    return _Compiled(phi)
 
 
 def extension(model: Model, g: Assignment, phi: Formula) -> int:

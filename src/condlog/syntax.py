@@ -16,6 +16,7 @@ function that expands to core nodes; there are no extra node kinds.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -65,12 +66,39 @@ class Predicate:
         return predicate_name(self)
 
 
+def node_cached(fn: Callable) -> Callable:
+    """``fn`` computed once per node and kept in its ``__dict__`` under
+    ``_<name of fn>``, which ``Formula.__getstate__`` leaves out of pickles.
+    A result that is the node itself is kept as None, so that no node refers
+    to itself."""
+    slot = "_" + fn.__name__.lstrip("_")
+
+    @functools.wraps(fn)
+    def cached(phi: Formula):
+        try:
+            got = phi.__dict__[slot]
+        except KeyError:
+            got = fn(phi)
+            phi.__dict__[slot] = None if got is phi else got
+            return got
+        return phi if got is None else got
+
+    return cached
+
+
+@node_cached
+def _structural_hash(phi: Formula) -> int:
+    fields = phi.__dataclass_fields__  # type: ignore[attr-defined]
+    return hash((phi.__class__.__name__, *[getattr(phi, name) for name in fields]))
+
+
 class Formula:
     """Base class for core AST nodes.
 
-    Nodes are compared structurally with an identity fast path and hash
-    caching; shared subtrees make both effectively constant-time, which the
-    memoized evaluators lean on.
+    Nodes compare structurally, with an identity fast path, and cache their
+    hash.  A node equals itself in one step, but two separately built equal
+    formulas compare node by node of the tree: for shared subtrees, as in a
+    ``<->`` chain, that is exponential in the distinct nodes.
     """
 
     def __eq__(self, other: object) -> bool:
@@ -83,29 +111,16 @@ class Formula:
                 return False
         return True
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash_cache  # type: ignore[attr-defined]
-        except AttributeError:
-            h = hash(
-                (self.__class__.__name__,)
-                + tuple(
-                    getattr(self, name)
-                    for name in self.__dataclass_fields__  # type: ignore[attr-defined]
-                )
-            )
-            object.__setattr__(self, "_hash_cache", h)
-            return h
+    __hash__ = _structural_hash
 
     def __getstate__(self):
-        # cached hashes bake in per-process string hashing; never ship them
+        # node caches stay in the process; hashes bake in its string hashing
         return {
             k: v for k, v in self.__dict__.items() if not k.startswith("_")
         }
 
     def __setstate__(self, state):
-        for k, v in state.items():
-            object.__setattr__(self, k, v)
+        self.__dict__.update(state)
 
     def __str__(self) -> str:
         from .parser import print_formula
@@ -336,69 +351,50 @@ def counting_exists(n: int, x: Variable, body_of: Callable[[Variable], Formula])
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
-    yield phi
-    if isinstance(phi, Not):
-        yield from subformulas(phi.body)
-    elif isinstance(phi, (Imp, Cond)):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, Forall):
-        yield from subformulas(phi.body)
+    """Each distinct node (by identity) once, a node before its children."""
+    seen, stack = set(), [phi]
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            yield f
+            if isinstance(f, (Imp, Cond)):
+                stack += f.right, f.left
+            elif isinstance(f, (Not, Forall)):
+                stack.append(f.body)
 
 
+@node_cached
 def free_variables(phi: Formula) -> frozenset[Variable]:
-    try:
-        return phi._fv_cache  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
     if isinstance(phi, Atom):
-        out = frozenset(phi.args)
-    elif isinstance(phi, Eq):
-        out = frozenset((phi.left, phi.right))
-    elif isinstance(phi, EPred):
-        out = frozenset((phi.arg,))
-    elif isinstance(phi, Not):
-        out = free_variables(phi.body)
-    elif isinstance(phi, (Imp, Cond)):
-        out = free_variables(phi.left) | free_variables(phi.right)
-    elif isinstance(phi, Forall):
-        out = free_variables(phi.body) - {phi.var}
-    else:
-        raise FormulaError(f"not a formula: {phi!r}")
-    object.__setattr__(phi, "_fv_cache", out)
-    return out
+        return frozenset(phi.args)
+    if isinstance(phi, Eq):
+        return frozenset((phi.left, phi.right))
+    if isinstance(phi, EPred):
+        return frozenset((phi.arg,))
+    if isinstance(phi, Not):
+        return free_variables(phi.body)
+    if isinstance(phi, (Imp, Cond)):
+        return free_variables(phi.left) | free_variables(phi.right)
+    if isinstance(phi, Forall):
+        return free_variables(phi.body) - {phi.var}
+    raise FormulaError(f"not a formula: {phi!r}")
 
 
+@node_cached
 def ordered_free_variables(phi: Formula) -> tuple[Variable, ...]:
-    """The free variables in index order, cached on the node."""
-    try:
-        return phi._fv_ordered  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
-    out = tuple(sorted(free_variables(phi), key=lambda v: v.index))
-    object.__setattr__(phi, "_fv_ordered", out)
-    return out
+    """The free variables in index order."""
+    return tuple(sorted(free_variables(phi), key=lambda v: v.index))
 
 
 def all_variables(phi: Formula) -> frozenset[Variable]:
     """Free and bound variables together."""
-    if isinstance(phi, Forall):
-        return all_variables(phi.body) | {phi.var}
-    if isinstance(phi, Not):
-        return all_variables(phi.body)
-    if isinstance(phi, (Imp, Cond)):
-        return all_variables(phi.left) | all_variables(phi.right)
-    return free_variables(phi)
+    return free_variables(phi) | {s.var for s in subformulas(phi) if isinstance(s, Forall)}
 
 
+@node_cached
 def predicates(phi: Formula) -> frozenset[Predicate]:
-    try:
-        return phi._preds_cache  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
-    out = frozenset(sub.pred for sub in subformulas(phi) if isinstance(sub, Atom))
-    object.__setattr__(phi, "_preds_cache", out)
-    return out
+    return frozenset(sub.pred for sub in subformulas(phi) if isinstance(sub, Atom))
 
 
 def language(phi: Formula) -> Lang:
@@ -407,22 +403,35 @@ def language(phi: Formula) -> Lang:
     A formula mixing the primitive ``E`` with ``=`` belongs to no language
     (under ``L=`` the existence predicate is an abbreviation, not a node).
     """
-    has_e = any(isinstance(s, EPred) for s in subformulas(phi))
-    has_eq = any(isinstance(s, Eq) for s in subformulas(phi))
-    if has_e and has_eq:
+    kinds = {type(s) for s in subformulas(phi)}
+    if EPred in kinds and Eq in kinds:
         raise FormulaError("formula mixes primitive E with =")
-    if has_e:
+    if EPred in kinds:
         return Lang.LE
-    if has_eq:
+    if Eq in kinds:
         return Lang.LEQ
     return Lang.L
 
 
 def size(phi: Formula) -> int:
-    """Number of core AST nodes."""
-    return sum(1 for _ in subformulas(phi))
+    """Number of core AST nodes, a shared subtree once per occurrence; each
+    distinct node is counted once per call."""
+    counts: dict[int, int] = {}
+
+    def count(f: Formula) -> int:
+        if id(f) not in counts:
+            if isinstance(f, (Imp, Cond)):
+                counts[id(f)] = 1 + count(f.left) + count(f.right)
+            elif isinstance(f, (Not, Forall)):
+                counts[id(f)] = 1 + count(f.body)
+            else:
+                counts[id(f)] = 1
+        return counts[id(f)]
+
+    return count(phi)
 
 
+@node_cached
 def quantifier_rank(phi: Formula) -> int:
     if isinstance(phi, (Atom, Eq, EPred)):
         return 0
@@ -543,35 +552,28 @@ def _var_match(x: Variable, y: Variable, la: dict[Variable, int], lb: dict[Varia
 def material_reduct(phi: Formula) -> Formula:
     """Replace every conditional by material implication, recursively.
 
-    The reduct is cached on the node and built from the children's cached
-    reducts, so one source subtree always gives the same reduct object; a
-    node without conditionals is its own reduct (cached as None, so that the
-    node does not refer to itself)."""
-    try:
-        got = phi._reduct_cache  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
-    else:
-        return phi if got is None else got
-    out: Formula
+    The reduct of a compound node is cached on it and built from the
+    children's cached reducts, so one source subtree always gives the same
+    reduct object; a node without conditionals is its own reduct."""
     if isinstance(phi, (Atom, Eq, EPred)):
         return phi
+    return _material_reduct(phi)
+
+
+@node_cached
+def _material_reduct(phi: Formula) -> Formula:
     if isinstance(phi, Not):
         body = material_reduct(phi.body)
-        out = phi if body is phi.body else Not(body)
-    elif isinstance(phi, (Imp, Cond)):
+        return phi if body is phi.body else Not(body)
+    if isinstance(phi, (Imp, Cond)):
         left, right = material_reduct(phi.left), material_reduct(phi.right)
         if isinstance(phi, Imp) and left is phi.left and right is phi.right:
-            out = phi
-        else:
-            out = Imp(left, right)
-    elif isinstance(phi, Forall):
+            return phi
+        return Imp(left, right)
+    if isinstance(phi, Forall):
         body = material_reduct(phi.body)
-        out = phi if body is phi.body else Forall(phi.var, body)
-    else:
-        raise FormulaError(f"not a formula: {phi!r}")
-    object.__setattr__(phi, "_reduct_cache", None if out is phi else out)
-    return out
+        return phi if body is phi.body else Forall(phi.var, body)
+    raise FormulaError(f"not a formula: {phi!r}")
 
 
 def build_ds() -> Formula:

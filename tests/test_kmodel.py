@@ -15,6 +15,7 @@ from condlog.kmodel import (
     KModelError,
     KSet,
     NonFragment,
+    _profiles,
     canonical_assignment,
     cem_sweep,
     cond_at_origin,
@@ -450,6 +451,21 @@ def test_monadic_nf_agrees_with_one_world_models():
             assert nf.satisfied(blocks, flits, fc, nc) == want, (phi, named, blocks)
             points += 1
     assert points == 36_610
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_profiles_are_the_filtered_block_labellings(n):
+    """The restricted growth strings, generated directly, in the order of
+    filtering every labelling of n positions by n blocks."""
+    filtered = tuple(
+        (blocks, flits)
+        for blocks in itertools.product(range(n), repeat=n)
+        if all(b <= max(blocks[:i], default=-1) + 1 for i, b in enumerate(blocks))
+        for flits in itertools.product((False, True), repeat=len(set(blocks)))
+    )
+    profiles, index = _profiles(n)
+    assert profiles == filtered
+    assert index == {p: k for k, p in enumerate(filtered)}
 
 
 # ---------------------------------------------------------------------------
