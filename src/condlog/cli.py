@@ -366,6 +366,7 @@ def cmd_correspondence(model_path, sweep, max_worlds, max_domain, fmt) -> None:
             report,
             [
                 f"frames checked: {report['framesChecked']}",
+                f"(R, table) groups checked: {report['groupsChecked']}",
                 f"agree everywhere: {report['agreeEverywhere']}",
             ],
         )

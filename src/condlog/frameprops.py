@@ -19,7 +19,7 @@ from .semantics import (
     frame_valid,
 )
 from .hilbert import schema_instance
-from .syntax import Atom, Formula, Predicate, Variable
+from .syntax import Atom, EPred, Forall, Formula, Predicate, Variable, subformulas
 
 MAX_WORLDS_SUBSET = 16
 MAX_WORLDS_PAIR = 10
@@ -281,13 +281,22 @@ _CLASSES = {
 }
 
 
+def _violation(
+    frame: SelectionFrame | OrderingFrame, table: dict, name: str
+) -> Optional[tuple]:
+    """The first witness against condition ``name`` of ``table``, or None
+    when the frame meets it."""
+    shape, violates = table[name]
+    return shape.search(frame, violates)
+
+
 def _report(
     frame: SelectionFrame | OrderingFrame, kind: str, table: dict, wanted: Container[str]
 ) -> FrameReport:
     rep = FrameReport(kind)
-    for name, (shape, violates) in table.items():
+    for name in table:
         if name in wanted:
-            witness = shape.search(frame, violates)
+            witness = _violation(frame, table, name)
             rep.verdicts[name] = witness is None
             if witness is not None:
                 rep.witnesses[name] = witness
@@ -397,6 +406,15 @@ def _instance_family() -> tuple[tuple[str, Formula], ...]:
 
 # Built once: the sweeps check the same six formulas on every frame.
 _INSTANCE_FAMILY = _instance_family()
+# How many of the family's first members have no quantifier and no E (19, 21
+# and 22).  ``frame_valid`` ranges their free variables and interpretations
+# over all of D at every world, and only E and the quantifiers read the local
+# domains, so their verdicts depend on (W, R, table, |D|) alone.
+_LOCAL_FREE = next(
+    i
+    for i, (_, inst) in enumerate(_INSTANCE_FAMILY)
+    if any(isinstance(sub, (Forall, EPred)) for sub in subformulas(inst))
+)
 
 
 def correspondence_instances() -> list[tuple[str, Formula]]:
@@ -429,3 +447,43 @@ def qc2_correspondence_check(
             failing = name
             break
     return CorrespondenceResult(instance_valid, properties_hold, failing)
+
+
+def qc2_correspondence_group(
+    frames: Sequence[SelectionFrame],
+    max_worlds: int = 5,
+    max_domain: int = 3,
+) -> list[CorrespondenceResult]:
+    """``qc2_correspondence_check`` of each of ``frames``, which share W, R,
+    table and |D| and differ only in their local domains.
+
+    The family's leading members that read no local domain are decided once,
+    on the first frame.  When one of them fails, it is the failing instance
+    of every frame; the weakly Stalnakerian conditions, which read only the
+    table, are then decided once, cheapest first up to the first that fails,
+    and GloballyConstant per frame.  When they all hold, each frame is
+    checked on its own."""
+    first = frames[0]
+    failing = next(
+        (
+            name
+            for name, inst in _INSTANCE_FAMILY[:_LOCAL_FREE]
+            if not frame_valid(
+                first, inst, max_worlds=max_worlds, max_domain=max_domain
+            ).valid
+        ),
+        None,
+    )
+    if failing is None:
+        return [qc2_correspondence_check(f, max_worlds, max_domain) for f in frames]
+    weakly = all(
+        _violation(first, _SELECTION, name) is None for name in WEAKLY_STALNAKERIAN
+    )
+    return [
+        CorrespondenceResult(
+            False,
+            weakly and _violation(frame, _DOMAIN, "GloballyConstant") is None,
+            failing,
+        )
+        for frame in frames
+    ]

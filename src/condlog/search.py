@@ -18,6 +18,7 @@ from .frameprops import (
     STALNAKERIAN,
     WEAKLY_STALNAKERIAN,
     check_selection_props,
+    qc2_correspondence_group,
 )
 from .semantics import (
     Model,
@@ -183,8 +184,8 @@ def _table_automorphisms(
     The image of (R, table) under a permutation has R'(v) = pi(R(pi^-1 v))
     and f'(P, v) = pi(f(pi^-1 P, pi^-1 v)); comparing R' first decides the
     lexicographic order of the pair whenever R' differs from R."""
-    auts = []
-    for wperm in wperms:
+    auts = [wperms[0]]  # the identity, first in itertools.permutations order
+    for wperm in wperms[1:]:
         inv, image, preimage = wperm
         new_r = tuple(image[r[old]] for old in inv)
         if new_r > r:
@@ -207,9 +208,10 @@ def _local_canonical(
     auts: Sequence[_PermTable],
     dperms: Sequence[_PermTable],
 ) -> bool:
-    for inv, _image, _preimage in auts:
+    # auts[0] and dperms[0] are identities, which map local to itself
+    for k, (inv, _image, _preimage) in enumerate(auts):
         permuted = [local[old] for old in inv]
-        for _dinv, dimage, _dpreimage in dperms:
+        for _dinv, dimage, _dpreimage in dperms[0 if k else 1 :]:
             if tuple(dimage[mask] for mask in permuted) < local:
                 return False
     return True
@@ -233,6 +235,14 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
     within R(w), so the frames skip the construction scan of
     ``SelectionFrame``.
     """
+    for group in _frame_groups(params):
+        yield from group
+
+
+def _frame_groups(params: EnumerationParams) -> Iterator[list[SelectionFrame]]:
+    """The frames of ``enumerate_frames``, in its order, grouped by (|W|,
+    |D|, R, table): each group holds one canonical (R, table) with every
+    canonical local domain, so its frames differ only in ``local``."""
     if params.max_worlds > HARD_WORLD_LIMIT:
         raise ResourceGuard(
             f"enumeration ceiling is |W| <= {HARD_WORLD_LIMIT}, "
@@ -273,11 +283,13 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
                         report = check_selection_props(probe, post)
                         if not all(report.verdicts.values()):
                             continue
-                    for local in local_list:
-                        if _local_canonical(local, auts, dperms):
-                            yield SelectionFrame._unchecked(
-                                n, r, table, nd, local, world_names, domain_names
-                            )
+                    yield [
+                        SelectionFrame._unchecked(
+                            n, r, table, nd, local, world_names, domain_names
+                        )
+                        for local in local_list
+                        if _local_canonical(local, auts, dperms)
+                    ]
 
 
 # ---------------------------------------------------------------------------
@@ -334,29 +346,32 @@ def ds_sweep(params: EnumerationParams) -> SearchOutcome:
 
 def correspondence_sweep(params: EnumerationParams) -> dict:
     """Run the instance-family correspondence check over every enumerated
-    frame; the two verdicts should agree on all of them."""
-    from .frameprops import qc2_correspondence_check
-
-    checked = 0
+    frame; the two verdicts should agree on all of them.  The frames of one
+    (R, table) group are checked together (``qc2_correspondence_group``),
+    and ``groupsChecked`` counts the groups."""
+    checked = groups = 0
     disagreements = []
-    for frame in enumerate_frames(params):
-        checked += 1
-        res = qc2_correspondence_check(
-            frame, max_worlds=params.max_worlds, max_domain=params.max_domain
+    for group in _frame_groups(params):
+        groups += 1
+        results = qc2_correspondence_group(
+            group, max_worlds=params.max_worlds, max_domain=params.max_domain
         )
-        if not res.agree:
-            disagreements.append(
-                {
-                    "frame": {
-                        "r": list(frame.r),
-                        "table": [list(row) for row in frame.table],
-                        "local": list(frame.local),
-                    },
-                    "result": res.to_json(),
-                }
-            )
+        checked += len(group)
+        for frame, res in zip(group, results):
+            if not res.agree:
+                disagreements.append(
+                    {
+                        "frame": {
+                            "r": list(frame.r),
+                            "table": [list(row) for row in frame.table],
+                            "local": list(frame.local),
+                        },
+                        "result": res.to_json(),
+                    }
+                )
     return {
         "framesChecked": checked,
+        "groupsChecked": groups,
         "agreeEverywhere": not disagreements,
         "disagreements": disagreements[:10],
     }

@@ -43,7 +43,6 @@ from .syntax import (
     node_cached,
     ordered_free_variables,
     predicates,
-    subformulas,
 )
 
 
@@ -457,7 +456,10 @@ class _Compiled:
     reads ``block.tables[k][t]``: where ``preds[k]`` holds of tuple t.  A
     node with a conditional or a quantifier, under a quantifier whose
     variable is not free in it, keeps a memo keyed by its free variables'
-    values, good for one block's atom tables."""
+    values, good for one block's atom tables.  A node shared in the DAG is
+    compiled once per set of quantifiers above it, and ``n_nodes`` counts
+    the (node, bound variables) pairs compiled; running the closures still
+    walks the tree."""
 
     def __init__(self, phi: Formula):
         self.preds = tuple(sorted(predicates(phi), key=lambda p: (p.index, p.arity)))
@@ -465,13 +467,24 @@ class _Compiled:
         self.slots = {v: i for i, v in enumerate(self.free)}
         self.n_memos = 0
         self.space: Optional[_Interpretations] = None  # first_failure's last
+        # the closure of each (id(node), bound), kept for this compile only
+        self._done: dict[tuple[int, frozenset[Variable]], Callable] = {}
         self.run = self._compile(phi, frozenset())
+        self.n_nodes = len(self._done)
+        del self._done
 
     def _slot(self, v: Variable) -> int:
         return self.slots.setdefault(v, len(self.slots))
 
     def _compile(self, phi: Formula, bound: frozenset[Variable]):
         """``bound`` holds the variables of the quantifiers above ``phi``."""
+        key = (id(phi), bound)
+        run = self._done.get(key)
+        if run is None:
+            run = self._done[key] = self._compile_node(phi, bound)
+        return run
+
+    def _compile_node(self, phi: Formula, bound: frozenset[Variable]):
         kind = type(phi)
         if kind is Atom:
             k, args = self.preds.index(phi.pred), [self._slot(v) for v in phi.args]
@@ -498,10 +511,10 @@ class _Compiled:
             run = self._forall(phi, bound)
         else:
             raise SemanticsError(f"not a formula: {phi!r}")
+        if not bound:
+            return run
         fv = ordered_free_variables(phi)
-        if bound.issubset(fv) or not any(
-            type(sub) in (Cond, Forall) for sub in subformulas(phi)
-        ):
+        if bound.issubset(fv) or not _conditional_or_quantifier(phi):
             return run
         keys, m = tuple([self._slot(v) for v in fv]), self.n_memos
         self.n_memos += 1
@@ -532,6 +545,19 @@ class _Compiled:
             return out
 
         return forall
+
+
+@node_cached
+def _conditional_or_quantifier(phi: Formula) -> bool:
+    """Whether ``phi`` is or has below it a conditional or a quantifier."""
+    kind = type(phi)
+    if kind in (Cond, Forall):
+        return True
+    if kind is Imp:
+        return _conditional_or_quantifier(phi.left) or _conditional_or_quantifier(
+            phi.right
+        )
+    return kind is Not and _conditional_or_quantifier(phi.body)
 
 
 @node_cached

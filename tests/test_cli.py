@@ -353,6 +353,24 @@ def test_correspondence_model():
     assert doc["agree"] is True and doc["instanceValid"] is True
 
 
+def test_correspondence_sweep_json_reports_frames_and_groups():
+    res = run(
+        "correspondence", "--sweep", "--max-worlds", "1", "--max-domain", "2",
+        "--format", "json",
+    )
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc == {
+        "ok": True,
+        "framesChecked": 25,
+        "groupsChecked": 10,
+        "agreeEverywhere": True,
+        "disagreements": [],
+    }
+    res = run("correspondence", "--sweep", "--max-worlds", "1", "--max-domain", "2")
+    assert "(R, table) groups checked: 10" in res.output
+
+
 def test_convert_requires_stalnakerian():
     res = run(
         "convert", "--model", str(FIXTURES / "remark25.json"), "--to", "ordering"

@@ -6,6 +6,7 @@ from condlog.frameprops import (
     check_selection_props,
     correspondence_instances,
     qc2_correspondence_check,
+    qc2_correspondence_group,
     replay_witness,
 )
 from condlog.semantics import OrderingFrame, SelectionFrame
@@ -452,3 +453,30 @@ def test_replay_matches_the_violation_predicate_on_every_candidate():
     for frame in small_ordering_frames():
         _assert_replay_matches_search(frame, _ORDERING, check_ordering_props(frame))
         _assert_replay_matches_search(frame, _DOMAIN, check_domain_props(frame))
+
+
+def test_group_shares_only_the_instances_without_quantifier_or_e():
+    from condlog.frameprops import _INSTANCE_FAMILY, _LOCAL_FREE
+
+    names = [name for name, _ in _INSTANCE_FAMILY[:_LOCAL_FREE]]
+    assert names == ["identity (19)", "weak centering (21)", "excluded middle (22)"]
+
+
+@pytest.mark.slow
+def test_grouped_correspondence_matches_the_per_frame_check():
+    """On every frame of the (2 worlds, 1 element) enumeration, the result
+    decided through its (R, table) group equals the per-frame check."""
+    from condlog.search import EnumerationParams, _frame_groups
+
+    frames = shared = 0
+    for group in _frame_groups(EnumerationParams(max_worlds=2, max_domain=1)):
+        results = qc2_correspondence_group(group, 2, 1)
+        assert len(results) == len(group)
+        for frame, res in zip(group, results):
+            assert res == qc2_correspondence_check(frame, 2, 1), frame
+        frames += len(group)
+        shared += results[0].failing_instance in (
+            "identity (19)", "weak centering (21)", "excluded middle (22)"
+        )
+    assert frames == 167341
+    assert shared == 41910 - 7  # the other 7 groups hold 23 frames

@@ -97,6 +97,28 @@ def test_chain_normal_form_runs_once_per_distinct_node(monkeypatch):
     assert len(runs) <= sum(1 for _ in subformulas(phi)) == DISTINCT_NODES + 3
 
 
+def _node_bound_pairs(phi, bound=frozenset(), seen=None):
+    """The distinct (node, variables bound above it) pairs of a DAG."""
+    seen = set() if seen is None else seen
+    if (id(phi), bound) not in seen:
+        seen.add((id(phi), bound))
+        if isinstance(phi, syntax.Forall):
+            _node_bound_pairs(phi.body, bound | {phi.var}, seen)
+        else:
+            for child in vars(phi).values():
+                if isinstance(child, syntax.Formula):
+                    _node_bound_pairs(child, bound, seen)
+    return seen
+
+
+def test_chain_compiles_once_per_node_and_bound():
+    for text in (CHAIN, QUANTIFIED):
+        phi = parse_formula(text)
+        compiled = semantics._compiled(phi)
+        assert compiled.n_nodes <= len(_node_bound_pairs(phi))
+    assert len(_node_bound_pairs(parse_formula(CHAIN))) == DISTINCT_NODES
+
+
 def test_chain_from_the_command_line():
     res = CliRunner().invoke(main, ["parse", "--formula", CHAIN])
     assert res.exit_code == 0, res.output

@@ -16,6 +16,7 @@ from condlog.search import (
     enumerate_frames,
     _chain_selection_frame,
     _f_values,
+    _frame_groups,
     _perm_tables,
     correspondence_sweep,
 )
@@ -336,9 +337,27 @@ def test_perm_tables_match_bitwise_images():
                 assert preimage[want] == mask, (perm, mask)
 
 
+@pytest.mark.parametrize(
+    "max_worlds, max_domain, props",
+    [(3, 2, {"weaklyStalnakerian"}), (2, 1, set())],
+)
+def test_frame_groups_flatten_to_enumerate_frames(max_worlds, max_domain, props):
+    """Each group is one (|W|, |D|, R, table), met in one group only, and
+    the groups in order are exactly the enumerated frames."""
+    params = EnumerationParams(max_worlds, max_domain, frozenset(props))
+    flat, keys = [], set()
+    for group in _frame_groups(params):
+        key = {(f.n_worlds, f.n_domain, f.r, f.table) for f in group}
+        assert len(key) == 1 and not key & keys
+        keys |= key
+        flat.extend(group)
+    assert flat == list(enumerate_frames(params))
+
+
 def test_correspondence_sweep_two_worlds_one_element():
     rep = correspondence_sweep(EnumerationParams(max_worlds=2, max_domain=1))
     assert rep["framesChecked"] == 167341
+    assert rep["groupsChecked"] == 41910
     assert rep["agreeEverywhere"]
     assert rep["disagreements"] == []
 
