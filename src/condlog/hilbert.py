@@ -1,6 +1,7 @@
 """Axiom-schema instance recognition and Hilbert proof verification.
 
-Seven logics share a pool of schema and rule matchers:
+Seven logics share two tables, ``SCHEMAS`` of axiom schemas and ``RULES``
+of inference rules:
 
 * the quantified conditional logic of Stalnaker and Thomason (``QST``,
   in the identity language, items 1-17);
@@ -12,15 +13,15 @@ Seven logics share a pool of schema and rule matchers:
 Schemas are matched structurally: patterns are ordinary formula trees
 containing metavariable leaves, built with the same derived-connective
 constructors as real formulas, so box/diamond/conjunction patterns expand
-exactly as instances do.  Substitution schemas search for a witnessing
-substitution and compare up to renaming of bound variables.
+exactly as instances do.  Substitution schemas and rules search for a
+witnessing substitution and compare up to renaming of bound variables.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .syntax import (
     And,
@@ -43,9 +44,9 @@ from .syntax import (
     Predicate,
     Variable,
     alpha_equal,
+    conj,
     free_variables,
     language,
-    nested_cond,
     ordered_free_variables,
     substitute,
 )
@@ -160,36 +161,50 @@ def _match(pattern: Formula, target: Formula, b: Bindings) -> bool:
 MAX_TAUTOLOGY_ATOMS = 16
 
 
-def _boolean_atoms(phi: Formula, acc: list[Formula]) -> None:
-    if isinstance(phi, Not):
-        _boolean_atoms(phi.body, acc)
-    elif isinstance(phi, Imp):
-        _boolean_atoms(phi.left, acc)
-        _boolean_atoms(phi.right, acc)
-    else:
-        if phi not in acc:
-            acc.append(phi)
+def _boolean_skeleton(phi: Formula) -> tuple[dict[Formula, int], list[Formula]]:
+    """The boolean atoms of phi, told apart by ``==`` and numbered, and its
+    distinct nodes (by identity) down to the atoms, children first."""
+    atoms: dict[Formula, int] = {}
+    nodes: dict[int, Formula] = {}
+
+    def visit(f: Formula) -> None:
+        if id(f) not in nodes:
+            if isinstance(f, Not):
+                visit(f.body)
+            elif isinstance(f, Imp):
+                visit(f.left)
+                visit(f.right)
+            else:
+                atoms.setdefault(f, len(atoms))
+            nodes[id(f)] = f
+
+    visit(phi)
+    return atoms, list(nodes.values())
 
 
 def is_tautology_instance(phi: Formula) -> bool:
-    atoms: list[Formula] = []
-    _boolean_atoms(phi, atoms)
+    """A column holds a node's truth value in all 2^k rows of the table as
+    the bits of one int (row r reads atom i as bit i of r), so the table
+    takes one step per distinct node."""
+    atoms, nodes = _boolean_skeleton(phi)
     if len(atoms) > MAX_TAUTOLOGY_ATOMS:
         raise ProofError(f"tautology check ceiling: {len(atoms)} boolean atoms")
-    index = {a: i for i, a in enumerate(atoms)}
-
-    def value(psi: Formula, row: int) -> bool:
-        if isinstance(psi, Not):
-            return not value(psi.body, row)
-        if isinstance(psi, Imp):
-            return not value(psi.left, row) or value(psi.right, row)
-        return bool(row & (1 << index[psi]))
-
-    return all(value(phi, row) for row in range(1 << len(atoms)))
+    full = (1 << (1 << len(atoms))) - 1
+    column: dict[int, int] = {}
+    for f in nodes:
+        if isinstance(f, Not):
+            column[id(f)] = full ^ column[id(f.body)]
+        elif isinstance(f, Imp):
+            column[id(f)] = (full ^ column[id(f.left)]) | column[id(f.right)]
+        else:  # runs of 2^i false rows then 2^i true rows
+            run = 1 << atoms[f]
+            column[id(f)] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    return column[id(phi)] == full
 
 
 # ---------------------------------------------------------------------------
-# Axiom schemas: one table drives both the matcher and the generator.
+# Axiom schemas and rules.  One schema table drives both the matcher and
+# the generator; the rule table gives each rule's premise count and test.
 
 a_, b_, c_ = fmeta("a"), fmeta("b"), fmeta("c")
 x_, y_, t_, w_ = vmeta("x"), vmeta("y"), vmeta("t"), vmeta("w")
@@ -229,14 +244,35 @@ def _holds(schema: Schema, m: Bindings, phi: Formula) -> bool:
     if any(v[x] in free_variables(f[a]) for x, a in schema.not_free):
         return False
     for c, a, x, y in schema.derived:
-        ys = [v[y]] if y in v else dict.fromkeys(_ui_candidates(f[c], v[x]))
-        if not any(alpha_equal(substitute(f[a], [(v[x], u)]), f[c]) for u in ys):
+        ys = [v[y]] if y in v else _ui_candidates(f[c], v[x])
+        if not _is_substitution(f[c], f[a], v[x], ys):
             return False
     return schema.test is None or schema.test(phi)
 
 
+def _schema_match(schema: Schema, phi: Formula) -> Optional[Bindings]:
+    """The bindings of the first pattern phi matches with the side
+    conditions holding, or None."""
+    for pattern in schema.patterns:
+        m = match(pattern, phi)
+        if m is not None and _holds(schema, m, phi):
+            return m
+    return None
+
+
 def _ui_candidates(consequent: Formula, var: Variable) -> list[Variable]:
-    return [var, *ordered_free_variables(consequent)]
+    return list(dict.fromkeys((var, *ordered_free_variables(consequent))))
+
+
+def _is_substitution(
+    c: Formula, a: Formula, x: Variable, ys: Sequence[Variable]
+) -> bool:
+    """c = a[y/x] up to renaming of bound variables, for some y in ys."""
+    return any(alpha_equal(substitute(a, [(x, y)]), c) for y in ys)
+
+
+def _free_in_none(v: Variable, *formulas: Formula) -> bool:
+    return not any(v in free_variables(f) for f in formulas)
 
 
 def _check_axiom_11(phi: Formula, replace_s_by_t: bool = True) -> bool:
@@ -328,6 +364,115 @@ def _substitution_hook(rng: random.Random, env: dict) -> None:
     env["b"] = And(Atom(F, (env["t"],)), Cond(safe, safe))
 
 
+def _spine_pairs(
+    p: Formula, c: Formula
+) -> Iterator[tuple[tuple[Formula, ...], Formula, Formula]]:
+    """(alphas, p', c') with p = alphas > p' and c = alphas > c', for each
+    run of antecedents alphas that the two conditional spines share."""
+    alphas: tuple[Formula, ...] = ()
+    while True:
+        yield alphas, p, c
+        if not (isinstance(p, Cond) and isinstance(c, Cond) and p.left == c.left):
+            return
+        alphas, p, c = (*alphas, c.left), p.right, c.right
+
+
+def _conjunct_readings(node: Formula) -> Iterator[list[Formula]]:
+    """The conjuncts of a right-nested conjunction, read to each depth:
+    [node], then [e1, rest], then [e1, e2, rest'] and so on."""
+    parts = [node]
+    yield parts
+    while (m := match(And(a_, b_), node)) is not None:
+        node = m.formulas["b"]
+        parts = [*parts[:-1], m.formulas["a"], node]
+        yield parts
+
+
+# E(y) -> a, in either spelling of E
+_EXISTENCE_IMPLICATION = Schema(
+    tuple(Imp(e, a_) for e in _existence(y_)), distinct=(("y", "w"),)
+)
+
+
+def _modus_ponens(p: Formula, q: Formula, c: Formula) -> bool:
+    return q == Imp(p, c) or p == Imp(q, c)
+
+
+def _rule_15(p: Formula, c: Formula) -> bool:
+    """From psi -> phi infer psi -> forall x phi, x not free in psi."""
+    return (
+        isinstance(c, Imp)
+        and isinstance(c.right, Forall)
+        and _free_in_none(c.right.var, c.left)
+        and p == Imp(c.left, c.right.body)
+    )
+
+
+def _rule_16(p: Formula, c: Formula) -> bool:
+    """From alphas > phi infer alphas > forall x phi, x free in no alpha."""
+    return any(
+        isinstance(core, Forall)
+        and p_core == core.body
+        and _free_in_none(core.var, *alphas)
+        for alphas, p_core, core in _spine_pairs(p, c)
+    )
+
+
+def _rule_17(p: Formula, c: Formula) -> bool:
+    """From alphas > (phi > t != x) infer alphas > ~phi, x free in neither
+    phi nor any alpha."""
+    for alphas, p_core, core in _spine_pairs(p, c):
+        m = match(Cond(a_, Not(Eq(t_, x_))), p_core)
+        if (
+            m is not None
+            and match(Not(a_), core, m) is not None
+            and _free_in_none(m.variables["x"], m.formulas["a"], *alphas)
+        ):
+            return True
+    return False
+
+
+def _rule_26(p: Formula, c: Formula) -> bool:
+    """Conditional closure: from psi1 & ... & psik -> chi infer
+    (phi > psi1) & ... & (phi > psik) -> (phi > chi)."""
+    if not (isinstance(c, Imp) and isinstance(c.right, Cond)):
+        return False
+    phi, chi = c.right.left, c.right.right
+    return any(
+        all(isinstance(d, Cond) and d.left == phi for d in conds)
+        and p == Imp(conj([d.right for d in conds]), chi)
+        for conds in _conjunct_readings(c.left)
+    )
+
+
+def _rule_27(p: Formula, c: Formula) -> bool:
+    """From psi -> phi[y/x] infer psi -> forall x phi, y free in neither
+    psi nor forall x phi."""
+    m = match(Imp(a_, c_), p)
+    if m is None or match(Imp(a_, Forall(x_, b_)), c, m) is None:
+        return False
+    quant, body = c.right, p.right
+    ys = [y for y in _ui_candidates(body, quant.var) if _free_in_none(y, c.left, quant)]
+    return _is_substitution(body, quant.body, quant.var, ys)
+
+
+def _rule_27v(p: Formula, c: Formula) -> bool:
+    """From psi -> (alphas > (E(y) -> phi[y/x])) infer
+    psi -> (alphas > forall x phi), y free in none of psi, forall x phi and
+    the alphas."""
+    if not (isinstance(c, Imp) and isinstance(p, Imp) and p.left == c.left):
+        return False
+    for alphas, p_core, core in _spine_pairs(p.right, c.right):
+        m = _schema_match(_EXISTENCE_IMPLICATION, p_core)
+        if isinstance(core, Forall) and m is not None:
+            y = m.variables["y"]
+            if _free_in_none(y, c.left, core, *alphas) and _is_substitution(
+                m.formulas["a"], core.body, core.var, [y]
+            ):
+                return True
+    return False
+
+
 _TAUTOLOGY = Schema((a_,), test=is_tautology_instance, hook=_tautology_hook)
 _DETACHMENT = Schema((Imp(Cond(a_, b_), Imp(a_, b_)),))
 _SELF_IDENTITY = Schema((Eq(x_, x_),))
@@ -399,192 +544,40 @@ SCHEMAS: dict[str, Schema] = {
     ),
 }
 
+# Each rule: the number of premises it cites, and a test called with the
+# premises, in citation order, and then the conclusion.
+RULES: dict[str, tuple[int, Callable[..., bool]]] = {
+    # -- Stalnaker-Thomason logic ------------------------------------
+    "13": (2, _modus_ponens),
+    "14": (1, lambda p, c: isinstance(c, Cond) and c.right == p),  # p / psi > p
+    "15": (1, _rule_15),
+    "16": (1, _rule_16),
+    "17": (1, _rule_17),
+    # -- base conditional logic ---------------------------------------
+    "25": (2, _modus_ponens),
+    "26": (1, _rule_26),
+    "27": (1, _rule_27),
+    # -- variable domains ---------------------------------------------
+    "27v": (1, _rule_27v),
+}
+
 
 def is_axiom_instance(schema: str, phi: Formula) -> bool:
     """True when phi instantiates the schema (purely structurally)."""
     entry = SCHEMAS.get(schema)
     if entry is None:
         raise ProofError(f"unknown schema id {schema!r}")
-    for pattern in entry.patterns:
-        m = match(pattern, phi)
-        if m is not None and _holds(entry, m, phi):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Rules.
-
-
-def _and_readings(node: Formula) -> list[tuple[list[Formula], Formula]]:
-    """Splits of a right-nested conjunction spine: ([e1..ek-1], tail)."""
-    parts: list[Formula] = []
-    tails: list[Formula] = [node]
-    cur = node
-    while (
-        isinstance(cur, Not)
-        and isinstance(cur.body, Imp)
-        and isinstance(cur.body.right, Not)
-    ):
-        parts.append(cur.body.left)
-        cur = cur.body.right.body
-        tails.append(cur)
-    readings = []
-    for k in range(len(parts) + 1):
-        readings.append((parts[:k], tails[k]))
-    return readings
-
-
-def _cond_spine_readings(node: Formula) -> list[tuple[list[Formula], Formula]]:
-    """Splits of a right-nested conditional spine: ([a1..ak], core)."""
-    antecedents: list[Formula] = []
-    readings = [([], node)]
-    cur = node
-    while isinstance(cur, Cond):
-        antecedents.append(cur.left)
-        cur = cur.right
-        readings.append((list(antecedents), cur))
-    return readings
+    return _schema_match(entry, phi) is not None
 
 
 def check_rule(rule: str, premises: Sequence[Formula], conclusion: Formula) -> bool:
     """Does the conclusion follow from the premises by the rule, with all
     freeness side conditions?"""
-    if rule in ("13", "25"):  # modus ponens
-        if len(premises) != 2:
-            return False
-        p, q = premises
-        return q == Imp(p, conclusion) or p == Imp(q, conclusion)
-
-    if rule == "14":  # from phi infer psi > phi
-        return (
-            len(premises) == 1
-            and isinstance(conclusion, Cond)
-            and conclusion.right == premises[0]
-        )
-
-    if rule == "15":  # from psi -> phi infer psi -> forall x phi
-        if len(premises) != 1:
-            return False
-        if not (isinstance(conclusion, Imp) and isinstance(conclusion.right, Forall)):
-            return False
-        psi = conclusion.left
-        quant = conclusion.right
-        if quant.var in free_variables(psi):
-            return False
-        return premises[0] == Imp(psi, quant.body)
-
-    if rule == "16":  # from alphas > phi infer alphas > forall x phi
-        if len(premises) != 1:
-            return False
-        for alphas, core in _cond_spine_readings(conclusion):
-            if not isinstance(core, Forall):
-                continue
-            if any(core.var in free_variables(alpha) for alpha in alphas):
-                continue
-            if premises[0] == nested_cond(alphas, core.body):
-                return True
-        return False
-
-    if rule == "17":  # from alphas > (phi > t != x) infer alphas > ~phi
-        if len(premises) != 1:
-            return False
-        for alphas, core in _cond_spine_readings(conclusion):
-            if not isinstance(core, Not):
-                continue
-            phi = core.body
-            for p_alphas, p_core in _cond_spine_readings(premises[0]):
-                if len(p_alphas) != len(alphas) or p_alphas != alphas:
-                    continue
-                if not (
-                    isinstance(p_core, Cond)
-                    and p_core.left == phi
-                    and isinstance(p_core.right, Not)
-                    and isinstance(p_core.right.body, Eq)
-                ):
-                    continue
-                var = p_core.right.body.right
-                if var in free_variables(phi):
-                    continue
-                if any(var in free_variables(alpha) for alpha in alphas):
-                    continue
-                return True
-        return False
-
-    if rule == "26":  # conditional closure
-        if len(premises) != 1:
-            return False
-        if not (isinstance(conclusion, Imp) and isinstance(conclusion.right, Cond)):
-            return False
-        phi = conclusion.right.left
-        chi = conclusion.right.right
-        for parts, tail in _and_readings(conclusion.left):
-            conds = parts + [tail]
-            if not all(isinstance(c, Cond) and c.left == phi for c in conds):
-                continue
-            psis = [c.right for c in conds]
-            spine = psis[-1]
-            for psi in reversed(psis[:-1]):
-                spine = And(psi, spine)
-            if premises[0] == Imp(spine, chi):
-                return True
-        return False
-
-    if rule == "27":  # universal introduction with a fresh witness
-        if len(premises) != 1:
-            return False
-        if not (isinstance(conclusion, Imp) and isinstance(conclusion.right, Forall)):
-            return False
-        psi = conclusion.left
-        quant = conclusion.right
-        if not (isinstance(premises[0], Imp) and premises[0].left == psi):
-            return False
-        body = premises[0].right
-        for yy in _ui_candidates(body, quant.var):
-            if yy in free_variables(psi) or yy in free_variables(quant):
-                continue
-            if alpha_equal(substitute(quant.body, [(quant.var, yy)]), body):
-                return True
-        return False
-
-    if rule == "27v":  # variable-domain universal introduction
-        if len(premises) != 1:
-            return False
-        if not isinstance(conclusion, Imp):
-            return False
-        psi = conclusion.left
-        if not (isinstance(premises[0], Imp) and premises[0].left == psi):
-            return False
-        for alphas, core in _cond_spine_readings(conclusion.right):
-            if not isinstance(core, Forall):
-                continue
-            for p_alphas, p_core in _cond_spine_readings(premises[0].right):
-                if p_alphas != alphas:
-                    continue
-                got = _match_existence_implication(p_core)
-                if got is None:
-                    continue
-                yy, sub_body = got
-                if yy in free_variables(psi) or yy in free_variables(core):
-                    continue
-                if any(yy in free_variables(alpha) for alpha in alphas):
-                    continue
-                if alpha_equal(
-                    substitute(core.body, [(core.var, yy)]), sub_body
-                ):
-                    return True
-        return False
-
-    raise ProofError(f"unknown rule id {rule!r}")
-
-
-def _match_existence_implication(phi: Formula) -> Optional[tuple[Variable, Formula]]:
-    """Decompose E(y) -> body, accepting both existence spellings."""
-    for e in _existence(y_):
-        m = match(Imp(e, a_), phi)
-        if m is not None and m.variables.get("w") != m.variables["y"]:
-            return m.variables["y"], m.formulas["a"]
-    return None
+    entry = RULES.get(rule)
+    if entry is None:
+        raise ProofError(f"unknown rule id {rule!r}")
+    count, follows = entry
+    return len(premises) == count and follows(*premises, conclusion)
 
 
 # ---------------------------------------------------------------------------

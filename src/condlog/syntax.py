@@ -19,7 +19,7 @@ import enum
 import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 
 class Lang(enum.Enum):
@@ -591,23 +591,27 @@ def build_ds() -> Formula:
     return conj([c1, c2, c3])
 
 
-def replace_other_atoms(phi: Formula, keep: Iterable[Predicate] = (F,)) -> Formula:
-    """Replace atoms of predicates outside ``keep`` with bottom, E with top."""
-    kept = frozenset(keep)
+def replace_other_atoms(phi: Formula) -> Formula:
+    """Replace atoms of predicates other than F with bottom, E with top,
+    rebuilding each distinct node (by identity) once."""
+    done: dict[int, Formula] = {}
 
     def walk(f: Formula) -> Formula:
+        if id(f) not in done:
+            done[id(f)] = rebuild(f)
+        return done[id(f)]
+
+    def rebuild(f: Formula) -> Formula:
         if isinstance(f, Atom):
-            return f if f.pred in kept else Bot()
+            return f if f.pred == F else Bot()
         if isinstance(f, Eq):
             return f
         if isinstance(f, EPred):
             return Top()
         if isinstance(f, Not):
             return Not(walk(f.body))
-        if isinstance(f, Imp):
-            return Imp(walk(f.left), walk(f.right))
-        if isinstance(f, Cond):
-            return Cond(walk(f.left), walk(f.right))
+        if isinstance(f, (Imp, Cond)):
+            return type(f)(walk(f.left), walk(f.right))
         if isinstance(f, Forall):
             return Forall(f.var, walk(f.body))
         raise FormulaError(f"not a formula: {f!r}")

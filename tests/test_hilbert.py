@@ -1,10 +1,15 @@
+import hashlib
+import itertools
 import random
 
 import pytest
 
 from condlog.hilbert import (
     LOGICS,
+    RULES,
+    SCHEMAS,
     AxiomInstance,
+    ProofError,
     ProofLine,
     ProofScript,
     RuleApplication,
@@ -35,6 +40,8 @@ from condlog.syntax import (
     Or,
     Predicate,
     Variable,
+    conj,
+    nested_cond,
     substitute,
 )
 
@@ -399,3 +406,107 @@ def test_distinctness_side_conditions():
     assert not check_rule(
         "27v", [Imp(gx, Cond(fx, Imp(Exists(y, Eq(y, y)), fy)))], conclusion
     )
+
+
+RULE_IDS = ("13", "14", "15", "16", "17", "25", "26", "27", "27v")
+
+
+def _rule_verdicts(cases):
+    """Each rule's accepted count over (premises, conclusion) cases, and the
+    sha256 of all verdicts as '0'/'1', rule by rule in RULE_IDS order."""
+    digest, accepted = hashlib.sha256(), {}
+    for rule in RULE_IDS:
+        accepted[rule] = 0
+        for premises, conclusion in cases:
+            ok = check_rule(rule, premises, conclusion)
+            accepted[rule] += ok
+            digest.update(b"1" if ok else b"0")
+    return accepted, digest.hexdigest()
+
+
+def test_rule_verdicts_on_the_derivation_corpus_pinned():
+    """Every rule on every 0-, 1- and 2-premise citation among the distinct
+    formulas of the necessity proof and its mutants."""
+    script = mod_theorem_proof()
+    scripts = [script] + [mutate_script(script, k) for k in range(1, 18)]
+    forms = list(dict.fromkeys(line.formula for s in scripts for line in s.lines))
+    assert len(forms) == 34
+    cases = [
+        (list(premises), conclusion)
+        for k in range(3)
+        for premises in itertools.product(forms, repeat=k)
+        for conclusion in forms
+    ]
+    assert len(cases) == 40_494
+    assert _rule_verdicts(cases) == (
+        {"13": 14, "14": 0, "15": 0, "16": 1, "17": 0, "25": 14, "26": 2, "27": 1, "27v": 0},
+        "76fd737a7995d1b9df75d4c359bd1abb21a6c7eb6a545e07ef4167dfa714d805",
+    )
+
+
+def _rule_applications():
+    """(rule, premises, conclusion) shaped for each rule from a fixed pool
+    and seed; a drawn variable can break a freeness condition."""
+    rng = random.Random(7)
+    pool, names, w = _pinned_pool(), (x, y, z, Variable(3)), Variable(4)
+    for _ in range(30):
+        p, q, psi, *parts = rng.sample(pool, 3 + rng.randint(1, 3))
+        u, v = rng.choice(names), rng.choice(names)
+        alphas = rng.sample(pool, rng.randrange(3))
+        instance = substitute(p, [(u, v)])
+        existence = rng.choice((EPred(v), Exists(w, Eq(v, w))))
+        yield "13", [p, Imp(p, q)], q
+        yield "25", [Imp(p, q), p], q
+        yield "14", [p], Cond(psi, p)
+        yield "15", [Imp(psi, p)], Imp(psi, Forall(u, p))
+        yield "16", [nested_cond(alphas, p)], nested_cond(alphas, Forall(u, p))
+        yield "17", [nested_cond(alphas, Cond(p, Not(Eq(v, u))))], nested_cond(
+            alphas, Not(p)
+        )
+        yield "26", [Imp(conj(parts), q)], Imp(
+            conj([Cond(psi, e) for e in parts]), Cond(psi, q)
+        )
+        yield "27", [Imp(psi, instance)], Imp(psi, Forall(u, p))
+        yield "27v", [Imp(psi, nested_cond(alphas, Imp(existence, instance)))], Imp(
+            psi, nested_cond(alphas, Forall(u, p))
+        )
+
+
+def test_rule_verdicts_on_generated_applications_pinned():
+    """Every rule on applications drawn for every rule, and on each with y
+    renamed to x in the conclusion; each rule accepts some and rejects
+    some."""
+    cases = [
+        (premises, target)
+        for _, premises, conclusion in _rule_applications()
+        for target in (conclusion, substitute(conclusion, [(y, x)]))
+    ]
+    accepted, digest = _rule_verdicts(cases)
+    assert all(0 < n < len(cases) for n in accepted.values())
+    assert (accepted, digest) == (
+        {"13": 106, "14": 56, "15": 47, "16": 36, "17": 26, "25": 106, "26": 41,
+         "27": 53, "27v": 18},
+        "1e75f48bb591a92cc2457b144608ac0f8567328d0dedad1deea51db79a024e6f",
+    )
+
+
+def test_rules_cite_exactly_their_premise_count():
+    """An accepted application with a premise dropped or repeated is
+    rejected, and an unknown rule id raises."""
+    checked = set()
+    for rule, premises, conclusion in _rule_applications():
+        if check_rule(rule, premises, conclusion):
+            checked.add(rule)
+            assert len(premises) == RULES[rule][0]
+            assert not check_rule(rule, premises[:-1], conclusion), rule
+            assert not check_rule(rule, premises + premises[:1], conclusion), rule
+    assert checked == set(RULES) == set(RULE_IDS)
+    for premises in ([], [fx], [fx, fx]):
+        with pytest.raises(ProofError, match="unknown rule id"):
+            check_rule("18", premises, fx)
+
+
+def test_logics_name_only_known_schemas_and_rules():
+    for logic in LOGICS.values():
+        assert logic.axioms <= SCHEMAS.keys(), logic.name
+        assert logic.rules <= RULES.keys(), logic.name

@@ -6,12 +6,13 @@ linear in the distinct nodes.  Work is bounded by counting, not by time.
 """
 
 import functools
+import json
 import pickle
 from collections import Counter
 
 from click.testing import CliRunner
 
-from condlog import kmodel, semantics, syntax
+from condlog import hilbert, kmodel, semantics, syntax
 from condlog.cli import main
 from condlog.parser import parse_formula
 from condlog.syntax import (
@@ -128,6 +129,46 @@ def test_chain_from_the_command_line():
     )
     assert res.exit_code == 0, res.output
     assert res.output.rstrip().endswith(f"->  {_parity_denotation()}")
+
+
+def test_chain_with_a_foreign_predicate_stays_shared():
+    """G is empty in K, so the two G operands read as bottom and cancel:
+    the denotation is the chain's own.  Replacing them rebuilds each
+    distinct node once."""
+    text = f"forall x3. (F(x3) -> (G(x3) <-> G(x3) <-> {CHAIN}))"
+    phi = parse_formula(text)
+    replaced = syntax.replace_other_atoms(phi)
+    assert sum(1 for _ in subformulas(replaced)) <= 2 * sum(1 for _ in subformulas(phi))
+    res = CliRunner().invoke(
+        main,
+        ["kmodel", "denote", "--empty-predicates", "--formula", text,
+         "--assign", "x0=-1,x1=-2,x2=-3"],
+    )
+    assert res.exit_code == 0, res.output
+    assert res.output.rstrip().endswith(f"->  {_parity_denotation()}")
+
+
+def test_chain_tautology_proof_takes_one_table_step_per_node(tmp_path, monkeypatch):
+    """A one-line QC2 proof, by axiom 18, of a chain of an even number of
+    F(x) operands.  The truth table takes one step per node the skeleton
+    lists, and it lists each distinct node once."""
+    text = " <-> ".join(["F(x)"] * N)
+    steps = []
+    skeleton = hilbert._boolean_skeleton
+
+    def counted(phi):
+        atoms, nodes = skeleton(phi)
+        steps.append(len(nodes))
+        return atoms, nodes
+
+    monkeypatch.setattr(hilbert, "_boolean_skeleton", counted)
+    path = tmp_path / "proof.json"
+    path.write_text(
+        json.dumps({"logic": "QC2", "lines": [{"formula": text, "just": {"axiom": "18"}}]})
+    )
+    res = CliRunner().invoke(main, ["prove", "--proof", str(path)])
+    assert res.exit_code == 0, res.output
+    assert steps == [DISTINCT_NODES]
 
 
 def test_node_caches_stay_out_of_pickles():
