@@ -27,6 +27,9 @@ from .parser import ParseError, parse_formula, parse_formula_file, print_formula
 from .syntax import Lang, Variable, free_variables, metrics, numeral, variable_named
 
 LANGS = {"L": Lang.L, "LE": Lang.LE, "L=": Lang.LEQ}
+# The JSON ``ast`` of ``parse`` is the repr, a tree walk: a chain of n <->
+# operands has 2^(n+2) - 7 tree nodes, so the field is refused above this.
+MAX_AST_NODES = 1_000_000
 
 # The library's input errors.  ``search.ReplayError`` is a SemanticsError
 # but an internal fault, so it propagates.
@@ -180,10 +183,14 @@ def cmd_parse(formula: str, lang: str, fmt: str) -> None:
     lines = []
     for phi in _read_formulas(formula, LANGS[lang]):
         sz, rank = metrics(phi)
+        if fmt == "json" and sz > MAX_AST_NODES:
+            raise click.UsageError(
+                f"ast ceiling exceeded: the formula has {sz} tree nodes, "
+                f"above {MAX_AST_NODES}"
+            )
         payload.append(
             {
                 "formula": print_formula(phi),
-                # the repr is the tree, 2^(n+2) - 7 nodes for n <-> operands
                 "ast": repr(phi) if fmt == "json" else None,
                 "size": sz,
                 "quantifierRank": rank,

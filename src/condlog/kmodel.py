@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .frameprops import _SELECTION
 from .hilbert import schema_instance
 from .semantics import Model, OrderingFrame, _bits, evaluate
 from .syntax import (
@@ -54,6 +55,7 @@ from .syntax import (
     material_reduct,
     node_cached,
     ordered_free_variables,
+    predicates,
     quantifier_rank,
     replace_other_atoms,
     subformulas,
@@ -489,7 +491,7 @@ def _quantifier_fragment(phi: Formula, empty_predicates: bool) -> Formula:
     Without the flag, other predicates are refused."""
     out = _fragment(phi)
     if not empty_predicates and out is not material_reduct(phi):
-        others = {s.pred for s in subformulas(phi) if isinstance(s, Atom) and s.pred != F}
+        others = predicates(phi) - {F}
         if others:
             raise NonFragment(
                 f"predicates {sorted((p.index, p.arity) for p in others)} are empty "
@@ -750,16 +752,17 @@ def induced_selection_probe() -> ProbeReport:
     induced selection function.  The computation also reports the weak
     limit implication on the same pair.
     """
-    all_integers = K_INTEGERS
     singleton = KSet.make(False, None, [(-1, -1)])
     f_all = K_EMPTY  # no minimum going down
     f_single = singleton
-    premise = (
-        f_all.minus(singleton).is_empty and f_single.minus(all_integers).is_empty
+    # frameprops' violation predicates on the world-set ints; bit 0 is -inf
+    pair = (K_INTEGERS.bits, singleton.bits, 0, f_all.bits, f_single.bits)
+    return ProbeReport(
+        f_all,
+        f_single,
+        bool(_SELECTION["Uniformity"][1](*pair)),
+        bool(_SELECTION["WLA"][1](*pair)),
     )
-    uniformity_violated = premise and f_all != f_single
-    wla_violated = f_all.is_empty and not all_integers.intersect(f_single).is_empty
-    return ProbeReport(f_all, f_single, uniformity_violated, wla_violated)
 
 
 def probe_truncation(n: int) -> bool:
@@ -770,8 +773,7 @@ def probe_truncation(n: int) -> bool:
     full_integers = (1 << n) - 1
     f_all = frame.min_set(full_integers, inf)
     f_single = frame.min_set(1 << 0, inf)
-    premise = f_all & ~(1 << 0) == 0 and f_single & ~full_integers == 0
-    return not (premise and f_all != f_single)
+    return not _SELECTION["Uniformity"][1](full_integers, 1 << 0, inf, f_all, f_single)
 
 
 @cache

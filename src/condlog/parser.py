@@ -58,7 +58,17 @@ from .syntax import (
 # puts at most four tree levels under one (<-> is ~((a -> b) -> ~(b -> a))),
 # so every reader that recurses on the tree stays within Python's stack.
 MAX_NESTING = 64
+
+# The binary connectives, loosest first; '>' shares the level of '->'.  The
+# connective at level i reads its left operand at level i + 1 and its right
+# operand at level i, so all but '>' (both operands at i + 1) associate to
+# the right.  The prefix operators and binders sit at level _UNARY, atoms
+# above it.  The parser descends this table and the printer reads it back.
+_LEVELS = ("<->", "->", "|", "&")
+_UNARY = len(_LEVELS)
+_INFIX = {"<->": Iff, "|": Or, "&": And}
 _PREFIX = {"~": Not, "box": Box, "dia": Dia}
+_BINDERS = {"forall": Forall, "exists": Exists}
 
 
 @dataclass(frozen=True)
@@ -74,40 +84,29 @@ class ParseError(Exception):
         self.message = message
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow><->|->)|(?P<op>[~&|>=(),.])"
-    r"|(?P<word>[A-Za-z][A-Za-z0-9]*))"
-)
+# One token a match, after blanks: an operator or a word, or in the
+# catch-all group a character that starts neither.
+_TOKEN_RE = re.compile(r"\s*(?:(<->|->|[~&|>=(),.]|[A-Za-z][A-Za-z0-9]*)|(\S))")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # arrow | op | word | end
-    text: str
-    span: SourceSpan
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            at = len(text) - len(rest)
-            raise ParseError(SourceSpan(at, at + 1), f"unexpected character {rest[0]!r}")
-        pos = m.end()
-        span = SourceSpan(m.start() + len(m.group(0)) - len(m.group(0).lstrip()), m.end())
-        if m.group("arrow"):
-            tokens.append(_Token("arrow", m.group("arrow"), span))
-        elif m.group("op"):
-            tokens.append(_Token("op", m.group("op"), span))
-        else:
-            tokens.append(_Token("word", m.group("word"), span))
-    tokens.append(_Token("end", "", SourceSpan(len(text), len(text))))
+def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    """The (text, start, end) of each token, then the empty token at the
+    end of the input."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m[2] is not None:
+            raise ParseError(SourceSpan(*m.span(2)), f"unexpected character {m[2]!r}")
+        tokens.append((m[1], *m.span(1)))
+    tokens.append(("", len(text), len(text)))
     return tokens
+
+
+def _error(tok: tuple[str, int, int], message: str) -> ParseError:
+    return ParseError(SourceSpan(tok[1], tok[2]), message)
+
+
+def _fail(tok: tuple[str, int, int], expected: str) -> ParseError:
+    return _error(tok, f"expected {expected}, found {tok[0] or 'end of input'!r}")
 
 
 class _Parser:
@@ -117,106 +116,85 @@ class _Parser:
         self.lang = lang
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def take(self) -> tuple[str, int, int]:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(tok.span, f"expected {text!r}, found {tok.text!r}")
-        return tok
+    def expect(self, text: str) -> None:
+        tok = self.take()
+        if tok[0] != text:
+            raise _error(tok, f"expected {text!r}, found {tok[0]!r}")
 
-    def nested(self, parse, levels: int = 1) -> Formula:
-        """``parse()`` read ``levels`` deeper than the current nesting."""
+    def nested(self, levels: int, parse, *args) -> Formula:
+        """``parse(*args)`` read ``levels`` deeper than the current nesting."""
         self.depth += levels
         if self.depth > MAX_NESTING:
-            raise ParseError(
-                self.peek().span, f"formula nested deeper than {MAX_NESTING} levels"
+            raise _error(
+                self.tokens[self.pos], f"formula nested deeper than {MAX_NESTING} levels"
             )
-        out = parse()
+        out = parse(*args)
         self.depth -= levels
         return out
 
-    def fail(self, tok: _Token, expected: str) -> ParseError:
-        found = tok.text if tok.text else "end of input"
-        return ParseError(tok.span, f"expected {expected}, found {found!r}")
+    def level(self, i: int = 0) -> Formula:
+        """A formula whose connectives bind no looser than ``_LEVELS[i]``."""
+        if i == _UNARY:
+            return self.unary()
+        op = _LEVELS[i]
+        if op == "->":
+            return self.implication(i)
+        left = self.level(i + 1)
+        if self.peek() != op:
+            return left
+        self.pos += 1
+        return _INFIX[op](left, self.nested(1, self.level, i))
 
-    # Grammar levels, loosest first.
-
-    def formula(self) -> Formula:
-        left = self.imp_level()
-        if self.peek().text == "<->":
-            self.next()
-            return Iff(left, self.nested(self.formula))
-        return left
-
-    def imp_level(self) -> Formula:
-        operands = [self.or_level()]
-        ops: list[_Token] = []
-        while self.peek().text in ("->", ">"):
-            ops.append(self.next())
-            operands.append(self.nested(self.or_level, len(ops)))
-        if not ops:
-            return operands[0]
-        kinds = {t.text for t in ops}
-        if kinds == {"->"}:
+    def implication(self, i: int) -> Formula:
+        """A right-associative '->' chain, or one '>', which may not mix."""
+        operands = [self.level(i + 1)]
+        ops = []
+        while self.peek() in ("->", ">"):
+            ops.append(self.take())
+            operands.append(self.nested(len(ops), self.level, i + 1))
+        if all(op[0] == "->" for op in ops):
             out = operands[-1]
             for part in reversed(operands[:-1]):
                 out = Imp(part, out)
             return out
-        if len(ops) == 1 and ops[0].text == ">":
-            return Cond(operands[0], operands[1])
-        raise ParseError(
-            ops[-1].span,
-            "conditional '>' is non-associative; parenthesize nested or mixed uses",
+        if len(ops) == 1:
+            return Cond(*operands)
+        raise _error(
+            ops[-1], "conditional '>' is non-associative; parenthesize nested or mixed uses"
         )
 
-    def or_level(self) -> Formula:
-        left = self.and_level()
-        if self.peek().text == "|":
-            self.next()
-            return Or(left, self.nested(self.or_level))
-        return left
-
-    def and_level(self) -> Formula:
-        left = self.unary()
-        if self.peek().text == "&":
-            self.next()
-            return And(left, self.nested(self.and_level))
-        return left
-
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.text in _PREFIX:
-            self.next()
-            return _PREFIX[tok.text](self.nested(self.unary))
-        if tok.text in ("forall", "exists"):
-            self.next()
+        op = self.peek()
+        if op in _PREFIX:
+            self.pos += 1
+            return _PREFIX[op](self.nested(1, self.unary))
+        if op in _BINDERS:
+            self.pos += 1
             var = self.variable()
-            if self.peek().text == ".":
-                self.next()
-            body = self.nested(self.formula)
-            return (Forall if tok.text == "forall" else Exists)(var, body)
+            if self.peek() == ".":
+                self.pos += 1
+            return _BINDERS[op](var, self.nested(1, self.level))
         return self.atom()
 
     def atom(self) -> Formula:
-        tok = self.next()
-        if tok.text == "(":
-            inner = self.nested(self.formula)
+        tok = self.take()
+        text = tok[0]
+        if text == "(":
+            inner = self.nested(1, self.level)
             self.expect(")")
             return inner
-        if tok.text == "top":
+        if text == "top":
             return Top()
-        if tok.text == "bot":
+        if text == "bot":
             return Bot()
-        if tok.kind != "word":
-            raise self.fail(tok, "an atom, quantifier, or '('")
-        if tok.text == "E":
+        if text == "E":
             self.expect("(")
             var = self.variable()
             self.expect(")")
@@ -225,43 +203,42 @@ class _Parser:
             if self.lang is Lang.LEQ:
                 fresh = Variable(0 if var.index != 0 else 1)
                 return Exists(fresh, Eq(var, fresh))
-            raise ParseError(tok.span, "existence predicate E requires language LE or L=")
-        left = variable_named(tok.text)
+            raise _error(tok, "existence predicate E requires language LE or L=")
+        left = variable_named(text)
         if left is not None:
-            eq = self.next()
-            if eq.text != "=":
-                raise self.fail(eq, "'=' after a variable")
+            eq = self.take()
+            if eq[0] != "=":
+                raise _fail(eq, "'=' after a variable")
             if self.lang is not Lang.LEQ:
-                raise ParseError(eq.span, "identity requires language L=")
-            right = self.variable()
-            return Eq(left, right)
-        pred = predicate_named(tok.text, 0)
+                raise _error(eq, "identity requires language L=")
+            return Eq(left, self.variable())
+        pred = predicate_named(text, 0)
         if pred is None:
-            raise self.fail(tok, "an atom, quantifier, or '('")
-        if self.peek().text != "(":
+            raise _fail(tok, "an atom, quantifier, or '('")
+        if self.peek() != "(":
             return Atom(pred)
-        self.next()
+        self.pos += 1
         args = [self.variable()]
-        while self.peek().text == ",":
-            self.next()
+        while self.peek() == ",":
+            self.pos += 1
             args.append(self.variable())
         self.expect(")")
         return Atom(Predicate(pred.index, len(args)), tuple(args))
 
     def variable(self) -> Variable:
-        tok = self.next()
-        var = variable_named(tok.text) if tok.kind == "word" else None
+        tok = self.take()
+        var = variable_named(tok[0])
         if var is None:
-            raise self.fail(tok, "a variable")
+            raise _fail(tok, "a variable")
         return var
 
 
 def parse_formula(text: str, lang: Lang = Lang.L) -> Formula:
     parser = _Parser(text, lang)
-    out = parser.formula()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise parser.fail(tail, "end of input")
+    out = parser.level()
+    tail = parser.take()
+    if tail[0]:
+        raise _fail(tail, "end of input")
     return out
 
 
@@ -281,34 +258,32 @@ def parse_formula_file(text: str, lang: Lang = Lang.L) -> list[Formula]:
 # Quantifier bodies extend maximally right, so a quantified formula is
 # parenthesized unless it sits in tail position of the printed expression.
 
-_LVL_IFF, _LVL_IMP, _LVL_OR, _LVL_AND, _LVL_UNARY, _LVL_ATOM = range(6)
-
 
 def print_formula(phi: Formula) -> str:
     return _print(phi, 0, True)
 
 
 def _print(phi: Formula, level: int, tail: bool) -> str:
-    quant = _quantifier_text(phi, tail)
-    if quant is not None:
-        if tail and level <= _LVL_UNARY:
-            return quant
-        return f"({_quantifier_text(phi, True)})"
-    text, mine = _render(phi, tail)
-    if mine < level:
-        return f"({text})"
-    return text
-
-
-def _quantifier_text(phi: Formula, tail: bool) -> str | None:
-    if _match_top(phi) or _match_bot(phi):
-        return None
-    if isinstance(phi, Forall):
-        return f"forall {var_name(phi.var)}. {_print(phi.body, 0, tail)}"
-    if isinstance(phi, Not) and isinstance(phi.body, Forall) and isinstance(phi.body.body, Not):
-        inner = phi.body.body.body
-        return f"exists {var_name(phi.body.var)}. {_print(inner, 0, tail)}"
-    return None
+    """phi where the context binds at ``level``; ``tail`` when nothing
+    follows it up to the end of the enclosing parenthesis."""
+    op, parts = _view(phi)
+    if not parts:
+        return op
+    if op in _BINDERS:
+        text = f"{op} {var_name(parts[0])}. {_print(parts[1], 0, True)}"
+        return text if tail and level <= _UNARY else f"({text})"
+    if op in _PREFIX:
+        mine = _UNARY
+        text = op + ("" if op == "~" else " ") + _print(parts[0], _UNARY, tail)
+    else:
+        a, b = parts
+        mine = _LEVELS.index("->" if op == ">" else op)
+        if op == "->" and _view(b)[0] == ">":
+            right = _print(b, mine + 1, True)  # '>' may not appear bare under '->'
+        else:
+            right = _print(b, mine + (op == ">"), tail)
+        text = f"{_print(a, mine + 1, False)} {op} {right}"
+    return f"({text})" if mine < level else text
 
 
 def _match_top(phi: Formula) -> bool:
@@ -324,84 +299,48 @@ def _match_bot(phi: Formula) -> bool:
     return isinstance(phi, Not) and _match_top(phi.body)
 
 
-def _renders_as_sugar(phi: Not) -> bool:
-    """True when a negation node prints as bot/dia/iff/and/exists rather
-    than as a bare negation, so an implication from it reads better plain."""
-    body = phi.body
-    if _match_top(body):
-        return True
-    if isinstance(body, Cond) and _match_bot(body.right):
-        return True
-    if isinstance(body, Forall) and isinstance(body.body, Not):
-        return True
-    if isinstance(body, Imp) and isinstance(body.right, Not):
-        return True
-    return False
-
-
-def _render(phi: Formula, tail: bool) -> tuple[str, int]:
-    if _match_top(phi):
-        return "top", _LVL_ATOM
+def _view(phi: Formula) -> tuple[str, tuple]:
+    """How phi prints: the connective, prefix operator or binder on top,
+    with its operands (a binder's variable first), or an atom's text with
+    none.  A derived connective is read off its expansion."""
+    if isinstance(phi, Forall):
+        return ("top", ()) if _match_top(phi) else ("forall", (phi.var, phi.body))
     if isinstance(phi, Not):
         body = phi.body
-        if _match_top(body):
-            return "bot", _LVL_ATOM
-        # dia a == ~(a > bot)
-        if isinstance(body, Cond) and _match_bot(body.right):
-            return f"dia {_print(body.left, _LVL_UNARY, tail)}", _LVL_UNARY
-        # a <-> b == ~((a -> b) -> ~(b -> a))
-        if (
-            isinstance(body, Imp)
-            and isinstance(body.left, Imp)
-            and isinstance(body.right, Not)
-            and isinstance(body.right.body, Imp)
-            and body.right.body.left == body.left.right
-            and body.right.body.right == body.left.left
-        ):
-            a, b = body.left.left, body.left.right
-            return (
-                f"{_print(a, _LVL_IMP, False)} <-> {_print(b, _LVL_IFF, tail)}",
-                _LVL_IFF,
-            )
-        # a & b == ~(a -> ~b)
-        if isinstance(body, Imp) and isinstance(body.right, Not):
+        if isinstance(body, Forall):
+            if _match_top(body):
+                return "bot", ()
+            if isinstance(body.body, Not):  # exists x a == ~forall x ~a
+                return "exists", (body.var, body.body.body)
+        elif isinstance(body, Cond):
+            if _match_bot(body.right):  # dia a == ~(a > bot)
+                return "dia", (body.left,)
+        elif isinstance(body, Imp) and isinstance(body.right, Not):
             a, b = body.left, body.right.body
-            return (
-                f"{_print(a, _LVL_UNARY, False)} & {_print(b, _LVL_AND, tail)}",
-                _LVL_AND,
-            )
-        return f"~{_print(body, _LVL_UNARY, tail)}", _LVL_UNARY
+            # a <-> b == ~((a -> b) -> ~(b -> a))
+            if (
+                isinstance(a, Imp)
+                and isinstance(b, Imp)
+                and b.left == a.right
+                and b.right == a.left
+            ):
+                return "<->", (a.left, a.right)
+            return "&", (a, b)  # a & b == ~(a -> ~b)
+        return "~", (body,)
     if isinstance(phi, Cond):
-        # box a == ~a > bot
-        if isinstance(phi.left, Not) and _match_bot(phi.right):
-            return f"box {_print(phi.left.body, _LVL_UNARY, tail)}", _LVL_UNARY
-        return (
-            f"{_print(phi.left, _LVL_OR, False)} > {_print(phi.right, _LVL_OR, tail)}",
-            _LVL_IMP,
-        )
+        if isinstance(phi.left, Not) and _match_bot(phi.right):  # box a == ~a > bot
+            return "box", (phi.left.body,)
+        return ">", (phi.left, phi.right)
     if isinstance(phi, Imp):
-        # a | b == ~a -> b
-        if isinstance(phi.left, Not) and not _renders_as_sugar(phi.left):
-            return (
-                f"{_print(phi.left.body, _LVL_AND, False)} | {_print(phi.right, _LVL_OR, tail)}",
-                _LVL_OR,
-            )
-        right = phi.right
-        if isinstance(right, Cond) and not (
-            isinstance(right.left, Not) and _match_bot(right.right)
-        ):
-            # '>' may not appear bare under '->'
-            right_text = f"({_print(right, 0, True)})"
-        else:
-            right_text = _print(right, _LVL_IMP, tail)
-        return f"{_print(phi.left, _LVL_OR, False)} -> {right_text}", _LVL_IMP
+        if _view(phi.left)[0] == "~":  # a | b == ~a -> b
+            return "|", (phi.left.body, phi.right)
+        return "->", (phi.left, phi.right)
     if isinstance(phi, Atom):
         if phi.pred.arity == 0:
-            return predicate_name(phi.pred), _LVL_ATOM
-        args = ",".join(var_name(a) for a in phi.args)
-        return f"{predicate_name(phi.pred)}({args})", _LVL_ATOM
+            return predicate_name(phi.pred), ()
+        return f"{predicate_name(phi.pred)}({','.join(map(var_name, phi.args))})", ()
     if isinstance(phi, Eq):
-        return f"{var_name(phi.left)} = {var_name(phi.right)}", _LVL_ATOM
+        return f"{var_name(phi.left)} = {var_name(phi.right)}", ()
     if isinstance(phi, EPred):
-        return f"E({var_name(phi.arg)})", _LVL_ATOM
+        return f"E({var_name(phi.arg)})", ()
     raise TypeError(f"not a formula: {phi!r}")

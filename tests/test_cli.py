@@ -743,3 +743,109 @@ def test_cli_option_fuzz(data):
         argv, repr(res.exception),
     )
     assert "Traceback" not in res.output, argv
+
+
+# ---------------------------------------------------------------------------
+# Input branches: each exits 2 naming its cause, or answers.
+
+
+@pytest.mark.parametrize("command", [["denote"], ["eval", "--world", "-inf"]])
+def test_kmodel_foreign_predicate_under_a_quantifier_exits_2(command):
+    res = run("kmodel", *command, "--formula", "forall x. G(x)")
+    assert res.exit_code == 2, res.output
+    assert "predicates [(1, 1)] are empty in K" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_kmodel_foreign_predicate_under_a_quantifier_read_as_empty():
+    res = run("kmodel", "denote", "--formula", "forall x. G(x)", "--empty-predicates")
+    assert res.exit_code == 0, res.output
+    assert res.output == "forall x. G(x)  ->  {}\n"
+
+
+def test_kmodel_existence_predicate_under_a_quantifier_reads_as_top():
+    res = run("kmodel", "denote", "--formula", "forall x. E(x)", "--lang", "LE")
+    assert res.exit_code == 0, res.output
+    assert res.output == "forall x. E(x)  ->  {-inf (..,-1]}\n"
+
+
+def _changed_fixture(path, fixture, **changes):
+    """``path``, holding the fixture document with some entries changed."""
+    doc = json.loads((FIXTURES / fixture).read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["parse", "--formula", "@{comments}"], "no formulas in"),
+        (["eval", "--model", _MODEL, "--world", "1", "--formula", "P(x)",
+          "--assign", "x"], "assignment 'x' is not name=value"),
+        (["eval", "--model", _MODEL, "--world", "1", "--formula", "P(x)",
+          "--assign", "x=zz"], "domain element 'zz' not in the model"),
+        (["correspondence", "--model", str(FIXTURES / "order_faulty.json")],
+         "need a selection model"),
+        (["correspondence", "--model", str(FIXTURES / "quasi_one_world.json")],
+         "need a selection model"),
+        (["frame-props", "--model", "{max_of_order}"], "cannot load model"),
+        (["frame-props", "--model", "{bad_arity}"], "cannot load model"),
+        (["kmodel", "truncate", "--n", "0"], "truncation needs n >= 1"),
+    ],
+    ids=[
+        "parse-comments-only", "assign-no-value", "assign-unknown-element",
+        "correspondence-ordering", "correspondence-quasi", "quasi-strategy",
+        "predicate-arity", "truncate-zero",
+    ],
+)
+def test_input_branch_exits_2_naming_its_cause(tmp_path, argv, message):
+    comments = tmp_path / "comments.cl"
+    comments.write_text("# only comments\n\n   # and blanks\n")
+    paths = {
+        "comments": comments,
+        "max_of_order": _changed_fixture(
+            tmp_path / "quasi.json", "quasi_one_world.json",
+            quasiStrategy="max-of-order",
+        ),
+        "bad_arity": _changed_fixture(
+            tmp_path / "arity.json", "remark25.json",
+            interpretation={"P/x": {"1": [["a"]], "2": []}},
+        ),
+    }
+    res = run(*(arg.format(**paths) for arg in argv))
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert "Traceback" not in res.output
+
+
+def test_frame_props_of_a_quasi_selection_model_reads_its_order():
+    res = run("frame-props", "--model", str(FIXTURES / "quasi_one_world.json"))
+    assert res.exit_code == 0, res.output
+    assert "Transitivity: True" in res.output
+
+
+def test_parse_json_of_a_chain_above_the_ast_ceiling_exits_2():
+    import time
+
+    from condlog.cli import MAX_AST_NODES
+
+    start = time.perf_counter()
+    res = run("parse", "--formula", " <-> ".join(["F(x)"] * 24), "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 2, res.output
+    assert f"the formula has 67108857 tree nodes, above {MAX_AST_NODES}" in res.output
+    # text mode builds no ast
+    res = run("parse", "--formula", " <-> ".join(["F(x)"] * 24))
+    assert res.exit_code == 0, res.output
+    assert "[size 67108857, rank 0]" in res.output
+
+
+def test_parse_json_of_a_chain_below_the_ast_ceiling_is_unchanged():
+    import hashlib
+
+    res = run("parse", "--formula", " <-> ".join(["F(x)"] * 12), "--format", "json")
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.output.encode()).hexdigest() == (
+        "1082f4509319ea5c50a288ef707ac23bca42512672d03e7b53cb7f721d300cd8"
+    )

@@ -510,3 +510,25 @@ def test_logics_name_only_known_schemas_and_rules():
     for logic in LOGICS.values():
         assert logic.axioms <= SCHEMAS.keys(), logic.name
         assert logic.rules <= RULES.keys(), logic.name
+
+
+@pytest.mark.parametrize(
+    "text, instance",
+    [
+        ("x = y -> ((forall z. F(x)) -> forall z. F(y))", True),
+        ("x = y -> (z = x -> z = y)", True),
+        # under L= E(z) is exists x (z = x): its binder is not the s of s = t
+        ("x = y -> (E(z) & F(x) -> E(z) & F(y))", True),
+        # the replaced occurrence is bound
+        ("x = y -> ((forall x. F(x)) -> forall x. F(y))", False),
+        # the replacement is captured
+        ("x = y -> ((forall y. F(x)) -> forall y. F(y))", False),
+        # the binders differ
+        ("x = y -> ((forall z. F(x)) -> forall x1. F(y))", False),
+    ],
+)
+def test_substitution_axiom_under_binders(text, instance):
+    from condlog.parser import parse_formula
+    from condlog.syntax import Lang
+
+    assert is_axiom_instance("11", parse_formula(text, Lang.LEQ)) is instance

@@ -197,3 +197,150 @@ def test_a_formula_at_the_nesting_limit_survives_the_recursive_readers(text):
         kmodel.eval_k(phi, w, {v: -1 for v in g})
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
         parse_formula(f"({text})")
+
+
+# ---------------------------------------------------------------------------
+# Pinned behaviour: sha256 digests of the printed text of a seeded corpus and
+# of what the parser makes of those texts, of seeded one-character mutations
+# of them, and of every nesting construct at and past MAX_NESTING, in all
+# three languages.  A parse result is the tree, written one distinct node a
+# line (so a <-> chain at the limit stays small), or the error's message and
+# span.
+
+_LANGS = (Lang.L, Lang.LE, Lang.LEQ)
+_NEST_VARIABLES = [Variable(i) for i in (0, 1, 2, 5)]
+_NEST_PREDICATES = [Predicate(0, 1), Predicate(1, 2), Predicate(3, 0), Predicate(12, 1)]
+
+
+def _tree(phi):
+    from condlog.syntax import Formula
+
+    lines, numbers, seen = [], {}, {}
+
+    def visit(node):
+        got = seen.get(id(node))
+        if got is not None:
+            return got
+        parts = [
+            str(visit(v)) if isinstance(v, Formula) else repr(v)
+            for v in (getattr(node, f) for f in node.__dataclass_fields__)
+        ]
+        line = f"{type(node).__name__}({', '.join(parts)})"
+        num = numbers.setdefault(line, len(lines))
+        if num == len(lines):
+            lines.append(line)
+        seen[id(node)] = num
+        return num
+
+    visit(phi)
+    return "; ".join(lines)
+
+
+def _nest(rng, depth, lang):
+    """A random formula over every derived constructor."""
+    if depth == 0 or rng.random() < 0.2:
+        kind = rng.randrange(6)
+        if kind == 0:
+            return Top()
+        if kind == 1:
+            return Bot()
+        if kind == 2 and lang is Lang.LEQ:
+            return Eq(rng.choice(_NEST_VARIABLES), rng.choice(_NEST_VARIABLES))
+        if kind == 3 and lang is Lang.LE:
+            return EPred(rng.choice(_NEST_VARIABLES))
+        pred = rng.choice(_NEST_PREDICATES)
+        return Atom(pred, tuple(rng.choice(_NEST_VARIABLES) for _ in range(pred.arity)))
+    kind = rng.randrange(11)
+
+    def sub():
+        return _nest(rng, depth - 1, lang)
+
+    if kind < 5:
+        return (And, Or, Iff, Imp, Cond)[kind](sub(), sub())
+    if kind < 8:
+        return (Box, Dia, Not)[kind - 5](sub())
+    return (Exists, Forall, Exists)[kind - 8](rng.choice(_NEST_VARIABLES), sub())
+
+
+def _pinned_corpus():
+    import random
+
+    from condlog.corpus import formula_corpus
+    from condlog.hilbert import SCHEMAS, generate_instance
+
+    out = []
+    for lang in _LANGS:
+        out += formula_corpus(19, 200, 12, lang)
+        rng = random.Random(f"nests {lang}")
+        out += [_nest(rng, 5, lang) for _ in range(200)]
+    rng = random.Random(19)
+    pool = formula_corpus(20, 40, 6, Lang.LEQ)
+    for schema in SCHEMAS:
+        out += [generate_instance(schema, rng, pool) for _ in range(15)]
+    return out
+
+
+def _mutations(texts):
+    """Two seeded one-character deletions, insertions or replacements of
+    each text."""
+    import random
+
+    rng = random.Random(7)
+    alphabet = "()~&|<->=.,xyzFGAEP01 \t$#é"
+    out = []
+    for text in texts:
+        for _ in range(2):
+            i = rng.randrange(len(text) + 1)
+            c = rng.choice(alphabet)
+            kind = rng.randrange(3)
+            if kind == 0:
+                out.append(text[:i] + text[i + 1:])
+            else:
+                out.append(text[:i] + c + text[i + (kind == 1):])
+    return out
+
+
+def _nesting_texts():
+    def at(n):
+        yield "(" * n + "F(x)" + ")" * n
+        for op in ("~", "box ", "dia ", "exists x. ", "forall y "):
+            yield op * n + "F(x)"
+        for op in (" -> ", " & ", " | ", " <-> "):
+            yield op.join(["F(x)"] * (n + 1))
+        yield "F(x) > (" * (n // 2) + "F(x)" + ")" * (n // 2)
+
+    return [*at(MAX_NESTING), *at(MAX_NESTING + 1), *at(MAX_NESTING + 2)]
+
+
+def _outcome(text, lang):
+    try:
+        return _tree(parse_formula(text, lang))
+    except ParseError as err:
+        return f"! {err.message} @{err.span.start}..{err.span.end}"
+
+
+def _sha256(lines):
+    import hashlib
+
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_texts():
+    return [print_formula(phi) for phi in _pinned_corpus()]
+
+
+def test_printed_text_of_the_seeded_corpus_is_pinned(pinned_texts):
+    assert len(pinned_texts) == 1575
+    assert _sha256(pinned_texts) == (
+        "34ef3b39fb4374980a1cad5703c429930dfb5112afe30c00e8044ddac34027c3"
+    )
+
+
+def test_parse_trees_and_errors_of_the_seeded_texts_are_pinned(pinned_texts):
+    texts = pinned_texts + _mutations(pinned_texts) + _nesting_texts()
+    outcomes = [_outcome(text, lang) for text in texts for lang in _LANGS]
+    assert len(outcomes) == 14274
+    assert _sha256(outcomes) == (
+        "d7802663adf15b7d131ef306ec0e319df9ed471970f537d85b8bdca9b1da9d22"
+    )
