@@ -65,6 +65,9 @@ from .syntax import (
 MINUS_INF = float("-inf")
 MAX_TRUNCATION = 200  # the order at -inf of truncate(n) has Theta(n^2) pairs
 MAX_MINUS_INF_RANK = 10  # the -inf test set holds 2^(rank+1) + 1 values per anchor
+# The most positions a type table of the normal form may have: 8 have 89,918
+# profiles and 9 would have 610,182, each times (rank + 1)^2 count cells.
+MAX_NF_SCOPE = 8
 
 
 class KModelError(Exception):
@@ -412,11 +415,22 @@ def _forall_table(n: int, p: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _scope_error(phi: Formula, width: int) -> KModelError:
+    return KModelError(
+        f"the normal form of {phi} needs types over {width} variables, "
+        f"above the ceiling MAX_NF_SCOPE = {MAX_NF_SCOPE}"
+    )
+
+
 @node_cached
 def _node_nf(phi: Formula) -> tuple[int, int]:
     """(r, mask): the quantifier rank of a conditional-free node and its
-    types over (its ordered free variables, cap r)."""
+    types over (its ordered free variables, cap r).  A node whose tables
+    would be wider than ``MAX_NF_SCOPE`` positions is refused first."""
     fv = ordered_free_variables(phi)
+    width = len(fv) + isinstance(phi, Forall)
+    if width > MAX_NF_SCOPE:
+        raise _scope_error(phi, width)
     if isinstance(phi, Atom):
         if phi.pred != F:
             raise NonFragment(f"predicate {phi.pred} is not in the fragment")
@@ -453,6 +467,8 @@ def monadic_nf(phi: Formula, named: Sequence[Variable]) -> CountingNormalForm:
     predicate, with equality.
     """
     named = tuple(named)
+    if len(named) > MAX_NF_SCOPE:
+        raise _scope_error(phi, len(named))
     r = _node_nf(phi)[0]
     missing = free_variables(phi) - set(named)
     if missing:

@@ -173,34 +173,53 @@ def _perm_tables(k: int) -> list[_PermTable]:
     return out
 
 
-def _table_automorphisms(
-    r: tuple[int, ...],
-    table: tuple[tuple[int, ...], ...],
-    wperms: Sequence[_PermTable],
-) -> Optional[list[_PermTable]]:
-    """World permutations fixing (R, table), as entries of ``wperms``; None
-    when a smaller image exists (the table is not canonical).
+# A world permutation that maps R to itself: its position in the world
+# permutations, its table and the images of the rows met so far.
+_Stabiliser = tuple[int, _PermTable, dict]
 
-    The image of (R, table) under a permutation has R'(v) = pi(R(pi^-1 v))
-    and f'(P, v) = pi(f(pi^-1 P, pi^-1 v)); comparing R' first decides the
-    lexicographic order of the pair whenever R' differs from R."""
-    auts = [wperms[0]]  # the identity, first in itertools.permutations order
-    for wperm in wperms[1:]:
-        inv, image, preimage = wperm
+
+def _relation_stabiliser(
+    r: tuple[int, ...], wperms: Sequence[_PermTable]
+) -> Optional[list[_Stabiliser]]:
+    """The world permutations that map R to itself, the identity first;
+    None when one maps R to a smaller tuple, so that no table over R is
+    canonical.  The image of R under a permutation has R'(v) =
+    pi(R(pi^-1 v)), and the image of (R, table) is compared with R first."""
+    out = []
+    for k, wperm in enumerate(wperms):
+        inv, image, _preimage = wperm
         new_r = tuple(image[r[old]] for old in inv)
-        if new_r > r:
-            continue
         if new_r < r:
             return None
-        new_table = tuple(
-            tuple(image[row[p]] for p in preimage)
-            for row in (table[old] for old in inv)
-        )
-        if new_table < table:
-            return None
-        if new_table == table:
-            auts.append(wperm)
-    return auts
+        if new_r == r:
+            out.append((k, wperm, {}))
+    return out
+
+
+def _table_automorphisms(
+    table: tuple[tuple[int, ...], ...], stabiliser: Sequence[_Stabiliser]
+) -> Optional[tuple[int, ...]]:
+    """The positions of the permutations of ``stabiliser`` (over the
+    table's R) that map the table to itself; None when one maps it to a
+    smaller table (it is not canonical).
+
+    The image has f'(P, v) = pi(f(pi^-1 P, pi^-1 v)): its row v is the
+    image of row pi^-1 v, kept per permutation, and the rows are compared
+    in order up to the first that differs."""
+    auts = [0]  # the identity, first in itertools.permutations order
+    for k, (inv, image, preimage), images in stabiliser[1:]:
+        for v, old in enumerate(inv):
+            row = table[old]
+            new = images.get(row)
+            if new is None:
+                new = images[row] = tuple([image[row[p]] for p in preimage])
+            if new != table[v]:
+                if new < table[v]:
+                    return None
+                break
+        else:
+            auts.append(k)
+    return tuple(auts)
 
 
 def _local_canonical(
@@ -231,8 +250,11 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
     The permutation tables (inverse and mask images of every world
     permutation) and the default world names are built once per world
     count, and the domain permutation tables and names once per domain
-    size; the canonicity checks index the tables.  Every row draws f(P,w)
-    within R(w), so the frames skip the construction scan of
+    size; the canonicity checks index the tables.  Whether a permutation
+    maps R to itself, lower or higher is decided once per R, and a table
+    is compared only under the permutations that fix R.  The canonical
+    local domains are found once per automorphism group.  Every row draws
+    f(P,w) within R(w), so the frames skip the construction scan of
     ``SelectionFrame``.
     """
     for group in _frame_groups(params):
@@ -264,16 +286,21 @@ def _frame_groups(params: EnumerationParams) -> Iterator[list[SelectionFrame]]:
             else:
                 local_list = list(itertools.product(range(1 << nd), repeat=n))
             dperms = dperms_of[nd]
+            # the canonical local domains, per automorphism group of a table
+            canonical_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
             for r in _relations(n, params.policy):
                 if constrained and any(not r[w] & (1 << w) for w in range(n)):
                     continue  # weak centering forces reflexivity
+                stabiliser = _relation_stabiliser(r, wperms)
+                if stabiliser is None:
+                    continue
                 for table in itertools.product(
                     *(
                         _table_rows(n, w, r[w], constrained, success_only)
                         for w in range(n)
                     )
                 ):
-                    auts = _table_automorphisms(r, table, wperms)
+                    auts = _table_automorphisms(table, stabiliser)
                     if auts is None:
                         continue
                     if post:
@@ -283,12 +310,19 @@ def _frame_groups(params: EnumerationParams) -> Iterator[list[SelectionFrame]]:
                         report = check_selection_props(probe, post)
                         if not all(report.verdicts.values()):
                             continue
+                    canonical = canonical_of.get(auts)
+                    if canonical is None:
+                        perms = [wperms[k] for k in auts]
+                        canonical = canonical_of[auts] = [
+                            local
+                            for local in local_list
+                            if _local_canonical(local, perms, dperms)
+                        ]
                     yield [
                         SelectionFrame._unchecked(
                             n, r, table, nd, local, world_names, domain_names
                         )
-                        for local in local_list
-                        if _local_canonical(local, auts, dperms)
+                        for local in canonical
                     ]
 
 

@@ -16,8 +16,10 @@ space keeps the atom tables of each block and the frame-independent part
 of a block's layout per local domains, so the frames of a sweep share
 them; a block reads the order rows cached on an ordering frame, or any
 other frame's selection table (a quasi frame's is min_w of its order),
-from its own frame.  A failing ``frame_valid`` builds its countermodel
-only when it is read.
+from its own frame.  The space also keeps the conditional clause's values
+per block while consecutive frames have the same selection rows: the
+clause reads no local domain, so the frames of one (R, table) share them.
+A failing ``frame_valid`` builds its countermodel only when it is read.
 """
 
 from __future__ import annotations
@@ -398,23 +400,34 @@ def _order_rows(frame: OrderingFrame, ones: int) -> list:
 class _Block:
     """A block of interpretations on a frame: its ``_shape``, an ordering
     frame's order ``rows`` or any other frame's selection table, the
-    conditional clause that reads them, and the state compiled closures
-    read: the atom ``tables`` of the block, the ``memos`` and the variable
-    values ``env``."""
+    conditional ``clause`` that reads them, and the state compiled closures
+    read: the atom ``tables`` of the block, the ``memos``, the variable
+    values ``env`` and ``conds``, the clause's values by (p, q)."""
 
     __slots__ = (
-        "n", "nd", "ones", "full", "guard", "exists", "elements", "rows", "cond",
-        "tables", "memos", "env",
+        "n", "nd", "ones", "full", "guard", "exists", "elements", "rows", "clause",
+        "tables", "memos", "env", "conds",
     )
 
-    def __init__(self, frame: Frame, shape: tuple, tables: list, n_memos: int):
+    def __init__(
+        self, frame: Frame, shape: tuple, tables: list, n_memos: int, conds: dict
+    ):
         self.n, self.nd = frame.n_worlds, frame.n_domain
         self.ones, self.full, self.guard, self.exists, self.elements = shape
         if isinstance(frame, OrderingFrame):
-            self.rows, self.cond = _order_rows(frame, self.ones), self._lewis
+            self.rows, self.clause = _order_rows(frame, self.ones), self._lewis
         else:
-            self.rows, self.cond = frame.table, self._selection
+            self.rows, self.clause = frame.table, self._selection
         self.tables, self.memos = tables, [{} for _ in range(n_memos)]
+        self.conds = conds
+
+    def cond(self, p: int, q: int) -> int:
+        """The packed value of [p > q]: ``conds`` holds it once computed."""
+        key = (p, q)
+        got = self.conds.get(key)
+        if got is None:
+            got = self.conds[key] = self.clause(p, q)
+        return got
 
     def _selection(self, p: int, q: int) -> int:
         """w is in [p > q] iff f(p, w) is within q.  The block is split by
@@ -583,7 +596,7 @@ def extension(model: Model, g: Assignment, phi: Formula) -> int:
     shape = frame.__dict__.get("_shape")
     if shape is None:
         shape = frame.__dict__["_shape"] = _shape(frame.n_worlds, nd, frame.local, 1)
-    block = _Block(frame, shape, tables, compiled.n_memos)
+    block = _Block(frame, shape, tables, compiled.n_memos, {})
     block.env = [g.get(v, 0) for v in compiled.slots]
     for v, a in zip(compiled.slots, block.env):
         if not 0 <= a < nd:
@@ -666,7 +679,15 @@ class _Interpretations:
     fastest, of the values ``options(nd, p.arity)``.  It keeps every
     assignment's variable values, each block's atom tables and each block
     ``_shape`` per local domains once built, so the frames of a sweep share
-    them."""
+    them.
+
+    It also keeps the conditional clause's values per block start, good
+    while the frames passed to ``_failure`` keep one selection rows object
+    (``rows``: an ordering frame itself, whose order rows are cached on it,
+    or any other frame's table).  The clause reads only those rows and the
+    block's n, ``ones``, ``full`` and ``guard``, which n and the block size
+    fix, and ``start`` fixes the size; it reads no local domain, so the
+    frames of one (R, table) share it."""
 
     def __init__(self, compiled: _Compiled, n: int, nd: int, options):
         self.key, self.preds, self.width = (n, nd, options), compiled.preds, n + 1
@@ -687,6 +708,8 @@ class _Interpretations:
         ]
         self._blocks: dict[int, list[list[int]]] = {}
         self._shapes: dict[tuple, tuple] = {}
+        self.rows: object = None
+        self.conds: dict[int, dict[tuple[int, int], int]] = {}
 
     def _digits(self, i: int) -> list[int]:
         out = []
@@ -733,11 +756,15 @@ def _failure(
     space = compiled.space
     if space is None or space.key != (n, nd, options):
         space = compiled.space = _Interpretations(compiled, n, nd, options)
+    rows = frame if isinstance(frame, OrderingFrame) else frame.table
+    if rows is not space.rows:
+        space.rows, space.conds = rows, {}
     start, size = 0, 1
     while start < space.total:
         size = min(size, space.total - start)
         shape = space.shape(frame.local, size)
-        block = _Block(frame, shape, space.tables(start, size), compiled.n_memos)
+        conds = space.conds.setdefault(start, {})
+        block = _Block(frame, shape, space.tables(start, size), compiled.n_memos, conds)
         best = None
         for env in space.envs:
             block.env = env

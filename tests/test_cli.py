@@ -235,6 +235,19 @@ def test_kmodel_eval_above_the_minus_inf_rank_ceiling_exits_2():
     assert "Traceback" not in res.output
 
 
+def test_kmodel_eval_above_the_normal_form_scope_ceiling_exits_2():
+    # the quantifier's scope holds x and x1..x8: 9 variables
+    formula = (
+        "forall x. (F(x) -> F(x1)) & (F(x2) -> F(x3)) & (F(x4) -> F(x5)) "
+        "& (F(x6) -> F(x7)) & F(x8)"
+    )
+    assign = ",".join(f"x{i}=-{i}" for i in range(1, 9))
+    res = run("kmodel", "eval", "--world", "-1", "--formula", formula, "--assign", assign)
+    assert res.exit_code == 2, res.output
+    assert "over 9 variables, above the ceiling MAX_NF_SCOPE = 8" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_kmodel_eval_rejects_foreign_predicate():
     res = run("kmodel", "eval", "--world", "-1", "--formula", "G(x)", "--assign", "x=-1")
     assert res.exit_code == 2

@@ -1066,6 +1066,61 @@ def test_minus_inf_rank_ceiling():
         eval_k(phi(MAX_MINUS_INF_RANK - 1), MINUS_INF, {})
 
 
+def _wide_scope(width: int):
+    """forall x0. (F(x0) -> F(x1)) & (F(x2) -> F(x3)) & ..., a quantifier
+    whose scope holds ``width`` variables, the first bound."""
+    fs = [Atom(F, (Variable(i),)) for i in range(width)]
+    parts = [Imp(fs[i], fs[i + 1]) for i in range(0, width - 1, 2)]
+    if width % 2:
+        parts.append(fs[-1])
+    body = parts[0]
+    for part in parts[1:]:
+        body = And(body, part)
+    return Forall(Variable(0), body)
+
+
+def test_normal_form_scope_ceiling_is_checked_before_any_table(monkeypatch):
+    """A quantifier whose scope holds 9 variables, a formula named over 9
+    and a quantifier-free node over 9 are refused, naming the width and the
+    ceiling, and ``_profiles`` is never asked for more than 8 positions."""
+    import condlog.kmodel as kmodel
+
+    asked = []
+    profiles = kmodel._profiles
+
+    def recording(n):
+        asked.append(n)
+        return profiles(n)
+
+    monkeypatch.setattr(kmodel, "_profiles", recording)
+    wide = _wide_scope(kmodel.MAX_NF_SCOPE + 1)
+    g = {Variable(i): -i for i in range(1, 9)}
+    message = r"over 9 variables, above the ceiling MAX_NF_SCOPE = 8"
+    for call in (
+        lambda: eval_k(wide, -1, g),
+        lambda: eval_k(wide, MINUS_INF, g),
+        lambda: denote_k(wide, g),
+        lambda: monadic_nf(wide, [Variable(i) for i in range(1, 9)]),
+        lambda: monadic_nf(wide.body, [Variable(i) for i in range(9)]),
+        lambda: monadic_nf(Atom(F, (x,)), [Variable(i) for i in range(9)]),
+    ):
+        with pytest.raises(KModelError, match=message):
+            call()
+    assert max(asked, default=0) <= kmodel.MAX_NF_SCOPE
+
+
+def test_normal_form_at_the_scope_ceiling_answers():
+    """A quantifier whose scope holds 8 variables, the widest accepted:
+    the answers recorded before the ceiling was added."""
+    phi = _wide_scope(8)
+    for values, want in (
+        ([-1, -2, -3, -4, -5, -6, -7], [True, False, False, True]),
+        ([-3, -1, -1, -2, -9, -9, -2], [True, True, False, True]),
+    ):
+        g = {Variable(i): v for i, v in zip(range(1, 8), values)}
+        assert [eval_k(phi, w, g) for w in (-1, -2, -9, MINUS_INF)] == want
+
+
 def test_quantifier_fragment_normal_forms_pinned():
     """The counting types of every distinct quantifier fragment of the
     (5, 3) pool in L=, over the quantifier's free variables; digest recorded

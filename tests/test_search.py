@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -352,6 +353,41 @@ def test_frame_groups_flatten_to_enumerate_frames(max_worlds, max_domain, props)
         keys |= key
         flat.extend(group)
     assert flat == list(enumerate_frames(params))
+
+
+@pytest.mark.parametrize(
+    "max_worlds, max_domain, props, policy, frames, digest",
+    [
+        (3, 2, {"weaklyStalnakerian"}, "all", 7_587,
+         "6b0ace99cae601a76fc30e6204533b911cb05cacf7eb1f661d5919fee74aa062"),
+        pytest.param(
+            2, 1, set(), "all", 167_341,
+            "c9c7e907db586b68feecc6e89a4ab787bb613b704f500d69c543ab8347f6c1b5",
+            marks=pytest.mark.slow,
+        ),
+        (2, 2, {"Success", "Uniqueness"}, "all", 3_165,
+         "f2cbf65caef170a7d2d48f378d20d4d69a90ac43f8ef941db2baf8cc6dd1f75a"),
+        pytest.param(
+            2, 3, {"GloballyConstant"}, "all", 125_730,
+            "7eabcdded91e7b68f377d88a1c36e6407be91cbad44e10c55ff7a27fc483dd01",
+            marks=pytest.mark.slow,
+        ),
+        (3, 1, {"Success", "WeakCentering", "Uniqueness"}, "reflexive-only", 12_511,
+         "8d95d2c7002ef754678b49da79c3806a5ea67a78b3f362d21cf174e5f1c08095"),
+    ],
+)
+def test_enumeration_is_pinned_by_digest(
+    max_worlds, max_domain, props, policy, frames, digest
+):
+    """The frames in enumeration order, each as the repr of its (|W|, R,
+    table, |D|, local), hashed together: the order and the output of the
+    canonicity checks are fixed."""
+    params = EnumerationParams(max_worlds, max_domain, frozenset(props), policy)
+    sha, count = hashlib.sha256(), 0
+    for f in enumerate_frames(params):
+        sha.update(repr((f.n_worlds, f.r, f.table, f.n_domain, f.local)).encode())
+        count += 1
+    assert (count, sha.hexdigest()) == (frames, digest)
 
 
 def test_correspondence_sweep_two_worlds_one_element():

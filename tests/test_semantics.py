@@ -20,6 +20,7 @@ from condlog.semantics import (
     convert_model,
     evaluate,
     extension,
+    first_failure,
     frame_valid,
     model_valid,
     ordering_to_selection,
@@ -863,3 +864,99 @@ def test_frame_valid_builds_the_countermodel_when_read(monkeypatch):
     model = res.countermodel
     assert built == [0] and res.countermodel is model
     assert model == Model(frame, {F: {0: frozenset(), 1: frozenset()}})
+
+
+# ---------------------------------------------------------------------------
+# The conditional memo of an interpretation space, shared by consecutive
+# frames with one selection rows object, against a fresh space per frame.
+
+
+def _shared_and_fresh(frames, formulas, reference=False):
+    """Each formula on each frame in turn through ``first_failure`` and
+    ``frame_valid``: once with the space left by the frame before, once with
+    a fresh one.  The two must agree on the index, interpretation,
+    assignment and world, and on the verdict, counterexample and
+    countermodel; with ``reference``, so must ``reference_frame_valid``,
+    which shares nothing between blocks either.  A frame is let go before
+    the next is asked for, so a later frame's rows may take its address.
+    Returns how many failed."""
+    import condlog.semantics as semantics
+
+    def run(frame, phi):
+        res = frame_valid(frame, phi)
+        found = None if res.valid else (res.counterexample, res.countermodel)
+        return first_failure(frame, phi), res.valid, found
+
+    failures = 0
+    frames = iter(frames)
+    while (frame := next(frames, None)) is not None:
+        for phi in formulas:
+            compiled = semantics._compiled(phi)
+            shared = run(frame, phi)
+            kept, compiled.space = compiled.space, None
+            fresh = run(frame, phi)
+            compiled.space = kept
+            assert shared == fresh, (phi, frame)
+            if reference:
+                want = reference_frame_valid(frame, phi)
+                found = None if want is None else (want[2], want[1])
+                assert shared[1:] == (want is None, found), (phi, frame)
+            failures += not shared[1]
+            del shared, fresh
+        del frame
+    return failures
+
+
+def test_conditional_memo_agrees_on_the_ds_sweep_frames():
+    """Every frame of the weakly Stalnakerian (3, 2) sweep, in enumeration
+    order, so the frames of each (R, table) follow one another."""
+    from condlog.search import EnumerationParams, enumerate_frames
+
+    params = EnumerationParams(3, 2, frozenset({"weaklyStalnakerian"}))
+    assert _shared_and_fresh(enumerate_frames(params), [Not(build_ds())]) == 0
+
+
+def test_conditional_memo_agrees_on_the_correspondence_instances():
+    """Every 50th frame of (2, 1): consecutive frames hold other tables, so
+    the memo of the frame before must not be read."""
+    from condlog.frameprops import correspondence_instances
+    from condlog.search import EnumerationParams, enumerate_frames
+
+    frames = itertools.islice(enumerate_frames(EnumerationParams(2, 1)), 0, None, 50)
+    formulas = [inst for _, inst in correspondence_instances()]
+    assert _shared_and_fresh(frames, formulas) > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_conditional_memo_agrees_on_ordering_and_quasi_frames(seed):
+    """Random ordering, quasi and selection frames: each evaluated twice in
+    a row, then the first again after the second, and both let go before
+    the next pair is built.  One formula's conditional has the same
+    antecedent and consequent, both empty, in every block, so a value kept
+    for a block of another size would be read."""
+    rng = random.Random(f"conditional-memo-{seed}")
+    n, nd = rng.randint(2, 3), 1
+    local = tuple(rng.randrange(1, 1 << nd) for _ in range(n))
+    makers = [
+        lambda: _random_ordering_frame(rng, n, nd, local),
+        lambda: QuasiSelectionFrame(_random_ordering_frame(rng, n, nd, local)),
+        lambda: _random_selection_frame(rng, n, nd, local),
+    ]
+
+    def frames():
+        for i in range(9):
+            first, second = makers[i % 3](), makers[(i + 1) % 3]()
+            yield from (first, first, second, second, first)
+            del first, second
+
+    a, b, bottom = Atom(P, (x,)), Atom(G, (x,)), Not(Eq(x, x))
+    formulas = [
+        Imp(Cond(a, b), Cond(b, a)),
+        Not(Cond(a, Not(b))),
+        Imp(Cond(a, b), Cond(a, b)),  # valid: walks every block
+        Forall(x, Cond(Or(a, Not(b)), b)),
+        Imp(Imp(a, b), Cond(bottom, bottom)),
+    ] + [_random_formula(rng, rng.randint(3, 7)) for _ in range(4)]
+    probe = SelectionFrame.build(n, [0] * n, {}, "empty", nd)
+    formulas = [phi for phi in formulas if _interpretation_count(probe, phi) <= 4096]
+    assert _shared_and_fresh(frames(), formulas, reference=True) > 0
