@@ -895,6 +895,8 @@ def cem_sweep(
     """
     import random
 
+    if direct_samples < 0:
+        raise KModelError(f"direct_samples ({direct_samples}) must be at least 0")
     pool, g, groups, report = _sweep_setup(max_size, max_vars, with_identity, jobs)
 
     worlds = list(range(-(max_size + 2), 0))
@@ -953,10 +955,15 @@ def qc2_axiom_sweep(
     random unfactored replays of ``hilbert.SCHEMAS`` instances as a guard.
     The quantified schemas (universal instantiation 23 and quantifier
     distribution 24) are instantiated at every pool formula of the right
-    shape.
+    shape.  An instance of 23, forall x a -> a[y/x], is denoted by the
+    substitution lemma, [a[y/x]]_g = [a]_{g[x -> g(y)]}, from memos on the
+    pool's own nodes; each sampled replay whose first formula is a
+    quantifier also replays 23 through ``substitute`` at every variable.
     """
     import random
 
+    if rule_samples < 0:
+        raise KModelError(f"rule_samples ({rule_samples}) must be at least 0")
     pool, g, groups, report = _sweep_setup(max_size, max_vars, with_identity, jobs)
     variables = [Variable(i) for i in range(max_vars)]
 
@@ -995,14 +1002,21 @@ def qc2_axiom_sweep(
                     "order transfer", a_rep, b_rep, c_rep,
                 )
 
-    # Universal instantiation (23) and quantifier distribution (24) keep the
-    # pool node itself as the antecedent, so its memoised denotation is read.
+    # Universal instantiation (23) is denoted by the substitution lemma, from
+    # the memos of the pool node and its body, and the instance is built only
+    # for a counterexample; the direct replays below denote substituted
+    # instances.  Quantifier distribution (24) keeps the pool node itself as
+    # the antecedent, so its memoised denotation is read.
     for phi in pool:
         if not isinstance(phi, Forall):
             continue
         for y in variables:
-            inst = Imp(phi, substitute(phi.body, [(phi.var, y)]))
-            check(denote_k(inst, g), "universal instantiation", inst)
+            report.pairs_checked += 1
+            report.points_checked += 1
+            if _instantiation_denotation(phi, y, g) != K_FULL:
+                report.counterexamples.append(
+                    ("universal instantiation", _instantiation(phi, y))
+                )
 
     for phi in pool:
         if not (isinstance(phi, Forall) and isinstance(phi.body, Cond)):
@@ -1025,6 +1039,13 @@ def qc2_axiom_sweep(
             inst = schema_instance(schema, a=a, b=b, c=c)
             if denote_k(inst, g) != K_FULL:
                 report.counterexamples.append((name + " (direct)", inst))
+        if isinstance(a, Forall):
+            for y in variables:
+                inst = _instantiation(a, y)
+                if denote_k(inst, g) != K_FULL:
+                    report.counterexamples.append(
+                        ("universal instantiation (direct)", inst)
+                    )
 
     # conditional closure rule spot checks
     checked = 0
@@ -1043,6 +1064,26 @@ def qc2_axiom_sweep(
         if denote_k(conclusion, g) != K_FULL:
             report.counterexamples.append(("conditional closure", conclusion))
     return report
+
+
+def _instantiation(phi: Forall, y: Variable) -> Formula:
+    """The instance phi -> a[y/x] of universal instantiation (23), for phi
+    the formula forall x a."""
+    return Imp(phi, substitute(phi.body, [(phi.var, y)]))
+
+
+def _instantiation_denotation(phi: Forall, y: Variable, g: dict) -> KSet:
+    """The denotation of ``_instantiation(phi, y)`` under g, which covers y
+    and the free variables of phi, without building it: both parts are
+    memo reads or fills on phi and its body."""
+    body = _substituted_body_denotation(phi, y, g)
+    return KSet(~_denote(phi, g, False).bits | body.bits)
+
+
+def _substituted_body_denotation(phi: Forall, y: Variable, g: dict) -> KSet:
+    """[a[y/x]]_g for phi the formula forall x a.  Substitution avoids
+    capture, so by the substitution lemma it is [a]_{g[x -> g(y)]}."""
+    return _denote(phi.body, {**g, phi.var: g[y]}, False)
 
 
 def _cond_denotation(a: KSet, b: KSet) -> KSet:

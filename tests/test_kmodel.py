@@ -778,6 +778,7 @@ def test_k_sweeps_check_instances_of_the_schemas(monkeypatch):
         # every instance the sweep denotes itself becomes a counterexample
         m.setattr(kmodel, "_sweep_setup", lambda *args: setup)
         m.setattr(kmodel, "denote_k", lambda phi, g: kmodel.K_EMPTY)
+        m.setattr(kmodel, "_instantiation_denotation", lambda *args: kmodel.K_EMPTY)
         report = qc2_axiom_sweep(4, 2, rule_samples=0)
     by_schema = {"universal instantiation": "23", "quantifier distribution": "24"}
     counts = dict.fromkeys(by_schema, 0)
@@ -796,18 +797,58 @@ def test_k_sweeps_check_instances_of_the_schemas(monkeypatch):
     }
     assert counts["quantifier distribution"] > 0
 
-    built = []
+    built, sampled, instantiated = [], [], []
 
     def recording(schema, **env):
         built.append((schema, schema_instance(schema, **env)))
+        if schema == "19":
+            sampled.append(env["a"])
         return built[-1][1]
 
+    def recording_instantiation(phi, y):
+        instantiated.append(((phi, y), instantiation(phi, y)))
+        return instantiated[-1][1]
+
+    instantiation = kmodel._instantiation
     monkeypatch.setattr(kmodel, "schema_instance", recording)
+    monkeypatch.setattr(kmodel, "_instantiation", recording_instantiation)
     assert cem_sweep(4, 2, direct_samples=10).ok
     assert qc2_axiom_sweep(4, 2, rule_samples=10).ok
     assert [s for s, _ in built] == ["22"] * 10 + ["19", "21", "20"] * 10
     for schema, inst in built:
         assert is_axiom_instance(schema, inst), (schema, inst)
+    # the direct replays of 23: every variable at each sampled quantifier
+    assert [args for args, _ in instantiated] == [
+        (a, v) for a in sampled if isinstance(a, Forall) for v in (x, y)
+    ]
+    assert instantiated
+    for _, inst in instantiated:
+        assert is_axiom_instance("23", inst), inst
+
+
+def test_instantiation_denotation_is_the_substituted_instance():
+    """The substitution lemma against the substituted instance of 23 and its
+    consequent, at every quantifier and variable of the pools the benchmark
+    sweeps, including instances where substitution renames a bound
+    variable.  Every instance is valid, so the consequents are what tell a
+    wrong assignment apart."""
+    from condlog.kmodel import _instantiation_denotation, _substituted_body_denotation
+    from condlog.syntax import all_variables, substitute
+
+    renamed = 0
+    for max_size, max_vars, ident in ((6, 2, False), (6, 2, True), (5, 3, True)):
+        g = canonical_assignment(max_vars)
+        variables = [Variable(i) for i in range(max_vars)]
+        for phi in fragment_pool(max_size, max_vars, ident):
+            if not isinstance(phi, Forall):
+                continue
+            for v in variables:
+                body = substitute(phi.body, [(phi.var, v)])
+                assert _substituted_body_denotation(phi, v, g) == denote_k(body, g)
+                got = _instantiation_denotation(phi, v, g)
+                assert got == denote_k(Imp(phi, body), g), (phi, v)
+                renamed += not all_variables(body) <= all_variables(phi) | {v}
+    assert renamed > 0
 
 
 def test_identity_rigidity():
@@ -874,6 +915,15 @@ def test_sweeps_reject_an_empty_pool(max_size, max_vars):
     for sweep in (cem_sweep, qc2_axiom_sweep):
         with pytest.raises(KModelError, match="empty fragment pool"):
             sweep(max_size, max_vars)
+
+
+@pytest.mark.parametrize(
+    "sweep,samples_arg",
+    [(cem_sweep, "direct_samples"), (qc2_axiom_sweep, "rule_samples")],
+)
+def test_sweeps_reject_a_negative_sample_count(sweep, samples_arg):
+    with pytest.raises(KModelError, match=f"{samples_arg} \\(-1\\)"):
+        sweep(3, 1, **{samples_arg: -1})
 
 
 def test_small_sweep_reports_pinned():
