@@ -449,6 +449,55 @@ def qc2_correspondence_check(
     return CorrespondenceResult(instance_valid, properties_hold, failing)
 
 
+def _shared_failure(
+    first: SelectionFrame, max_worlds: int, max_domain: int
+) -> Optional[tuple[str, bool]]:
+    """The verdicts shared by every frame with the W, R, table and |D| of
+    ``first``: the first of the family's leading members that read no local
+    domain (19, 21 and 22) to fail on ``first``, and whether the table is
+    weakly Stalnakerian, decided cheapest first up to the first condition
+    that fails; None when all of those members hold."""
+    failing = next(
+        (
+            name
+            for name, inst in _INSTANCE_FAMILY[:_LOCAL_FREE]
+            if not frame_valid(
+                first, inst, max_worlds=max_worlds, max_domain=max_domain
+            ).valid
+        ),
+        None,
+    )
+    if failing is None:
+        return None
+    weakly = all(
+        _violation(first, _SELECTION, name) is None for name in WEAKLY_STALNAKERIAN
+    )
+    return failing, weakly
+
+
+def _group_results(
+    frames: Sequence[SelectionFrame],
+    shared: Optional[tuple[str, bool]],
+    max_worlds: int,
+    max_domain: int,
+) -> list[CorrespondenceResult]:
+    """The results of ``frames``, one group whose ``_shared_failure`` is
+    ``shared``: each frame checked on its own when it is None, and
+    otherwise the shared failing instance with the properties holding where
+    the table is weakly Stalnakerian and the frame globally constant."""
+    if shared is None:
+        return [qc2_correspondence_check(f, max_worlds, max_domain) for f in frames]
+    failing, weakly = shared
+    return [
+        CorrespondenceResult(
+            False,
+            weakly and _violation(frame, _DOMAIN, "GloballyConstant") is None,
+            failing,
+        )
+        for frame in frames
+    ]
+
+
 def qc2_correspondence_group(
     frames: Sequence[SelectionFrame],
     max_worlds: int = 5,
@@ -463,27 +512,6 @@ def qc2_correspondence_group(
     table, are then decided once, cheapest first up to the first that fails,
     and GloballyConstant per frame.  When they all hold, each frame is
     checked on its own."""
-    first = frames[0]
-    failing = next(
-        (
-            name
-            for name, inst in _INSTANCE_FAMILY[:_LOCAL_FREE]
-            if not frame_valid(
-                first, inst, max_worlds=max_worlds, max_domain=max_domain
-            ).valid
-        ),
-        None,
+    return _group_results(
+        frames, _shared_failure(frames[0], max_worlds, max_domain), max_worlds, max_domain
     )
-    if failing is None:
-        return [qc2_correspondence_check(f, max_worlds, max_domain) for f in frames]
-    weakly = all(
-        _violation(first, _SELECTION, name) is None for name in WEAKLY_STALNAKERIAN
-    )
-    return [
-        CorrespondenceResult(
-            False,
-            weakly and _violation(frame, _DOMAIN, "GloballyConstant") is None,
-            failing,
-        )
-        for frame in frames
-    ]

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .frameprops import (
     SELECTION_CONDITIONS,
     STALNAKERIAN,
     WEAKLY_STALNAKERIAN,
+    _group_results,
+    _shared_failure,
     check_selection_props,
-    qc2_correspondence_group,
 )
 from .semantics import (
     Model,
@@ -49,8 +50,11 @@ CLASSIFICATIONS = {
     "Stalnakerian": STALNAKERIAN,
 }
 
-# The largest world count that frame enumeration accepts.
+# The largest world count and domain size that frame enumeration accepts.
+# Domain relabeling tabulates all |D|! permutations first: about ten
+# seconds at 8 elements and more than a minute at 9.
 HARD_WORLD_LIMIT = 4
+HARD_DOMAIN_LIMIT = 6
 
 # What ``EnumerationParams.required_properties`` may name.
 PROPERTY_NAMES = (*SELECTION_CONDITIONS, "GloballyConstant", *CLASSIFICATIONS)
@@ -69,6 +73,11 @@ class EnumerationParams:
     policy: str = "all"  # or "reflexive-only"
 
     def __post_init__(self) -> None:
+        if self.max_worlds < 1 or self.max_domain < 1:
+            raise ValueError(
+                f"empty size range: max_worlds={self.max_worlds}, "
+                f"max_domain={self.max_domain} (both must be at least 1)"
+            )
         if self.policy not in ("all", "reflexive-only"):
             raise ValueError(f"unknown accessibility policy {self.policy!r}")
         unknown = set(self.required_properties) - set(PROPERTY_NAMES)
@@ -264,11 +273,55 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
 def _frame_groups(params: EnumerationParams) -> Iterator[list[SelectionFrame]]:
     """The frames of ``enumerate_frames``, in its order, grouped by (|W|,
     |D|, R, table): each group holds one canonical (R, table) with every
-    canonical local domain, so its frames differ only in ``local``."""
+    canonical local domain, so its frames differ only in ``local``.  Every
+    frame of every group is built; ``correspondence_sweep`` walks
+    ``_table_groups`` instead and builds only the frames it reads."""
+    for group in _table_groups(params):
+        yield group.frames()
+
+
+class _TableGroup(NamedTuple):
+    """One canonical (|W|, R, table, |D|) with its canonical local domains,
+    in enumeration order, and the default names: the frames of one group
+    of ``_frame_groups``, which are built only when asked for."""
+
+    n_worlds: int
+    r: tuple[int, ...]
+    table: tuple[tuple[int, ...], ...]
+    n_domain: int
+    local_domains: list[tuple[int, ...]]
+    world_names: tuple[str, ...]
+    domain_names: tuple[str, ...]
+
+    def frame(self, local: tuple[int, ...]) -> SelectionFrame:
+        return SelectionFrame._unchecked(
+            self.n_worlds,
+            self.r,
+            self.table,
+            self.n_domain,
+            local,
+            self.world_names,
+            self.domain_names,
+        )
+
+    def frames(self) -> list[SelectionFrame]:
+        return [self.frame(local) for local in self.local_domains]
+
+
+def _table_groups(params: EnumerationParams) -> Iterator[_TableGroup]:
+    """Each canonical (|W|, R, table, |D|) that meets the required
+    properties, in the order of ``enumerate_frames``, with its canonical
+    local domains.  The ceilings are checked before any permutation table
+    is built."""
     if params.max_worlds > HARD_WORLD_LIMIT:
         raise ResourceGuard(
             f"enumeration ceiling is |W| <= {HARD_WORLD_LIMIT}, "
             f"asked for {params.max_worlds}"
+        )
+    if params.max_domain > HARD_DOMAIN_LIMIT:
+        raise ResourceGuard(
+            f"enumeration ceiling is |D| <= {HARD_DOMAIN_LIMIT}, "
+            f"asked for {params.max_domain}"
         )
     conditions = params.conditions()
     constrained = {"Success", "WeakCentering", "Uniqueness"} <= conditions
@@ -318,12 +371,9 @@ def _frame_groups(params: EnumerationParams) -> Iterator[list[SelectionFrame]]:
                             for local in local_list
                             if _local_canonical(local, perms, dperms)
                         ]
-                    yield [
-                        SelectionFrame._unchecked(
-                            n, r, table, nd, local, world_names, domain_names
-                        )
-                        for local in canonical
-                    ]
+                    yield _TableGroup(
+                        n, r, table, nd, canonical, world_names, domain_names
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +430,29 @@ def ds_sweep(params: EnumerationParams) -> SearchOutcome:
 
 def correspondence_sweep(params: EnumerationParams) -> dict:
     """Run the instance-family correspondence check over every enumerated
-    frame; the two verdicts should agree on all of them.  The frames of one
-    (R, table) group are checked together (``qc2_correspondence_group``),
-    and ``groupsChecked`` counts the groups."""
+    frame; the two verdicts should agree on all of them.  ``groupsChecked``
+    counts the (R, table) groups of ``_table_groups``.
+
+    Each group is decided on its first frame, the only one built for most
+    groups (``frameprops._shared_failure``).  When a local-free instance
+    fails there and the table is not weakly Stalnakerian, every frame of
+    the group fails that instance and breaks a condition, so all of them
+    agree and only their number is counted.  The frames of the other groups
+    are built and checked (``frameprops._group_results``): frame by frame
+    where every local-free instance holds, and by GloballyConstant where
+    the table is weakly Stalnakerian."""
     checked = groups = 0
     disagreements = []
-    for group in _frame_groups(params):
+    for group in _table_groups(params):
         groups += 1
-        results = qc2_correspondence_group(
-            group, max_worlds=params.max_worlds, max_domain=params.max_domain
-        )
-        checked += len(group)
-        for frame, res in zip(group, results):
+        checked += len(group.local_domains)
+        first = group.frame(group.local_domains[0])
+        shared = _shared_failure(first, params.max_worlds, params.max_domain)
+        if shared is not None and not shared[1]:
+            continue
+        frames = [first, *map(group.frame, group.local_domains[1:])]
+        results = _group_results(frames, shared, params.max_worlds, params.max_domain)
+        for frame, res in zip(frames, results):
             if not res.agree:
                 disagreements.append(
                     {

@@ -196,7 +196,11 @@ def test_criterion_06_ds_sweep_and_control():
 def test_criterion_07_correspondence_sweep():
     t0 = time.time()
     rep = correspondence_sweep(EnumerationParams(max_worlds=2, max_domain=2))
-    ok = rep["agreeEverywhere"] and rep["framesChecked"] == 585539
+    ok = (
+        rep["agreeEverywhere"]
+        and rep["framesChecked"] == 585539
+        and rep["groupsChecked"] == 83820
+    )
     _report(7, f"instance-family validity coincides with (weakly "
                f"Stalnakerian and globally constant) on all "
                f"{rep['framesChecked']} enumerated frames", ok, t0)

@@ -432,6 +432,29 @@ def test_enumeration_ceiling_exits_2(args):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ("correspondence", "--sweep", "--max-worlds", "1", "--max-domain", "7"),
+        ("search", "ds", "--max-worlds", "1", "--max-domain", "7"),
+        ("search", "frames", "--max-worlds", "1", "--max-domain", "7", "--limit", "1"),
+    ],
+)
+def test_enumeration_domain_ceiling_exits_2(args, monkeypatch):
+    """Above the domain ceiling the command stops before it tabulates any
+    permutation, whose number grows as |D|!."""
+    from condlog import search
+
+    def tabulated(k):
+        raise AssertionError(f"permutations of {k} tabulated above the ceiling")
+
+    monkeypatch.setattr(search, "_perm_tables", tabulated)
+    res = run(*args)
+    assert res.exit_code == 2, res.output
+    assert "enumeration ceiling is |D| <= 6, asked for 7" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["kmodel", "eval", "--world", "-1", "--formula", "F(x)", "--assign", "x²=-1"],

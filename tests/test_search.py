@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from condlog.frameprops import check_selection_props
+from condlog import frameprops
+from condlog.frameprops import check_selection_props, qc2_correspondence_check
 from condlog.search import (
     EnumerationParams,
     compactness_prefix,
@@ -339,6 +340,16 @@ def test_perm_tables_match_bitwise_images():
 
 
 @pytest.mark.parametrize(
+    "max_worlds, max_domain", [(0, 1), (2, 0), (-1, 2), (1, -3)]
+)
+def test_empty_size_range_is_rejected(max_worlds, max_domain):
+    """No sweep runs over an empty range of sizes and reports vacuous
+    success."""
+    with pytest.raises(ValueError, match="empty size range"):
+        EnumerationParams(max_worlds=max_worlds, max_domain=max_domain)
+
+
+@pytest.mark.parametrize(
     "max_worlds, max_domain, props",
     [(3, 2, {"weaklyStalnakerian"}), (2, 1, set())],
 )
@@ -396,6 +407,80 @@ def test_correspondence_sweep_two_worlds_one_element():
     assert rep["groupsChecked"] == 41910
     assert rep["agreeEverywhere"]
     assert rep["disagreements"] == []
+
+
+def test_correspondence_sweep_builds_only_the_frames_it_reads(monkeypatch):
+    """Work bounded by counting: one frame per (R, table) group plus the
+    frames of the 7 groups checked frame by frame (23 frames, 16 besides
+    their first), a result only for those 23, and as many ``frame_valid``
+    calls as when every frame was built (42,360)."""
+    counts = {"frames": 0, "results": 0, "frame_valid": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        SelectionFrame,
+        "_unchecked",
+        staticmethod(counting("frames", SelectionFrame._unchecked)),
+    )
+    monkeypatch.setattr(
+        frameprops,
+        "CorrespondenceResult",
+        counting("results", frameprops.CorrespondenceResult),
+    )
+    monkeypatch.setattr(
+        frameprops, "frame_valid", counting("frame_valid", frameprops.frame_valid)
+    )
+    rep = correspondence_sweep(EnumerationParams(max_worlds=2, max_domain=1))
+    assert (rep["framesChecked"], rep["groupsChecked"]) == (167341, 41910)
+    assert counts["frames"] <= 41910 + 23
+    assert counts["results"] == 23
+    assert counts["frame_valid"] == 42360
+
+
+def _disagreement(frame, res):
+    return {
+        "frame": {
+            "r": list(frame.r),
+            "table": [list(row) for row in frame.table],
+            "local": list(frame.local),
+        },
+        "result": res.to_json(),
+    }
+
+
+def test_correspondence_sweep_reports_disagreements_of_the_per_frame_check(
+    monkeypatch,
+):
+    """With Success alone standing in for the weakly Stalnakerian class,
+    a frame whose table meets it disagrees wherever it is globally constant
+    and an instance fails.  The sweep, which builds the frames of such a
+    group only, reports what the per-frame check reports."""
+    monkeypatch.setattr(frameprops, "WEAKLY_STALNAKERIAN", ("Success",))
+    params = EnumerationParams(max_worlds=2, max_domain=1)
+    frames = groups = 0
+    disagreements = []
+    for group in _frame_groups(params):
+        groups += 1
+        for frame in group:
+            frames += 1
+            res = qc2_correspondence_check(frame, 2, 1)
+            if not res.agree:
+                disagreements.append(_disagreement(frame, res))
+    assert len(disagreements) > 10
+
+    rep = correspondence_sweep(params)
+    assert rep == {
+        "framesChecked": frames,
+        "groupsChecked": groups,
+        "agreeEverywhere": False,
+        "disagreements": disagreements[:10],
+    }
 
 
 def test_witness_replay_failure_raises_under_optimize():
