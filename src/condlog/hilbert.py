@@ -344,10 +344,15 @@ def _replaceable_outside_conditionals(
 
 
 _DRAW_VARIABLES = tuple(Variable(i) for i in range(4))
+# the candidates for each excluded variable, in _DRAW_VARIABLES order, so a
+# draw consumes the generator as a draw from a filtered list would
+_DRAW_WITHOUT = {
+    v: tuple(u for u in _DRAW_VARIABLES if u != v) for v in _DRAW_VARIABLES
+}
 
 
 def _draw_var(rng: random.Random, exclude: Optional[Variable] = None) -> Variable:
-    return rng.choice([v for v in _DRAW_VARIABLES if v != exclude])
+    return rng.choice(_DRAW_WITHOUT.get(exclude, _DRAW_VARIABLES))
 
 
 def _tautology_hook(rng: random.Random, env: dict) -> None:

@@ -7,7 +7,8 @@ There is one evaluator.  A formula is compiled once, independent of any
 frame, into closures whose values pack the world masks of a block of
 interpretations into one int (bitslicing, Biham 1997).  ``extension``,
 ``evaluate`` and ``model_valid`` evaluate a block of one interpretation,
-the model's.  ``first_failure`` walks the interpretations of a formula's
+the model's, whose atom tables are built once per model and predicate and
+kept on the model.  ``first_failure`` walks the interpretations of a formula's
 predicates in blocks that start at one and grow geometrically; both
 ``frame_valid`` and the descending-sequence sweep ask it.
 
@@ -325,6 +326,12 @@ Assignment = Mapping[Variable, int]
 
 @dataclass(frozen=True)
 class Model:
+    """A frame with an interpretation: per predicate and world, the tuples
+    of domain elements where the predicate holds.  ``interp`` is read once,
+    when the evaluator first needs a predicate's table, and the table is
+    kept on the model: do not mutate ``interp`` after the model is first
+    evaluated."""
+
     frame: Frame
     interp: Interpretation = field(default_factory=dict)
 
@@ -585,26 +592,44 @@ def extension(model: Model, g: Assignment, phi: Formula) -> int:
     if missing:
         raise UncoveredVariable(f"assignment misses {sorted(v.index for v in missing)}")
     compiled, frame = _compiled(phi), model.frame
-    nd, full = frame.n_domain, (1 << frame.n_worlds) - 1
-    tables = [[0] * nd**p.arity for p in compiled.preds]
-    for table, p in zip(tables, compiled.preds):
-        for w, tuples in model.interp.get(p, {}).items():
-            for tup in tuples:
-                table[_tuple_index(tup, nd)] |= (1 << w) & full
-    # a model is evaluated many times: its one-interpretation shape is
-    # cached on the frame
+    nd = frame.n_domain
+    env = [g.get(v, 0) for v in compiled.slots]
+    for v, a in zip(compiled.slots, env):
+        if not isinstance(a, int) or not 0 <= a < nd:
+            raise SemanticsError(f"value {a!r} of {v} outside the domain 0..{nd - 1}")
+    # a model is evaluated many times: its atom tables are cached on the
+    # model, its one-interpretation shape on the frame, which many models
+    # share
+    cache = model.__dict__.setdefault("_tables", {})
+    tables = []
+    for p in compiled.preds:
+        table = cache.get(p)
+        if table is None:
+            table = cache[p] = _atom_table(model, p)
+        tables.append(table)
     shape = frame.__dict__.get("_shape")
     if shape is None:
         shape = frame.__dict__["_shape"] = _shape(frame.n_worlds, nd, frame.local, 1)
     block = _Block(frame, shape, tables, compiled.n_memos, {})
-    block.env = [g.get(v, 0) for v in compiled.slots]
-    for v, a in zip(compiled.slots, block.env):
-        if not 0 <= a < nd:
-            raise SemanticsError(f"value {a} of {v} outside the domain")
+    block.env = env
     return compiled.run(block)
 
 
+def _atom_table(model: Model, pred: Predicate) -> list[int]:
+    """Per argument tuple index, the mask of the worlds where ``pred``
+    holds of the tuple in ``model``."""
+    nd, full = model.frame.n_domain, (1 << model.frame.n_worlds) - 1
+    table = [0] * nd**pred.arity
+    for w, tuples in model.interp.get(pred, {}).items():
+        for tup in tuples:
+            table[_tuple_index(tup, nd)] |= (1 << w) & full
+    return table
+
+
 def evaluate(model: Model, w: int, g: Assignment, phi: Formula) -> bool:
+    n = model.frame.n_worlds
+    if not isinstance(w, int) or not 0 <= w < n:
+        raise SemanticsError(f"world {w!r} outside 0..{n - 1}")
     return bool(extension(model, g, phi) & (1 << w))
 
 

@@ -355,6 +355,24 @@ def test_generated_instances_pinned():
     )
 
 
+def test_generated_instance_texts_pinned():
+    """2,000 instances drawn from one seeded generator, the schemas taken in
+    turn, print to the recorded text: every draw of the generator, the
+    variable draws included, consumes the generator as it always has."""
+    from condlog.parser import print_formula
+
+    rng = random.Random(23)
+    pool = _pinned_pool()
+    schemas = sorted(SCHEMAS)
+    digest = hashlib.sha256()
+    for k in range(2000):
+        inst = generate_instance(schemas[k % len(schemas)], rng, pool)
+        digest.update(print_formula(inst).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "d28ca94a109380f9b1609771f157b0f427c12fe9f078e5e8ec57b1d1885d759a"
+    )
+
+
 def test_cross_schema_verdicts_pinned():
     """Every schema's verdict on instances drawn for every schema, and on
     each with y renamed to x, matches the recorded set of acceptances."""

@@ -667,6 +667,88 @@ def test_extension_rejects_values_outside_the_domain():
         extension(footnote_model(), {x: 1}, Atom(P, (x,)))
 
 
+def test_extension_rejects_values_that_are_not_elements():
+    with pytest.raises(SemanticsError, match="1.0"):
+        extension(footnote_model(), {x: 1.0}, Atom(P, (x,)))
+
+
+@pytest.mark.parametrize("w", [2, 5, -1])
+def test_evaluate_rejects_worlds_outside_the_frame(w):
+    with pytest.raises(SemanticsError, match=f"world {w} "):
+        evaluate(footnote_model(), w, {x: 0}, Atom(P, (x,)))
+
+
+# ---------------------------------------------------------------------------
+# Atom tables kept on a model: built when first read, never shared between
+# models, even models on one frame.
+
+
+def _two_models_on_one_frame():
+    """Two worlds and two elements; P(a) holds at world 1 in one model and
+    at world 2 in the other, G(b) at both worlds in both."""
+    frame = SelectionFrame.build(
+        n_worlds=2, r=(0b11, 0b11), entries={}, default="centering", n_domain=2
+    )
+    g_everywhere = {0: frozenset({(1,)}), 1: frozenset({(1,)})}
+    return (
+        Model(frame, {P: {0: frozenset({(0,)})}, G: g_everywhere}),
+        Model(frame, {P: {1: frozenset({(0,)})}, G: g_everywhere}),
+    )
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_models_on_one_frame_keep_their_own_atom_tables(order):
+    models = _two_models_on_one_frame()
+    phi, g = Atom(P, (x,)), {x: 0}
+    want = (0b01, 0b10)
+    for _ in range(2):
+        for i in order:
+            assert extension(models[i], g, phi) == want[i]
+            assert evaluate(models[i], i, g, phi)
+            assert not evaluate(models[i], 1 - i, g, phi)
+
+
+@pytest.mark.parametrize("kind", ["selection", "ordering", "quasi"])
+def test_repeated_extension_matches_reference_evaluator(kind):
+    """Each formula evaluated twice over every assignment, after other
+    formulas have built some of the model's tables: every call agrees with
+    the reference evaluator."""
+    rng = random.Random(f"repeated {kind}")
+    for _ in range(8):
+        model = _random_model(rng, kind)
+        n, nd = model.frame.n_worlds, model.frame.n_domain
+        formulas = [_random_formula(rng, rng.randint(1, 8)) for _ in range(6)]
+        for phi in formulas + formulas:
+            for values in itertools.product(range(nd), repeat=len(_REF_VARIABLES)):
+                g = dict(zip(_REF_VARIABLES, values))
+                want = sum(
+                    1 << w for w in range(n) if reference_truth(model, w, g, phi)
+                )
+                assert extension(model, g, phi) == want, (phi, g, model)
+
+
+def test_model_valid_builds_each_atom_table_once(monkeypatch):
+    from condlog import semantics
+
+    built = []
+    original = semantics._atom_table
+
+    def counting(model, pred):
+        built.append((id(model), pred))
+        return original(model, pred)
+
+    monkeypatch.setattr(semantics, "_atom_table", counting)
+    # valid, so every assignment to x and y is evaluated
+    phi = Imp(And(Atom(P, (x,)), Atom(G, (y,))), Cond(Atom(G, (y,)), Atom(P, (x,))))
+    assert free_variables(phi) == {x, y}
+    models = _two_models_on_one_frame()
+    for model in models + models:
+        assert model_valid(model, [phi, Imp(Atom(P, (y,)), Atom(P, (y,)))]).valid
+    assert sorted(built, key=str) == sorted(
+        ((id(m), p) for m in models for p in (P, G)), key=str
+    )
+
+
 # ---------------------------------------------------------------------------
 # Reference frame validity: every interpretation in ``subset_options``
 # product order, then every assignment, then every world, through
