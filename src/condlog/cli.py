@@ -16,7 +16,6 @@ their own options.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -490,11 +489,8 @@ def cmd_k_truncate(n, out) -> None:
 @click.option("--axioms", is_flag=True, help="Also sweep the non-CEM axiom schemas.")
 @click.option("--samples", default=200, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", default=0, show_default=True)
-@click.option(
-    "--jobs", type=click.IntRange(1, os.cpu_count() or 1), default=1, show_default=True
-)
 @format_option
-def cmd_k_cem(max_size, max_vars, identity, axioms, samples, seed, jobs, fmt) -> None:
+def cmd_k_cem(max_size, max_vars, identity, axioms, samples, seed, fmt) -> None:
     """Sweep conditional excluded middle over the fragment pool."""
     report = kmodel.cem_sweep(
         max_size,
@@ -502,7 +498,6 @@ def cmd_k_cem(max_size, max_vars, identity, axioms, samples, seed, jobs, fmt) ->
         with_identity=identity,
         direct_samples=samples,
         seed=seed,
-        jobs=jobs,
     )
     payload = {"cem": report.to_json()}
     ok = report.ok
@@ -513,7 +508,6 @@ def cmd_k_cem(max_size, max_vars, identity, axioms, samples, seed, jobs, fmt) ->
             with_identity=identity,
             rule_samples=samples,
             seed=seed,
-            jobs=jobs,
         )
         payload["axioms"] = axiom_report.to_json()
         ok = ok and axiom_report.ok

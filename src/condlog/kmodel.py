@@ -18,8 +18,8 @@ assigned value or -1, for q its quantifier rank + 2, a set proven exact.
 The integer part takes one test per stretch of worlds on which the
 realized type is constant, O(t + distinct) whatever the values.
 Denotations are memoised on the formula node, like normal forms and
-fragments, and the sweeps share one fragment pool per (size, vars,
-identity), so the sweeps over one pool hit each other's memos.
+fragments.  The sweeps run in one process and share one fragment pool per
+(size, vars, identity), so the second sweep's setup reads the pool's memos.
 
 Counting normal forms eliminate quantifiers over one unary predicate with
 equality, bottom up.  Each conditional-free node holds the bitmask of the
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .frameprops import _SELECTION
@@ -826,11 +826,12 @@ def fragment_pool(
 
 
 def _sweep_setup(
-    max_size: int, max_vars: int, with_identity: bool, jobs: int
+    max_size: int, max_vars: int, with_identity: bool
 ) -> tuple[Sequence[Formula], dict[Variable, int], dict[KSet, Formula], SweepReport]:
     """The fragment pool of a sweep, which must not be empty; the canonical
-    assignment; the first pool formula of each distinct denotation; and a
-    report holding the pool and denotation counts."""
+    assignment, which covers every pool variable and so is checked once;
+    the first pool formula of each distinct denotation; and a report
+    holding the pool and denotation counts."""
     if max_size < 1 or max_vars < 1:
         raise KModelError(
             f"empty fragment pool: max_size ({max_size}) and max_vars "
@@ -838,9 +839,10 @@ def _sweep_setup(
         )
     pool = fragment_pool(max_size, max_vars, with_identity)
     g = canonical_assignment(max_vars)
+    _check_assignment(g)
     groups: dict[KSet, Formula] = {}
-    for phi, den in zip(pool, _pool_denotations(pool, g, jobs)):
-        groups.setdefault(den, phi)
+    for phi in pool:
+        groups.setdefault(_denote(phi, g, False), phi)
     report = SweepReport(pool_size=len(pool), distinct_denotations=len(groups))
     return pool, g, groups, report
 
@@ -895,9 +897,11 @@ def cem_sweep(
     """
     import random
 
+    if jobs != 1:
+        raise KModelError(f"jobs ({jobs}) must be 1: the sweeps run in one process")
     if direct_samples < 0:
         raise KModelError(f"direct_samples ({direct_samples}) must be at least 0")
-    pool, g, groups, report = _sweep_setup(max_size, max_vars, with_identity, jobs)
+    pool, g, groups, report = _sweep_setup(max_size, max_vars, with_identity)
 
     worlds = list(range(-(max_size + 2), 0))
     for a_set, a_rep in groups.items():
@@ -927,16 +931,6 @@ def cem_sweep(
     return report
 
 
-def _pool_denotations(pool, g, jobs: int) -> list[KSet]:
-    if jobs <= 1:
-        return [denote_k(phi, g) for phi in pool]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as executor:
-        chunksize = -(-len(pool) // jobs)
-        return list(executor.map(partial(denote_k, g=dict(g)), pool, chunksize=chunksize))
-
-
 def qc2_axiom_sweep(
     max_size: int,
     max_vars: int,
@@ -962,9 +956,11 @@ def qc2_axiom_sweep(
     """
     import random
 
+    if jobs != 1:
+        raise KModelError(f"jobs ({jobs}) must be 1: the sweeps run in one process")
     if rule_samples < 0:
         raise KModelError(f"rule_samples ({rule_samples}) must be at least 0")
-    pool, g, groups, report = _sweep_setup(max_size, max_vars, with_identity, jobs)
+    pool, g, groups, report = _sweep_setup(max_size, max_vars, with_identity)
     variables = [Variable(i) for i in range(max_vars)]
 
     def check(den: KSet, *counterexample) -> None:

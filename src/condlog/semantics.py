@@ -336,9 +336,13 @@ class Model:
     interp: Interpretation = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        nd = self.frame.n_domain
+        n, nd = self.frame.n_worlds, self.frame.n_domain
         for pred, per_world in self.interp.items():
             for w, tuples in per_world.items():
+                if not isinstance(w, int) or not 0 <= w < n:
+                    raise SemanticsError(
+                        f"interpretation of {pred} at world {w!r} outside 0..{n - 1}"
+                    )
                 for tup in tuples:
                     if len(tup) != pred.arity or any(not 0 <= a < nd for a in tup):
                         raise SemanticsError(
@@ -618,11 +622,11 @@ def extension(model: Model, g: Assignment, phi: Formula) -> int:
 def _atom_table(model: Model, pred: Predicate) -> list[int]:
     """Per argument tuple index, the mask of the worlds where ``pred``
     holds of the tuple in ``model``."""
-    nd, full = model.frame.n_domain, (1 << model.frame.n_worlds) - 1
+    nd = model.frame.n_domain
     table = [0] * nd**pred.arity
     for w, tuples in model.interp.get(pred, {}).items():
         for tup in tuples:
-            table[_tuple_index(tup, nd)] |= (1 << w) & full
+            table[_tuple_index(tup, nd)] |= 1 << w
     return table
 
 

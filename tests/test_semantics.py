@@ -678,6 +678,17 @@ def test_evaluate_rejects_worlds_outside_the_frame(w):
         evaluate(footnote_model(), w, {x: 0}, Atom(P, (x,)))
 
 
+@pytest.mark.parametrize("w", [5, -1, "w0"])
+def test_model_rejects_interpretation_worlds_outside_the_frame(w):
+    """A world key outside 0..n-1 is refused when the model is built, not
+    read as a world by ``holds`` and masked out by ``extension``."""
+    frame = SelectionFrame.build(
+        n_worlds=2, r=(0b11, 0b11), entries={}, default="centering", n_domain=1
+    )
+    with pytest.raises(SemanticsError, match=f"at world {w!r} outside 0..1"):
+        Model(frame, {P: {w: frozenset({(0,)})}})
+
+
 # ---------------------------------------------------------------------------
 # Atom tables kept on a model: built when first read, never shared between
 # models, even models on one frame.
