@@ -561,9 +561,11 @@ def test_frame_props_json_golden(model):
     assert res.output == golden.read_text()
 
 
-def test_kmodel_cem_sweep_has_no_jobs_option():
-    """The sweeps run in one process, so ``--jobs`` is an unknown option."""
-    res = run("kmodel", "cem-sweep", "--max-size", "3", "--jobs", "2")
+@pytest.mark.parametrize("jobs", [0, 3])
+def test_kmodel_cem_sweep_jobs_out_of_range_exits_2(jobs):
+    """The sweeps run in one process, so ``--jobs`` is an unknown option
+    whatever its value, and Click rejects it before the command runs."""
+    res = run("kmodel", "cem-sweep", "--max-size", "3", "--jobs", str(jobs))
     assert res.exit_code == 2
     assert "No such option" in res.output
     assert "Traceback" not in res.output
