@@ -15,11 +15,12 @@ clause at -inf.  A quantifier node reads its integer part, and its -inf bit
 when the body is conditional-free, off the counting normal form of its
 fragment; otherwise -inf tests the body at the values within 2^q of an
 assigned value or -1, for q its quantifier rank + 2, a set proven exact.
-The integer part takes one test per stretch of worlds on which the
-realized type is constant, O(t + distinct) whatever the values.
-Denotations are memoised on the formula node, like normal forms and
-fragments.  The sweeps run in one process and share one fragment pool per
-(size, vars, identity), so the second sweep's setup reads the pool's memos.
+The integer part reads a shared table of the stretches of worlds on which
+the realized type is constant, one type bit per stretch, cached per
+(values, threshold): O(t + distinct) whatever the values.  Denotations are
+memoised on the formula node, like normal forms and fragments.  The sweeps
+run in one process and share one fragment pool, canonical assignment and
+grouping by denotation per (size, vars, identity).
 
 Counting normal forms eliminate quantifiers over one unary predicate with
 equality, bottom up.  Each conditional-free node holds the bitmask of the
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cache, cached_property, lru_cache
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .frameprops import _SELECTION
 from .hilbert import schema_instance
@@ -68,6 +69,9 @@ MAX_MINUS_INF_RANK = 10  # the -inf test set holds 2^(rank+1) + 1 values per anc
 # The most positions a type table of the normal form may have: 8 have 89,918
 # profiles and 9 would have 610,182, each times (rank + 1)^2 count cells.
 MAX_NF_SCOPE = 8
+# The most formulas a fragment pool may hold: (8, 2) has 144,000 and
+# (9, 2) 851,746.
+MAX_POOL = 200_000
 
 
 class KModelError(Exception):
@@ -275,12 +279,8 @@ class CountingNormalForm:
     mask: int
 
     def satisfied(self, blocks: tuple, flits: tuple, fc: CountClass, nc: CountClass):
-        classes = _count_classes(self.threshold)
-        k = _profiles(len(self.named))[1].get((blocks, flits))
-        if k is None or fc not in classes or nc not in classes:
-            return False
-        w = len(classes)
-        return bool(self.mask >> (k * w + fc[1]) * w + nc[1] & 1)
+        bit = _type_bit(len(self.named), self.threshold, blocks, flits, fc, nc)
+        return bit is not None and bool(self.mask >> bit & 1)
 
     @cached_property
     def types(self) -> frozenset:
@@ -339,6 +339,18 @@ def _profiles(n: int) -> tuple[tuple, dict]:
         for flits in itertools.product((False, True), repeat=len(set(blocks)))
     )
     return out, {p: k for k, p in enumerate(out)}
+
+
+def _type_bit(
+    n: int, r: int, blocks: tuple, flits: tuple, fc: CountClass, nc: CountClass
+) -> Optional[int]:
+    """The bit of the type (blocks, flits, fc, nc) over (n positions, cap
+    r), or None when it is not such a type."""
+    classes = _count_classes(r)
+    k = _profiles(n)[1].get((blocks, flits))
+    if k is None or fc not in classes or nc not in classes:
+        return None
+    return (k * (r + 1) + fc[1]) * (r + 1) + nc[1]
 
 
 def _full(n: int, r: int) -> int:
@@ -522,10 +534,22 @@ def _fragment(phi: Formula) -> Formula:
     cached on the node, so the same source subtree always gives the same
     fragment object and the memo tables keyed by it hit by identity."""
     reduct = material_reduct(phi)
-    for s in subformulas(reduct):
-        if isinstance(s, EPred) or isinstance(s, Atom) and s.pred != F:
-            return replace_other_atoms(reduct)
-    return reduct
+    return replace_other_atoms(reduct) if _other_atoms(phi) else reduct
+
+
+@node_cached
+def _other_atoms(phi: Formula) -> bool:
+    """Whether phi holds E or an atom of a predicate other than F, from the
+    children's cached flags."""
+    if isinstance(phi, Atom):
+        return phi.pred != F
+    if isinstance(phi, EPred):
+        return True
+    if isinstance(phi, Eq):
+        return False
+    if isinstance(phi, (Not, Forall)):
+        return _other_atoms(phi.body)
+    return _other_atoms(phi.left) or _other_atoms(phi.right)
 
 
 def _realized_type(values_list, k, threshold: int):
@@ -536,6 +560,33 @@ def _realized_type(values_list, k, threshold: int):
     neg = (-k - 1) - (len(flits) - sum(flits))
     fc = classes[0] if k == MINUS_INF else classes[-1]
     return blocks, flits, fc, classes[min(neg, threshold)]
+
+
+@lru_cache(maxsize=1 << 12)  # bounded: the values are any ints of Z^-
+def _stretch_table(
+    values: tuple[int, ...], t: int
+) -> tuple[tuple[int, Optional[int], int], ...]:
+    """The worlds of K cut into stretches on which the type the values
+    realize, over (len(values) positions, cap t), is constant: one (type
+    bit, lo, hi) per stretch.  First -inf as world 0, then the integer
+    stretches [lo, hi] from -1 down, the last a ray (.., hi] with lo None.
+    The type at k reads only which values are <= k and the non-F count,
+    capped at or below top.  So each world above top is a stretch, each
+    value at or below top starts one, and the ray below the lowest is the
+    last; each is read at its top world hi.  The table depends on the values
+    and t alone, so every quantifier node with them shares it, and it has
+    at most t + 2 distinct + 2 entries however far apart the values are."""
+    n = len(values)
+    top = -(t + len(set(values)) + 1)
+    starts = [*range(-1, top, -1)]
+    starts += sorted({v for v in values if v <= top}, reverse=True)
+    out = [(_type_bit(n, t, *_realized_type(values, MINUS_INF, t)), 0, 0)]
+    hi = -1
+    for lo in starts:
+        out.append((_type_bit(n, t, *_realized_type(values, hi, t)), lo, hi))
+        hi = lo - 1
+    out.append((_type_bit(n, t, *_realized_type(values, hi, t)), None, hi))
+    return tuple(out)
 
 
 def denote_k(
@@ -594,23 +645,15 @@ def _denote(phi: Formula, g: dict, empty_predicates: bool) -> KSet:
         out = _cond_denotation(a, b)
     elif isinstance(phi, Forall):
         nf = monadic_nf(_quantifier_fragment(phi, empty_predicates), fv)
-        t = nf.threshold
-        values = [g[v] for v in fv]
-        # The type realized at k reads only which values are <= k and the
-        # non-F count, capped at or below top.  So each world above top is
-        # a stretch, each value at or below top starts one, and the ray
-        # below the lowest is the last; each is tested at its top world hi.
-        top = -(t + len(set(values)) + 1)
-        starts = [*range(-1, top, -1)]
-        starts += sorted({v for v in values if v <= top}, reverse=True)
-        bits = int(_forall_minus_inf(phi, g, empty_predicates, nf))
-        hi = -1
-        for lo in starts:
-            if nf.satisfied(*_realized_type(values, hi, t)):
-                bits |= (1 << 1 - lo) - (1 << -hi)
-            hi = lo - 1
-        if nf.satisfied(*_realized_type(values, hi, t)):
-            bits |= -1 << -hi
+        mask = nf.mask
+        bits = 0
+        for bit, lo, hi in _stretch_table(key[1:], nf.threshold):
+            if mask >> bit & 1:
+                bits |= -1 << -hi if lo is None else (1 << 1 - lo) - (1 << -hi)
+        # a node is its own material reduct, cached on it, iff it holds no
+        # conditional; with one, the normal form does not decide -inf
+        if material_reduct(phi) is not phi:
+            bits = bits & -2 | _forall_minus_inf(phi, g, empty_predicates, nf)
         out = KSet(bits)
     else:
         raise KModelError(f"not a formula: {phi!r}")
@@ -638,11 +681,13 @@ def eval_k(
 def _forall_minus_inf(
     phi: Forall, g: dict, empty_predicates: bool, nf: CountingNormalForm
 ) -> bool:
-    """Quantifier at -inf over the infinite domain.
+    """Quantifier at -inf over the infinite domain, for a body with a
+    conditional; ``nf`` is the counting normal form of the node's
+    quantifier fragment over its free variables.
 
     The world -inf is itself a monadic structure (F empty, domain Z^-), so
-    a conditional-free body is decided exactly by ``nf``, the counting
-    normal form of the node's quantifier fragment over its free variables.
+    a conditional-free body is decided exactly by the normal form, at the
+    first entry of ``_stretch_table``.
     With conditionals below, truth at -inf is first order over (Z^-, <=):
     F(n) holds at the world k iff n <= k and never at -inf; an integer
     world sees only itself, so there a conditional is material and truth
@@ -659,12 +704,6 @@ def _forall_minus_inf(
     of its gap stands with lo + 2^q, and one more than 2^q below every
     anchor with lowest - 2^q: the values within 2^q of an anchor decide.
     """
-    # a node is its own material reduct, cached on it, iff it holds no
-    # conditional
-    if material_reduct(phi) is phi:
-        values = [g[v] for v in nf.named]
-        return nf.satisfied(*_realized_type(values, MINUS_INF, nf.threshold))
-
     q = quantifier_rank(phi.body) + 2
     if q > MAX_MINUS_INF_RANK:
         raise StabilizationError(
@@ -792,16 +831,36 @@ def probe_truncation(n: int) -> bool:
     return not _SELECTION["Uniformity"][1](full_integers, 1 << 0, inf, f_all, f_single)
 
 
+def _pool_counts(max_size: int, max_vars: int, with_identity: bool) -> Iterator[int]:
+    """The number of pool formulas up to each size 1..max_size, by the size
+    recurrence of ``fragment_pool``, without building any."""
+    by_size = [0, max_vars + (max_vars * (max_vars - 1) // 2 if with_identity else 0)]
+    yield by_size[1]
+    for s in range(2, max_size + 1):
+        by_size.append(by_size[s - 1] * (1 + max_vars) + 2 * sum(
+            by_size[ls] * by_size[s - 1 - ls] for ls in range(1, s - 1)
+        ))
+        yield sum(by_size)
+
+
 @cache
 def fragment_pool(
     max_size: int, max_vars: int, with_identity: bool = False
 ) -> tuple[Formula, ...]:
     """Every core-node formula over F-atoms (plus ordered identity atoms)
-    up to the size bound, over variables x0..x(max_vars-1).
+    up to the size bound, over variables x0..x(max_vars-1).  A pool of more
+    than ``MAX_POOL`` formulas is refused before any is built.
 
     Cached per call: the sweeps all pass the three arguments by position,
     so they share one pool per (size, vars, identity) and read the
     denotations memoised on its nodes."""
+    for size, count in enumerate(_pool_counts(max_size, max_vars, with_identity), 1):
+        if count > MAX_POOL:
+            raise KModelError(
+                f"the fragment pool at max_vars {max_vars} holds {count} formulas "
+                f"up to size {size} of max_size {max_size}, above the ceiling "
+                f"MAX_POOL = {MAX_POOL}"
+            )
     variables = [Variable(i) for i in range(max_vars)]
     leaves: list[Formula] = [Atom(F, (v,)) for v in variables]
     if with_identity:
@@ -830,21 +889,32 @@ def _sweep_setup(
 ) -> tuple[Sequence[Formula], dict[Variable, int], dict[KSet, Formula], SweepReport]:
     """The fragment pool of a sweep, which must not be empty; the canonical
     assignment, which covers every pool variable and so is checked once;
-    the first pool formula of each distinct denotation; and a report
-    holding the pool and denotation counts."""
+    the first pool formula of each distinct denotation; and a fresh report
+    holding the pool and denotation counts.  All but the report are shared
+    by every sweep of the pool and are read, never changed."""
     if max_size < 1 or max_vars < 1:
         raise KModelError(
             f"empty fragment pool: max_size ({max_size}) and max_vars "
             f"({max_vars}) must both be at least 1"
         )
+    pool, g, groups = _pool_groups(max_size, max_vars, with_identity)
+    report = SweepReport(pool_size=len(pool), distinct_denotations=len(groups))
+    return pool, g, groups, report
+
+
+@cache
+def _pool_groups(
+    max_size: int, max_vars: int, with_identity: bool
+) -> tuple[Sequence[Formula], dict[Variable, int], dict[KSet, Formula]]:
+    """The pool, the checked canonical assignment and the pool grouped by
+    denotation in pool order, cached beside ``fragment_pool``."""
     pool = fragment_pool(max_size, max_vars, with_identity)
     g = canonical_assignment(max_vars)
     _check_assignment(g)
     groups: dict[KSet, Formula] = {}
     for phi in pool:
         groups.setdefault(_denote(phi, g, False), phi)
-    report = SweepReport(pool_size=len(pool), distinct_denotations=len(groups))
-    return pool, g, groups, report
+    return pool, g, groups
 
 
 def canonical_assignment(max_vars: int) -> dict[Variable, int]:

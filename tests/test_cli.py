@@ -551,6 +551,26 @@ def test_kmodel_cem_sweep_empty_pool_exits_2(option):
     assert f"Invalid value for '{option}'" in res.output
 
 
+@pytest.mark.parametrize(
+    "argv,count",
+    [(("--max-size", "9"), 851_746), (("--max-vars", "50"), 7_535_200)],
+)
+def test_kmodel_cem_sweep_above_the_pool_ceiling_exits_2(monkeypatch, argv, count):
+    """The pool is counted by its size recurrence and refused above
+    MAX_POOL before any formula of it is built."""
+    from condlog import kmodel
+
+    built = []
+    monkeypatch.setattr(kmodel, "Variable", lambda i: built.append(i))
+    for extra in ((), ("--axioms",)):
+        res = run("kmodel", "cem-sweep", *argv, *extra)
+        assert res.exit_code == 2, res.output
+        assert f"holds {count} formulas" in res.output
+        assert f"above the ceiling MAX_POOL = {kmodel.MAX_POOL}" in res.output
+        assert "Traceback" not in res.output
+    assert built == []
+
+
 @pytest.mark.parametrize("model", ["remark25.json", "order_faulty.json"])
 def test_frame_props_json_golden(model):
     """The JSON report of a selection model and of an ordering model that

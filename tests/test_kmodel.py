@@ -1307,3 +1307,166 @@ def test_truncation_ceiling():
         eval_truncated(MAX_TRUNCATION + 1, fx, -1, {x: -1})
     with pytest.raises(KModelError, match="ceiling"):
         probe_truncation(MAX_TRUNCATION + 1)
+
+
+# ---------------------------------------------------------------------------
+# The quantifier clause reads one shared stretch table per (values, threshold).
+
+
+def _sweep_pool_quantifiers():
+    """Every quantifier subformula of the pools the K sweeps run on."""
+    from condlog.syntax import subformulas
+
+    nodes = {}
+    for config in ((6, 2, False), (6, 2, True), (5, 3, True)):
+        for phi in fragment_pool(*config):
+            for s in subformulas(phi):
+                if isinstance(s, Forall):
+                    nodes.setdefault(s, None)
+    return list(nodes)
+
+
+def _assigned(values, phi):
+    """x_i -> values[i] on the free variables of phi."""
+    return {v: values[v.index] for v in free_variables(phi)}
+
+
+def test_stretch_clause_matches_the_world_scan_on_the_sweep_pools():
+    """Every quantifier of the (6, 2), (6, 2, =) and (5, 3, =) pools, at
+    the canonical assignment and at values about 10^3 apart, two of them
+    equal: the integer part of the denotation is the world scan's."""
+    nodes = _sweep_pool_quantifiers()
+    for values in ((-1, -2, -3), (-10**3, -40, -40)):
+        for phi in nodes:
+            g = _assigned(values, phi)
+            assert KSet(denote_k(phi, g).bits & -2) == _world_scan(phi, g), (phi, g)
+    assert len(nodes) == 7200
+
+
+def _type_reading(phi, g):
+    """(threshold, holds): whether the node's normal form holds of the type
+    its values realize at one integer world, read as ``_world_scan`` reads
+    it."""
+    from condlog.kmodel import _quantifier_fragment
+
+    fv = tuple(sorted(free_variables(phi), key=lambda v: v.index))
+    nf = monadic_nf(_quantifier_fragment(phi, False), fv)
+    t = nf.threshold
+    labels = {}
+    blocks = tuple(labels.setdefault(g[v], len(labels)) for v in fv)
+
+    def holds(k):
+        flits = tuple(val <= k for val in labels)
+        neg = -k - 1 - flits.count(False)
+        nc = ("exact", neg) if neg < t else ("atleast", t)
+        return nf.satisfied(blocks, flits, ("atleast", t), nc)
+
+    return t, holds
+
+
+def test_stretch_clause_at_values_a_million_apart():
+    """Every quantifier of the sweep pools at values down to -10^6, each on
+    a fresh copy of its tree so that the memos of the far values are freed
+    with it: at every world within t + distinct + 2 of a value or of -1, at
+    the middle of each gap and far down the ray, membership is the type's
+    reading there.  The -inf bit of a conditional-free node is the
+    reference recursion's."""
+    far = ((-1, -10**6, -10**6 + 2), (-10**6, -10**3, -1), (-10**3, -10**3, -10**6))
+    checked = 0
+    for phi in _sweep_pool_quantifiers():
+        phi = pickle.loads(pickle.dumps(phi))  # a tree without memos
+        for values in far:
+            g = _assigned(values, phi)
+            got = denote_k(phi, g)
+            t, holds = _type_reading(phi, g)
+            reach = t + len(set(g.values())) + 2
+            anchors = sorted({*g.values(), -1})
+            worlds = {a + d for a in anchors for d in range(-reach, reach + 1)}
+            worlds.update((a + b) // 2 for a, b in zip(anchors, anchors[1:]))
+            worlds.update((anchors[0] - 10**3, anchors[0] - 10**6))
+            for k in sorted(w for w in worlds if w <= -1):
+                assert got.contains(k) == holds(k), (phi, g, k)
+                checked += 1
+            if material_reduct(phi) is phi:
+                assert got.minus_inf == _reference_minus_inf(phi, g), (phi, g)
+    assert checked == 343_057
+
+
+def test_stretch_table_entries_do_not_grow_with_the_values(monkeypatch):
+    """One (type bit, lo, hi) per stretch: -inf as world 0 first, then
+    adjacent integer stretches from -1 down, the last a ray.  The entry
+    count is the same at -10^3 and at -10^6, and the clause reads the
+    table without one call of ``satisfied``."""
+    from condlog.kmodel import CountingNormalForm, _stretch_table
+
+    for t in range(4):
+        for shape in (
+            lambda v: (),
+            lambda v: (v,),
+            lambda v: (v, v),
+            lambda v: (-1, v),
+            lambda v: (v, v - 7, -2),
+        ):
+            near, far = _stretch_table(shape(-10**3), t), _stretch_table(shape(-10**6), t)
+            assert len(near) == len(far) <= t + 2 * len(set(shape(-10**6))) + 2
+            assert [bit for bit, _, _ in near] == [bit for bit, _, _ in far]
+            assert far[0][1:] == (0, 0) and far[0][0] is not None
+            assert far[1][2] == -1 and far[-1][1] is None
+            for (_, lo, _), (_, _, hi) in zip(far[1:], far[2:]):
+                assert hi == lo - 1
+
+    calls = []
+    monkeypatch.setattr(
+        CountingNormalForm, "satisfied", lambda self, *args: calls.append(args)
+    )
+    x1, x2 = Variable(1), Variable(2)
+    for value in (-10**3, -10**6):
+        phi = Forall(x2, Imp(Atom(F, (x2,)), Atom(F, (x1,))))
+        assert denote_k(phi, {x1: value}) == KSet.make(True, None, [(value, -1)])
+    assert calls == []
+
+
+def test_fragment_flag_gives_the_replaced_reduct():
+    """On formulas with E, a foreign predicate, conditionals and shared
+    subtrees, every node's fragment equals the reduct with the other atoms
+    replaced, and it is the reduct itself exactly when the node holds
+    neither.  A foreign predicate under a quantifier is still refused
+    without the flag."""
+    from condlog.kmodel import _fragment, _quantifier_fragment
+    from condlog.syntax import EPred, predicates, replace_other_atoms, subformulas
+
+    gx, gy = Atom(Predicate(1, 1), (x,)), Atom(Predicate(1, 1), (y,))
+    ex = EPred(x)
+    shared = Cond(fx, Or(gy, fy))
+    pure = Cond(fx, Forall(y, Imp(fy, Eq(x, y))))
+    corpus = [
+        Forall(x, Imp(shared, Forall(y, shared))),
+        Forall(x, Cond(ex, fx)),
+        Not(Forall(y, And(Cond(fx, fy), Eq(x, y)))),
+        Forall(x, Imp(Forall(y, Cond(gx, fy)), Forall(y, pure))),
+        Forall(x, Imp(pure, Forall(y, Imp(ex, Cond(pure, fy))))),
+        Imp(shared, Forall(x, shared)),
+    ]
+    foreign = 0
+    for phi in corpus:
+        for s in subformulas(phi):
+            reduct = material_reduct(s)
+            got = _fragment(s)
+            assert got == replace_other_atoms(reduct), s
+            assert got is _fragment(s)
+            others = any(
+                isinstance(n, EPred) or isinstance(n, Atom) and n.pred != F
+                for n in subformulas(s)
+            )
+            assert (got is reduct) == (not others), s
+            if not isinstance(s, Forall):
+                continue
+            if predicates(s) - {F}:
+                foreign += 1
+                with pytest.raises(NonFragment, match="empty_predicates=True"):
+                    _quantifier_fragment(s, False)
+                with pytest.raises(NonFragment):
+                    denote_k(s, {x: -1, y: -2})
+            else:
+                assert _quantifier_fragment(s, False) is got
+    assert foreign >= 4
