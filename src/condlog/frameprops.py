@@ -290,6 +290,19 @@ def _violation(
     return shape.search(frame, violates)
 
 
+def _cheapest_first(conditions: Container[str]) -> tuple[str, ...]:
+    """The selection conditions in ``conditions``, in ``_SELECTION`` order
+    with those over single subsets before those over pairs."""
+    wanted = [c for c in _SELECTION if c in conditions]
+    return tuple(sorted(wanted, key=lambda c: c in _PAIR_CONDITIONS))
+
+
+def _meets(frame: SelectionFrame, conditions: Sequence[str]) -> bool:
+    """Whether ``frame`` meets every selection condition of ``conditions``,
+    decided in their order up to the first that fails."""
+    return all(_violation(frame, _SELECTION, name) is None for name in conditions)
+
+
 def _report(
     frame: SelectionFrame | OrderingFrame, kind: str, table: dict, wanted: Container[str]
 ) -> FrameReport:
@@ -469,10 +482,7 @@ def _shared_failure(
     )
     if failing is None:
         return None
-    weakly = all(
-        _violation(first, _SELECTION, name) is None for name in WEAKLY_STALNAKERIAN
-    )
-    return failing, weakly
+    return failing, _meets(first, WEAKLY_STALNAKERIAN)
 
 
 def _group_results(

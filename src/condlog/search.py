@@ -17,9 +17,10 @@ from .frameprops import (
     SELECTION_CONDITIONS,
     STALNAKERIAN,
     WEAKLY_STALNAKERIAN,
+    _cheapest_first,
     _group_results,
+    _meets,
     _shared_failure,
-    check_selection_props,
 )
 from .semantics import (
     Model,
@@ -326,7 +327,7 @@ def _table_groups(params: EnumerationParams) -> Iterator[_TableGroup]:
     conditions = params.conditions()
     constrained = {"Success", "WeakCentering", "Uniqueness"} <= conditions
     success_only = not constrained and "Success" in conditions
-    post = [c for c in conditions if c != "GloballyConstant"]
+    post = _cheapest_first(conditions)  # every condition but GloballyConstant
     dperms_of = {nd: _perm_tables(nd) for nd in range(1, params.max_domain + 1)}
     probe_names = _default_names("a", 1)
     for n in range(1, params.max_worlds + 1):
@@ -356,13 +357,13 @@ def _table_groups(params: EnumerationParams) -> Iterator[_TableGroup]:
                     auts = _table_automorphisms(table, stabiliser)
                     if auts is None:
                         continue
-                    if post:
-                        probe = SelectionFrame._unchecked(
+                    if post and not _meets(
+                        SelectionFrame._unchecked(
                             n, r, table, 1, (1,) * n, world_names, probe_names
-                        )
-                        report = check_selection_props(probe, post)
-                        if not all(report.verdicts.values()):
-                            continue
+                        ),
+                        post,
+                    ):
+                        continue
                     canonical = canonical_of.get(auts)
                     if canonical is None:
                         perms = [wperms[k] for k in auts]

@@ -679,17 +679,24 @@ class FrameValidityResult:
 
 
 class _Failure(FrameValidityResult):
-    """A failing ``frame_valid`` result that builds its countermodel when it
-    is first read: the sweeps read only ``valid``."""
+    """A failing ``frame_valid`` result that builds its counterexample and
+    its countermodel each when first read: the sweeps read only ``valid``.
+    ``hit`` is what ``_failure`` returned for ``phi``, compiled, on
+    ``frame``."""
 
-    def __init__(self, counterexample: Counterexample, build: Callable[[], Model]):
+    def __init__(self, frame: Frame, phi: Formula, compiled: _Compiled, hit: tuple):
         object.__setattr__(self, "valid", False)
-        object.__setattr__(self, "counterexample", counterexample)
-        object.__setattr__(self, "_build", build)
+        object.__setattr__(self, "_point", (frame, phi, compiled, hit))
+
+    @functools.cached_property
+    def counterexample(self) -> Counterexample:  # type: ignore[override]
+        _, phi, compiled, (_, _, env, w) = self._point
+        return Counterexample(w, dict(zip(compiled.free, env)), phi)
 
     @functools.cached_property
     def countermodel(self) -> Model:  # type: ignore[override]
-        return self._build()
+        frame, _, _, (space, i, _, _) = self._point
+        return Model(frame, space.interpretation(i))
 
 
 def subset_options(n_domain: int, arity: int) -> list[frozenset[tuple[int, ...]]]:
@@ -770,9 +777,9 @@ class _Interpretations:
         return got
 
 
-# Interpretations are decided in blocks of 1, 8, 64 and then _MAX_BLOCK, so
-# a failure at the first interpretation costs a block of one.
-_GROWTH = 8
+# Interpretations are decided in a block of one and then in blocks of
+# _MAX_BLOCK: a failure at the first interpretation costs a block of one,
+# and the closures walk the formula once per block, whatever its size.
 _MAX_BLOCK = 256
 
 
@@ -808,7 +815,7 @@ def _failure(
             j = (low.bit_length() - 1) // space.width
             false = (block.full ^ value) >> (j * space.width)
             return space, start + j, env, (false & -false).bit_length() - 1
-        start, size = start + size, min(size * _GROWTH, _MAX_BLOCK)
+        start, size = start + size, _MAX_BLOCK
     return None
 
 
@@ -831,7 +838,9 @@ def frame_valid(
     frame: Frame, phi: Formula, max_worlds: int = 5, max_domain: int = 3, max_arity: int = 2
 ) -> FrameValidityResult:
     """Enumerate all interpretations of the predicates occurring in phi.
-    A failing result builds its countermodel when it is first read."""
+    A failing result holds the first failing point of ``first_failure``'s
+    order and builds its counterexample and countermodel each when first
+    read."""
     n, nd = frame.n_worlds, frame.n_domain
     if n > max_worlds or nd > max_domain:
         raise ResourceGuard(
@@ -845,9 +854,7 @@ def frame_valid(
     hit = _failure(frame, compiled, subset_options)
     if hit is None:
         return FrameValidityResult(True)
-    space, i, env, w = hit
-    counterexample = Counterexample(w, dict(zip(compiled.free, env)), phi)
-    return _Failure(counterexample, lambda: Model(frame, space.interpretation(i)))
+    return _Failure(frame, phi, compiled, hit)
 
 
 # ---------------------------------------------------------------------------

@@ -1037,6 +1037,37 @@ def test_minus_inf_bit_matches_the_reference_recursion():
     assert checked == 300 * 6 + 1661 * 5
 
 
+def test_quantifier_distribution_fails_at_minus_inf():
+    """Schema 24, forall x (a > b) -> (a > forall x b) with x not free in a,
+    fails at -inf in K on one instance, which every truncation validates.
+
+    Take a = exists x F(x) and b = ~F(x).  By the conditional clause at
+    -inf (see ``_forall_minus_inf``):
+    - a fails at -inf and holds at every integer world k, with x = k;
+    - for each n, a > ~F(n) holds at -inf: take u = n - 1, then ~F(n)
+      holds at every v <= u, so the antecedent forall x (a > b) holds;
+    - forall x ~F(x) fails at every integer world, so no u makes
+      a -> forall x ~F(x) hold at every v <= u, and a > forall x ~F(x)
+      fails at -inf.
+    Each n has its own u and no one u serves every n: K has no least world
+    and fails the limit assumption.  A truncation has a bottom world, so it
+    meets the limit assumption and makes the instance true there."""
+    from condlog.hilbert import is_axiom_instance
+
+    a = Exists(x, fx)
+    antecedent = Forall(x, Cond(a, Not(fx)))
+    consequent = Cond(a, Forall(x, Not(fx)))
+    phi = Imp(antecedent, consequent)
+    assert is_axiom_instance("24", phi)
+    for part, want in ((phi, False), (antecedent, True), (consequent, False)):
+        assert _reference_minus_inf(part, {}) is want, part
+        assert eval_k(part, MINUS_INF, {}) is want, part
+        assert denote_k(part, {}).minus_inf is want, part
+    assert denote_k(phi, {}) == K_INTEGERS
+    for n in range(1, 31):
+        assert eval_truncated(n, phi, MINUS_INF, {}), n
+
+
 # ---------------------------------------------------------------------------
 # The -inf test set: every value within 2^q of an anchor, q = qr(body) + 2.
 

@@ -44,6 +44,7 @@ from condlog.syntax import (
     Not,
     Or,
     Predicate,
+    Top,
     Variable,
     build_ds,
     conj,
@@ -514,6 +515,88 @@ def test_frame_valid_pinned_witness(text, lang, interp, world, g):
 @pytest.mark.parametrize("text,lang,n_domain,interp,world,g", _PINNED_SKEWED)
 def test_frame_valid_pinned_witness_skewed(text, lang, n_domain, interp, world, g):
     _check_pinned(_skewed_frame(n_domain), text, lang, interp, world, g)
+
+
+def _oracle_first_failure(frame, phi):
+    """The first failing point of ``first_failure``'s order, found by
+    evaluating each interpretation alone: the product over the cells
+    (p, w), predicates by (index, arity) and the last cell fastest, of
+    ``subset_options``; then the assignments in product order; then the
+    worlds."""
+    preds = sorted(predicates(phi), key=lambda p: (p.index, p.arity))
+    cells = [(p, w) for p in preds for w in range(frame.n_worlds)]
+    free = sorted(free_variables(phi), key=lambda v: v.index)
+    options = [subset_options(frame.n_domain, p.arity) for p, _ in cells]
+    for i, values in enumerate(itertools.product(*options)):
+        interp = {p: {} for p in preds}
+        for (p, w), value in zip(cells, values):
+            interp[p][w] = value
+        model = Model(frame, interp)
+        for env in itertools.product(range(frame.n_domain), repeat=len(free)):
+            g = dict(zip(free, env))
+            for w in range(frame.n_worlds):
+                if not evaluate(model, w, g, phi):
+                    return i, interp, g, w
+    return None
+
+
+# First failing interpretations on both sides of the edges of blocks of
+# 1, 8, 64 and 256 interpretations and of blocks of 1 and then 256.
+_BLOCK_EDGES = (0, 1, 7, 8, 9, 63, 64, 65, 255, 256, 257)
+
+
+def _fails_only_at(i: int):
+    """T > ~(P0(x) & ... & P8(x)) with Pk negated where bit 8 - k of i is
+    clear: on a one-world, one-element frame interpretation i alone makes
+    it false, since the last predicate's cell varies fastest."""
+    lits = [Atom(Predicate(k, 1), (x,)) for k in range(9)]
+    lits = [a if i >> (8 - k) & 1 else Not(a) for k, a in enumerate(lits)]
+    return Cond(Top(), Not(conj(lits)))
+
+
+@pytest.mark.parametrize("index", _BLOCK_EDGES)
+def test_first_failure_at_block_edges_matches_the_oracle(index):
+    frame, phi = single_world_frame(), _fails_only_at(index)
+    want = _oracle_first_failure(frame, phi)
+    assert want[0] == index
+    assert first_failure(frame, phi) == want
+
+
+def test_instance_first_failures_match_the_oracle():
+    """The first failures of the instance family on enumerated frames with
+    two worlds and two elements, where conditionals read other worlds and
+    assignments vary, at the block edges they reach first."""
+    from condlog.frameprops import correspondence_instances
+    from condlog.search import EnumerationParams, enumerate_frames
+
+    instances = list(correspondence_instances())
+    seen = {}
+    params = EnumerationParams(2, 2, frozenset({"Success"}))
+    for frame in enumerate_frames(params):
+        for _, phi in instances:
+            hit = first_failure(frame, phi)
+            if hit is not None and hit[0] in _BLOCK_EDGES and hit[0] not in seen:
+                seen[hit[0]] = hit
+                assert hit == _oracle_first_failure(frame, phi), (frame, phi)
+        if len(seen) == 4:
+            break
+    assert sorted(seen) == [0, 1, 8, 64]
+
+
+def test_failing_frame_valid_builds_its_point_when_read():
+    frame, phi = _skewed_frame(2), parse_formula("F(x) -> ~(F(y) > G(x))")
+    res = frame_valid(frame, phi)
+    assert res.valid is False
+    assert not res
+    assert "counterexample" not in res.__dict__
+    assert "countermodel" not in res.__dict__
+    _, interp, g, w = _oracle_first_failure(frame, phi)
+    assert res.counterexample == Counterexample(w, g, phi)
+    assert "countermodel" not in res.__dict__
+    assert res.countermodel == Model(frame, interp)
+    assert not evaluate(res.countermodel, w, g, phi)
+    assert res.counterexample is res.counterexample
+    assert res.countermodel is res.countermodel
 
 
 # ---------------------------------------------------------------------------
