@@ -248,9 +248,9 @@ def cmd_model_valid(model_path, formula, lang, fmt) -> None:
 @main.command("frame-valid")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--formula", required=True)
-@click.option("--max-worlds", default=5, show_default=True)
-@click.option("--max-domain", default=3, show_default=True)
-@click.option("--max-arity", default=2, show_default=True)
+@click.option("--max-worlds", default=5, show_default=True, type=click.IntRange(min=1))
+@click.option("--max-domain", default=3, show_default=True, type=click.IntRange(min=1))
+@click.option("--max-arity", default=2, show_default=True, type=click.IntRange(min=0))
 @lang_option
 @format_option
 def cmd_frame_valid(model_path, formula, max_worlds, max_domain, max_arity, lang, fmt):
@@ -560,7 +560,12 @@ _PROPERTIES = click.Choice(sorted(search.PROPERTY_NAMES))
 @click.option("--max-domain", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--require", multiple=True, type=_PROPERTIES)
 @click.option("--policy", type=click.Choice(["all", "reflexive-only"]), default="all")
-@click.option("--limit", default=0, help="Print up to this many frames as documents.")
+@click.option(
+    "--limit",
+    default=0,
+    type=click.IntRange(min=0),
+    help="Print up to this many frames as documents.",
+)
 @format_option
 def cmd_search_frames(max_worlds, max_domain, require, policy, limit, fmt) -> None:
     """Enumerate canonical frames with the required properties."""

@@ -11,7 +11,6 @@ hold numbered lines with axiom or rule justifications.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from typing import Any, Optional, Sequence
 
@@ -339,7 +338,3 @@ def dump_proof(script: ProofScript) -> dict:
             }
         lines.append({"formula": print_formula(line.formula), "just": just})
     return {"logic": script.logic, "lines": lines}
-
-
-def loads_model(text: str) -> Model:
-    return load_model(json.loads(text))

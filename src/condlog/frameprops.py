@@ -81,25 +81,14 @@ def _guard(frame: SelectionFrame | OrderingFrame, pairs: bool) -> None:
 
 # Each condition is a search shape plus a violation predicate.  A shape walks
 # its candidates in a fixed order and returns the first at which
-# ``violates(*candidate, *values)`` holds, None when there is none; its
-# ``values`` reads the same values at one tuple, or gives None when the tuple
-# is not a candidate.  The check and the witness replay both come from the one
-# shape.  Selection and domain shapes pass the values they read, since they
-# run on every enumerated frame; the ordering shapes pass the frame.
+# ``violates(*candidate, *values)`` holds, None when there is none.  Selection
+# and domain shapes pass the values they read, since they run on every
+# enumerated frame; the ordering shapes pass the frame.
 
 
 class _Shape(NamedTuple):
     search: Callable[..., Optional[tuple]]
-    values: Callable[..., Optional[tuple]]
     pairs: bool = False  # quantifies over pairs of subsets: the pair ceiling
-
-
-def _is_world(frame: SelectionFrame | OrderingFrame, w: int) -> bool:
-    return 0 <= w < frame.n_worlds
-
-
-def _is_set(frame: SelectionFrame | OrderingFrame, p: int) -> bool:
-    return 0 <= p < 1 << frame.n_worlds
 
 
 # (p, w): worlds, then subsets p ascending; reads f(p, w) and R(w).
@@ -112,12 +101,7 @@ def _search_subsets(frame: SelectionFrame, violates) -> Optional[tuple]:
     return None
 
 
-_SUBSETS = _Shape(
-    _search_subsets,
-    lambda fr, p, w: (fr.table[w][p], fr.r[w])
-    if _is_world(fr, w) and _is_set(fr, p)
-    else None,
-)
+_SUBSETS = _Shape(_search_subsets)
 
 
 # (p, q, w): worlds, then p, then q ascending; reads f(p, w) and f(q, w).
@@ -130,13 +114,7 @@ def _search_pairs(frame: SelectionFrame, violates) -> Optional[tuple]:
     return None
 
 
-def _pair_values(fr: SelectionFrame, p: int, q: int, w: int) -> Optional[tuple]:
-    if _is_world(fr, w) and _is_set(fr, p) and _is_set(fr, q):
-        return fr.table[w][p], fr.table[w][q]
-    return None
-
-
-_PAIRS = _Shape(_search_pairs, _pair_values, pairs=True)
+_PAIRS = _Shape(_search_pairs, pairs=True)
 
 
 # (p, q, w) with p within q: worlds, then q ascending, then p descending
@@ -154,11 +132,7 @@ def _search_nested(frame: SelectionFrame, violates) -> Optional[tuple]:
     return None
 
 
-_NESTED = _Shape(
-    _search_nested,
-    lambda fr, p, q, w: _pair_values(fr, p, q, w) if not p & ~q else None,
-    pairs=True,
-)
+_NESTED = _Shape(_search_nested, pairs=True)
 
 
 # (w,): worlds ascending; reads the local domain of w and the whole domain.
@@ -170,10 +144,7 @@ def _search_worlds(frame: SelectionFrame | OrderingFrame, violates) -> Optional[
     return None
 
 
-_WORLDS = _Shape(
-    _search_worlds,
-    lambda fr, w: (fr.local[w], (1 << fr.n_domain) - 1) if _is_world(fr, w) else None,
-)
+_WORLDS = _Shape(_search_worlds)
 
 
 # (w, v) with v in R(w): worlds, then v ascending; reads the local domains
@@ -190,12 +161,7 @@ def _search_successors(
     return None
 
 
-_SUCCESSORS = _Shape(
-    _search_successors,
-    lambda fr, w, v: (fr.local[w], fr.local[v])
-    if _is_world(fr, w) and _is_world(fr, v) and fr.r[w] >> v & 1
-    else None,
-)
+_SUCCESSORS = _Shape(_search_successors)
 
 
 def _accessible(fr: OrderingFrame, w: int) -> list[int]:
@@ -213,13 +179,7 @@ def _product(k: int, within: Callable[..., Sequence[int]] = _accessible) -> _Sha
                     return (*xs, w)
         return None
 
-    def values(frame: OrderingFrame, *candidate: int) -> Optional[tuple]:
-        *xs, w = candidate
-        if _is_world(frame, w) and all(x in within(frame, w) for x in xs):
-            return (frame,)
-        return None
-
-    return _Shape(search, values)
+    return _Shape(search)
 
 
 def _no_least_element(s: int, w: int, fr: OrderingFrame) -> bool:
@@ -363,20 +323,6 @@ def check_domain_props(
     return rep
 
 
-def replay_witness(
-    frame: SelectionFrame | OrderingFrame, condition: str, witness: tuple
-) -> bool:
-    """True when the witness is a candidate of the condition's search and
-    violates the condition there."""
-    table = _SELECTION if isinstance(frame, SelectionFrame) else _ORDERING
-    entry = {**table, **_DOMAIN}.get(condition)
-    if entry is None:
-        raise ValueError(f"no replay for condition {condition!r}")
-    shape, violates = entry
-    values = shape.values(frame, *witness)
-    return values is not None and bool(violates(*witness, *values))
-
-
 # ---------------------------------------------------------------------------
 # Frame correspondence for the base conditional logic (valid over exactly the
 # weakly Stalnakerian globally constant frames).
@@ -506,22 +452,3 @@ def _group_results(
         )
         for frame in frames
     ]
-
-
-def qc2_correspondence_group(
-    frames: Sequence[SelectionFrame],
-    max_worlds: int = 5,
-    max_domain: int = 3,
-) -> list[CorrespondenceResult]:
-    """``qc2_correspondence_check`` of each of ``frames``, which share W, R,
-    table and |D| and differ only in their local domains.
-
-    The family's leading members that read no local domain are decided once,
-    on the first frame.  When one of them fails, it is the failing instance
-    of every frame; the weakly Stalnakerian conditions, which read only the
-    table, are then decided once, cheapest first up to the first that fails,
-    and GloballyConstant per frame.  When they all hold, each frame is
-    checked on its own."""
-    return _group_results(
-        frames, _shared_failure(frames[0], max_worlds, max_domain), max_worlds, max_domain
-    )

@@ -275,18 +275,15 @@ def _free_in_none(v: Variable, *formulas: Formula) -> bool:
     return not any(v in free_variables(f) for f in formulas)
 
 
-def _check_axiom_11(phi: Formula, replace_s_by_t: bool = True) -> bool:
-    """The substitution axiom s = t -> (a -> b).  By default b results from
-    a by replacing free occurrences of s with t, never inside a conditional.
-    The published wording is garbled; ``replace_s_by_t=False`` reads the
-    reverse direction."""
+def _check_axiom_11(phi: Formula) -> bool:
+    """The substitution axiom s = t -> (a -> b): b results from a by
+    replacing free occurrences of s with t, never inside a conditional.
+    The published wording is garbled; this reads it as replacing s by t."""
     m = match(SCHEMAS["11"].patterns[0], phi)  # s = t -> (a -> b), s bound to x
     if m is None:
         return False
-    s, t = m.variables["x"], m.variables["t"]
-    old, new = (s, t) if replace_s_by_t else (t, s)
     return _replaceable_outside_conditionals(
-        m.formulas["a"], m.formulas["b"], old, new
+        m.formulas["a"], m.formulas["b"], m.variables["x"], m.variables["t"]
     )
 
 

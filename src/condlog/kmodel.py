@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .frameprops import _SELECTION
@@ -59,7 +59,6 @@ from .syntax import (
     predicates,
     quantifier_rank,
     replace_other_atoms,
-    subformulas,
     substitute,
 )
 
@@ -72,6 +71,9 @@ MAX_NF_SCOPE = 8
 # The most formulas a fragment pool may hold: (8, 2) has 144,000 and
 # (9, 2) 851,746.
 MAX_POOL = 200_000
+# The largest |value| an assignment may give: a value -n puts an n-bit int in
+# the denotation of an atom at it, 2 MB at the ceiling.
+MAX_ASSIGNMENT = 1 << 24
 
 
 class KModelError(Exception):
@@ -98,6 +100,11 @@ def _check_assignment(g: Mapping[Variable, int]) -> None:
     for v, val in g.items():
         if not isinstance(val, int) or val > -1:
             raise KModelError(f"assignment value {val!r} for {v} outside Z^-")
+        if val < -MAX_ASSIGNMENT:
+            raise KModelError(
+                f"assignment value {val} for {v} is below -MAX_ASSIGNMENT = "
+                f"{-MAX_ASSIGNMENT}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +262,6 @@ CountClass = tuple[str, int]  # ("exact", j) below the threshold, or ("atleast",
 
 
 @dataclass(frozen=True)
-class CountingType:
-    """One disjunct of a counting normal form, for presentation.
-
-    ``f_range``/``neg_range`` bound the number of F / non-F elements other
-    than the named ones; an upper bound of None means unbounded.
-    """
-
-    literals: tuple[tuple[Variable, bool], ...]
-    eq_blocks: Optional[tuple[int, ...]]
-    f_range: tuple[int, Optional[int]]
-    neg_range: tuple[int, Optional[int]]
-
-
-@dataclass(frozen=True)
 class CountingNormalForm:
     """The complete counting types over ``named`` on which ``formula``
     holds, as a bitmask over the type index of (len(named), threshold)."""
@@ -281,40 +274,6 @@ class CountingNormalForm:
     def satisfied(self, blocks: tuple, flits: tuple, fc: CountClass, nc: CountClass):
         bit = _type_bit(len(self.named), self.threshold, blocks, flits, fc, nc)
         return bit is not None and bool(self.mask >> bit & 1)
-
-    @cached_property
-    def types(self) -> frozenset:
-        """The types as (blocks, flits, fc, nc) tuples."""
-        classes = _count_classes(self.threshold)
-        w = len(classes)
-        profiles = _profiles(len(self.named))[0]
-        return frozenset(
-            profiles[i // (w * w)] + (classes[i // w % w], classes[i % w])
-            for i in _bits(self.mask)
-        )
-
-    @cached_property
-    def presented(self) -> tuple[CountingType, ...]:
-        """The types merged into ranged presentation types."""
-        r = self.threshold
-        eq_matters = any(isinstance(s, Eq) for s in subformulas(self.formula))
-        grouped: dict = {}
-        cells_by_profile: dict = {}
-        for blocks, flits, fc, nc in self.types:
-            profile = (blocks, flits)
-            key = profile if eq_matters else tuple(flits[b] for b in blocks)
-            grouped.setdefault(key, profile)
-            cells_by_profile.setdefault(key, set()).add((fc[1], nc[1]))
-        out = []
-        for key in sorted(cells_by_profile, key=repr):
-            blocks, flits = grouped[key]
-            literals = tuple((v, flits[blocks[i]]) for i, v in enumerate(self.named))
-            eq_blocks = blocks if eq_matters else None
-            for (f0, f1), (n0, n1) in _rectangles(cells_by_profile[key], r + 1):
-                f_range = (f0, None if f1 == r else f1)
-                n_range = (n0, None if n1 == r else n1)
-                out.append(CountingType(literals, eq_blocks, f_range, n_range))
-        return tuple(out)
 
 
 @cache
@@ -486,27 +445,6 @@ def monadic_nf(phi: Formula, named: Sequence[Variable]) -> CountingNormalForm:
     if missing:
         raise KModelError(f"named variables must cover free variables: {missing}")
     return CountingNormalForm(phi, named, r, _lift(phi, named, r))
-
-
-def _rectangles(cells: set, n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Greedy cover of a cell set by axis-aligned rectangles."""
-    remaining = set(cells)
-    out = []
-    while remaining:
-        f0, n0 = min(remaining)
-        f1 = f0
-        while f1 + 1 < n and (f1 + 1, n0) in remaining:
-            f1 += 1
-        n1 = n0
-        while n1 + 1 < n and all(
-            (f, n1 + 1) in remaining for f in range(f0, f1 + 1)
-        ):
-            n1 += 1
-        out.append(((f0, f1), (n0, n1)))
-        for f in range(f0, f1 + 1):
-            for nn in range(n0, n1 + 1):
-                remaining.discard((f, nn))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -820,17 +758,6 @@ def induced_selection_probe() -> ProbeReport:
     )
 
 
-def probe_truncation(n: int) -> bool:
-    """True when the truncation shows no such violation (finite minima)."""
-    model = truncate(n)
-    frame = model.frame
-    inf = n
-    full_integers = (1 << n) - 1
-    f_all = frame.min_set(full_integers, inf)
-    f_single = frame.min_set(1 << 0, inf)
-    return not _SELECTION["Uniformity"][1](full_integers, 1 << 0, inf, f_all, f_single)
-
-
 def _pool_counts(max_size: int, max_vars: int, with_identity: bool) -> Iterator[int]:
     """The number of pool formulas up to each size 1..max_size, by the size
     recurrence of ``fragment_pool``, without building any."""
@@ -967,7 +894,7 @@ def cem_sweep(
     """
     import random
 
-    if jobs != 1:
+    if jobs != 1:  # kept only because bench/workloads.py passes jobs=1
         raise KModelError(f"jobs ({jobs}) must be 1: the sweeps run in one process")
     if direct_samples < 0:
         raise KModelError(f"direct_samples ({direct_samples}) must be at least 0")
@@ -1026,7 +953,7 @@ def qc2_axiom_sweep(
     """
     import random
 
-    if jobs != 1:
+    if jobs != 1:  # kept only because bench/workloads.py passes jobs=1
         raise KModelError(f"jobs ({jobs}) must be 1: the sweeps run in one process")
     if rule_samples < 0:
         raise KModelError(f"rule_samples ({rule_samples}) must be at least 0")
@@ -1156,58 +1083,3 @@ def _cond_denotation(a: KSet, b: KSet) -> KSet:
     """Denotation of a conditional from its component denotations: integer
     worlds see only themselves, so > is material there."""
     return KSet((~a.bits | b.bits) & -2 | cond_at_origin(a, b))
-
-
-def rebuild_formula(nf: CountingNormalForm) -> Formula:
-    """A formula (in the identity language) equivalent to the normal form.
-
-    Each presented type becomes literals, the (in)equality pattern, and
-    threshold-counting conjuncts over fresh variables excluded from the
-    named ones; the disjunction of the types rebuilds the input up to
-    equivalence over every one-predicate structure.
-    """
-    from .syntax import Exists, Top, disj
-
-    used = {v.index for v in nf.named}
-    fresh_start = (max(used) + 1) if used else 0
-
-    def count_at_least(j: int, positive: bool) -> Formula:
-        if j == 0:
-            return Top()
-        zs = [Variable(fresh_start + i) for i in range(j)]
-        parts: list[Formula] = []
-        for z in zs:
-            atom: Formula = Atom(F, (z,))
-            parts.append(atom if positive else Not(atom))
-        parts.extend(
-            Not(Eq(zs[i], zs[jj]))
-            for i in range(j)
-            for jj in range(i + 1, j)
-        )
-        parts.extend(Not(Eq(z, v)) for z in zs for v in nf.named)
-        out = conj(parts)
-        for z in reversed(zs):
-            out = Exists(z, out)
-        return out
-
-    disjuncts: list[Formula] = []
-    for t in nf.presented:
-        parts = []
-        for v, positive in t.literals:
-            atom = Atom(F, (v,))
-            parts.append(atom if positive else Not(atom))
-        if t.eq_blocks is not None:
-            names = [v for v, _ in t.literals]
-            for i in range(len(names)):
-                for j in range(i + 1, len(names)):
-                    pair = Eq(names[i], names[j])
-                    parts.append(
-                        pair if t.eq_blocks[i] == t.eq_blocks[j] else Not(pair)
-                    )
-        for positive, (lo, hi) in ((True, t.f_range), (False, t.neg_range)):
-            if lo > 0:
-                parts.append(count_at_least(lo, positive))
-            if hi is not None:
-                parts.append(Not(count_at_least(hi + 1, positive)))
-        disjuncts.append(conj(parts))
-    return disj(disjuncts)

@@ -267,24 +267,14 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
     f(P,w) within R(w), so the frames skip the construction scan of
     ``SelectionFrame``.
     """
-    for group in _frame_groups(params):
-        yield from group
-
-
-def _frame_groups(params: EnumerationParams) -> Iterator[list[SelectionFrame]]:
-    """The frames of ``enumerate_frames``, in its order, grouped by (|W|,
-    |D|, R, table): each group holds one canonical (R, table) with every
-    canonical local domain, so its frames differ only in ``local``.  Every
-    frame of every group is built; ``correspondence_sweep`` walks
-    ``_table_groups`` instead and builds only the frames it reads."""
     for group in _table_groups(params):
-        yield group.frames()
+        yield from group.frames()
 
 
 class _TableGroup(NamedTuple):
     """One canonical (|W|, R, table, |D|) with its canonical local domains,
-    in enumeration order, and the default names: the frames of one group
-    of ``_frame_groups``, which are built only when asked for."""
+    in enumeration order, and the default names: frames that differ only in
+    ``local``, which are built only when asked for."""
 
     n_worlds: int
     r: tuple[int, ...]

@@ -312,14 +312,6 @@ def disj(parts: Sequence[Formula]) -> Formula:
     return out
 
 
-def nested_cond(antecedents: Sequence[Formula], body: Formula) -> Formula:
-    """Right-nested conditional a1 > (a2 > (... > body)); empty vector is body."""
-    out = body
-    for a in reversed(antecedents):
-        out = Cond(a, out)
-    return out
-
-
 def counting_exists(n: int, x: Variable, body_of: Callable[[Variable], Formula]) -> Formula:
     """There are exactly n elements satisfying the body (identity needed).
 

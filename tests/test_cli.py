@@ -284,6 +284,24 @@ def test_kmodel_world_and_value_need_an_ascii_numeral_exits_2(argv):
     assert "world must be" in res.output or "is not an integer" in res.output
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("denote", "--formula", "F(x)"),
+        ("eval", "--world", "-1", "--formula", "F(x)"),
+    ],
+)
+def test_kmodel_assignment_far_below_the_ceiling_exits_2(argv):
+    """A value far below -1 is refused by name, not an overflow traceback."""
+    from condlog.kmodel import MAX_ASSIGNMENT
+
+    res = run("kmodel", *argv, "--assign", "x=-99999999999999999999")
+    assert res.exit_code == 2, res.output
+    assert "assignment value -99999999999999999999 for x" in res.output
+    assert f"below -MAX_ASSIGNMENT = {-MAX_ASSIGNMENT}" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_kmodel_truncate_above_the_ceiling_exits_2(tmp_path):
     from condlog.kmodel import MAX_TRUNCATION
 
@@ -330,6 +348,28 @@ def test_search_frames_count():
     )
     assert res.exit_code == 0
     assert json.loads(res.output)["count"] == 2  # with and without the loop
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("search", "frames", "--limit", "-1"), "--limit"),
+        (("frame-valid", "--model", _MODEL, "--formula", "F(x)", "--max-worlds", "0"),
+         "--max-worlds"),
+        (("frame-valid", "--model", _MODEL, "--formula", "F(x)", "--max-domain", "0"),
+         "--max-domain"),
+        (("frame-valid", "--model", _MODEL, "--formula", "F(x)", "--max-arity", "-1"),
+         "--max-arity"),
+    ],
+    ids=["limit", "max-worlds", "max-domain", "max-arity"],
+)
+def test_numeric_option_below_its_range_exits_2(argv, option):
+    """A count option below its range is refused by Click, naming it,
+    before the library is reached."""
+    res = run(*argv)
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '{option}'" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_search_ds_no_model():
@@ -578,6 +618,27 @@ def test_frame_props_json_golden(model):
     res = run("frame-props", "--model", str(FIXTURES / model), "--format", "json")
     assert res.exit_code == 0
     golden = FIXTURES / "golden" / f"frame-props-{model}"
+    assert res.output == golden.read_text()
+
+
+# The sweeps at their default sizes: (golden name, argv).
+SWEEP_GOLDENS = [
+    ("kmodel-cem-sweep-axioms", ("kmodel", "cem-sweep", "--axioms")),
+    ("correspondence-sweep", ("correspondence", "--sweep")),
+    ("search-ds", ("search", "ds")),
+    ("search-compactness-5", ("search", "compactness", "--n", "5")),
+    ("kmodel-probe", ("kmodel", "probe")),
+]
+
+
+@pytest.mark.parametrize(
+    "name, argv", SWEEP_GOLDENS, ids=[case[0] for case in SWEEP_GOLDENS]
+)
+def test_sweep_json_golden(name, argv):
+    """The JSON report of each sweep, byte for byte."""
+    res = run(*argv, "--format", "json")
+    assert res.exit_code == 0, res.output
+    golden = FIXTURES / "golden" / f"{name}.json"
     assert res.output == golden.read_text()
 
 

@@ -10,7 +10,6 @@ from condlog.fileformats import (
     dump_proof,
     load_model,
     load_proof,
-    loads_model,
 )
 from condlog.frameprops import check_selection_props
 from condlog.hilbert import ProofScript, mod_theorem_proof, verify_proof
@@ -184,7 +183,7 @@ def test_empty_proof_is_valid():
 
 
 def test_loads_model_from_text():
-    model = loads_model((FIXTURES / "remark25.json").read_text())
+    model = load_model(json.loads((FIXTURES / "remark25.json").read_text()))
     assert model.frame.n_worlds == 2
 
 

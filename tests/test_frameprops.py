@@ -1,17 +1,110 @@
 import pytest
 
 from condlog.frameprops import (
+    _DOMAIN,
+    _ORDERING,
+    _SELECTION,
     check_domain_props,
     check_ordering_props,
     check_selection_props,
     correspondence_instances,
     qc2_correspondence_check,
-    qc2_correspondence_group,
-    replay_witness,
 )
 from condlog.semantics import OrderingFrame, SelectionFrame
 
 from test_semantics import chain_order, remark25_frame, single_world_frame
+
+
+# ---------------------------------------------------------------------------
+# Witness replay: an oracle that reads the frame again at one tuple, apart
+# from the search.  Per condition, the values its violation predicate reads
+# at the tuple, or None when the tuple is not a candidate of its search.
+
+
+def _is_world(frame, w):
+    return 0 <= w < frame.n_worlds
+
+
+def _is_set(frame, p):
+    return 0 <= p < 1 << frame.n_worlds
+
+
+def _subset_values(fr, p, w):
+    if _is_world(fr, w) and _is_set(fr, p):
+        return fr.table[w][p], fr.r[w]
+    return None
+
+
+def _pair_values(fr, p, q, w):
+    if _is_world(fr, w) and _is_set(fr, p) and _is_set(fr, q):
+        return fr.table[w][p], fr.table[w][q]
+    return None
+
+
+def _nested_values(fr, p, q, w):
+    return _pair_values(fr, p, q, w) if not p & ~q else None
+
+
+def _accessible(fr, w):
+    return [x for x in range(fr.n_worlds) if fr.r[w] >> x & 1]
+
+
+def _product_values(within=_accessible):
+    def values(fr, *candidate):
+        *xs, w = candidate
+        if _is_world(fr, w) and all(x in within(fr, w) for x in xs):
+            return (fr,)
+        return None
+
+    return values
+
+
+def _world_values(fr, w):
+    return (fr.local[w], (1 << fr.n_domain) - 1) if _is_world(fr, w) else None
+
+
+def _successor_values(fr, w, v):
+    if _is_world(fr, w) and _is_world(fr, v) and fr.r[w] >> v & 1:
+        return fr.local[w], fr.local[v]
+    return None
+
+
+_SELECTION_VALUES = {
+    "Success": _subset_values,
+    "WeakCentering": _subset_values,
+    "StrongCentering": _subset_values,
+    "LA": _subset_values,
+    "WLA": _pair_values,
+    "Uniformity": _pair_values,
+    "Uniqueness": _subset_values,
+    "RationalMonotonicity": _nested_values,
+}
+_ORDERING_VALUES = {
+    "Reflexivity": _product_values(),
+    "Transitivity": _product_values(),
+    "StronglyConnected": _product_values(),
+    "WeakCentering": _product_values(),
+    "StrongCentering": _product_values(),
+    "SLA": _product_values(lambda fr, w: range(1 << fr.n_worlds)),
+}
+_DOMAIN_VALUES = {
+    "GloballyConstant": _world_values,
+    "LocallyNonDecreasing": _successor_values,
+    "LocallyNonIncreasing": _successor_values,
+}
+
+
+def replay_witness(frame, condition, witness):
+    """True when the witness is a candidate of the condition's search and
+    violates the condition there."""
+    if condition in _DOMAIN:
+        table, values_of = _DOMAIN, _DOMAIN_VALUES
+    elif isinstance(frame, SelectionFrame):
+        table, values_of = _SELECTION, _SELECTION_VALUES
+    else:
+        table, values_of = _ORDERING, _ORDERING_VALUES
+    values = values_of[condition](frame, *witness)
+    return values is not None and bool(table[condition][1](*witness, *values))
 
 
 def test_remark25_weakly_but_not_stalnakerian():
@@ -434,7 +527,6 @@ def test_replay_matches_the_violation_predicate_on_every_candidate():
     ordering frames, a candidate of a condition's search replays exactly
     when its violation predicate holds there, and the check's witness is
     the first candidate that replays."""
-    from condlog.frameprops import _DOMAIN, _ORDERING, _SELECTION
     from condlog.search import EnumerationParams, enumerate_frames
 
     # the selection conditions read only R and the table, the domain ones
@@ -466,11 +558,13 @@ def test_group_shares_only_the_instances_without_quantifier_or_e():
 def test_grouped_correspondence_matches_the_per_frame_check():
     """On every frame of the (2 worlds, 1 element) enumeration, the result
     decided through its (R, table) group equals the per-frame check."""
-    from condlog.search import EnumerationParams, _frame_groups
+    from condlog.frameprops import _group_results, _shared_failure
+    from condlog.search import EnumerationParams, _table_groups
 
     frames = shared = 0
-    for group in _frame_groups(EnumerationParams(max_worlds=2, max_domain=1)):
-        results = qc2_correspondence_group(group, 2, 1)
+    for table_group in _table_groups(EnumerationParams(max_worlds=2, max_domain=1)):
+        group = table_group.frames()
+        results = _group_results(group, _shared_failure(group[0], 2, 1), 2, 1)
         assert len(results) == len(group)
         for frame, res in zip(group, results):
             assert res == qc2_correspondence_check(frame, 2, 1), frame

@@ -41,7 +41,6 @@ from condlog.syntax import (
     Predicate,
     Variable,
     conj,
-    nested_cond,
     substitute,
 )
 
@@ -127,10 +126,8 @@ def test_qst_substitution_axiom_direction():
     assert not is_axiom_instance("11", Imp(Eq(x, z), Imp(before, bad_after)))
     # zero replacements are allowed
     assert is_axiom_instance("11", Imp(Eq(x, z), Imp(before, before)))
-    # the reverse direction is behind the flag
-    rev = Imp(Eq(x, z), Imp(after, before))
-    assert not _check_axiom_11(rev, replace_s_by_t=True)
-    assert _check_axiom_11(rev, replace_s_by_t=False)
+    # the reverse direction, z replaced by x, is out
+    assert not _check_axiom_11(Imp(Eq(x, z), Imp(after, before)))
 
 
 def test_existence_axioms_both_spellings():
@@ -460,6 +457,14 @@ def test_rule_verdicts_on_the_derivation_corpus_pinned():
         {"13": 14, "14": 0, "15": 0, "16": 1, "17": 0, "25": 14, "26": 2, "27": 1, "27v": 0},
         "76fd737a7995d1b9df75d4c359bd1abb21a6c7eb6a545e07ef4167dfa714d805",
     )
+
+
+def nested_cond(antecedents, body):
+    """Right-nested conditional a1 > (a2 > (... > body)); empty vector is body."""
+    out = body
+    for a in reversed(antecedents):
+        out = Cond(a, out)
+    return out
 
 
 def _rule_applications():

@@ -7,7 +7,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from condlog.frameprops import check_ordering_props
+from condlog.frameprops import _SELECTION, check_ordering_props
 from condlog.kmodel import (
     K_FULL,
     K_INTEGERS,
@@ -15,6 +15,7 @@ from condlog.kmodel import (
     KModelError,
     KSet,
     NonFragment,
+    _count_classes,
     _profiles,
     canonical_assignment,
     cem_sweep,
@@ -25,11 +26,10 @@ from condlog.kmodel import (
     fragment_pool,
     induced_selection_probe,
     monadic_nf,
-    probe_truncation,
     qc2_axiom_sweep,
     truncate,
 )
-from condlog.semantics import Model, SelectionFrame, evaluate
+from condlog.semantics import Model, SelectionFrame, _bits, evaluate
 from condlog.syntax import (
     And,
     Atom,
@@ -47,8 +47,10 @@ from condlog.syntax import (
     build_ds,
     conj,
     counting_exists,
+    disj,
     free_variables,
     material_reduct,
+    subformulas,
 )
 
 x, y = Variable(0), Variable(1)
@@ -349,12 +351,137 @@ def test_cond_at_origin_matches_lewis_clause_on_truncation():
 
 # ---------------------------------------------------------------------------
 # Counting normal forms.
+#
+# Oracles that read a normal form back: its types decoded from the mask,
+# merged into ranged presentation types, and rebuilt into a formula.
+
+
+@dataclass(frozen=True)
+class CountingType:
+    """One disjunct of a counting normal form, for presentation.
+
+    ``f_range``/``neg_range`` bound the number of F / non-F elements other
+    than the named ones; an upper bound of None means unbounded.
+    """
+
+    literals: tuple[tuple[Variable, bool], ...]
+    eq_blocks: Optional[tuple[int, ...]]
+    f_range: tuple[int, Optional[int]]
+    neg_range: tuple[int, Optional[int]]
+
+
+def nf_types(nf) -> frozenset:
+    """The types of a normal form as (blocks, flits, fc, nc) tuples."""
+    classes = _count_classes(nf.threshold)
+    w = len(classes)
+    profiles = _profiles(len(nf.named))[0]
+    return frozenset(
+        profiles[i // (w * w)] + (classes[i // w % w], classes[i % w])
+        for i in _bits(nf.mask)
+    )
+
+
+def _rectangles(cells: set, n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Greedy cover of a cell set by axis-aligned rectangles."""
+    remaining = set(cells)
+    out = []
+    while remaining:
+        f0, n0 = min(remaining)
+        f1 = f0
+        while f1 + 1 < n and (f1 + 1, n0) in remaining:
+            f1 += 1
+        n1 = n0
+        while n1 + 1 < n and all(
+            (f, n1 + 1) in remaining for f in range(f0, f1 + 1)
+        ):
+            n1 += 1
+        out.append(((f0, f1), (n0, n1)))
+        for f in range(f0, f1 + 1):
+            for nn in range(n0, n1 + 1):
+                remaining.discard((f, nn))
+    return out
+
+
+def presented(nf) -> tuple[CountingType, ...]:
+    """The types of a normal form merged into ranged presentation types."""
+    r = nf.threshold
+    eq_matters = any(isinstance(s, Eq) for s in subformulas(nf.formula))
+    grouped: dict = {}
+    cells_by_profile: dict = {}
+    for blocks, flits, fc, nc in nf_types(nf):
+        profile = (blocks, flits)
+        key = profile if eq_matters else tuple(flits[b] for b in blocks)
+        grouped.setdefault(key, profile)
+        cells_by_profile.setdefault(key, set()).add((fc[1], nc[1]))
+    out = []
+    for key in sorted(cells_by_profile, key=repr):
+        blocks, flits = grouped[key]
+        literals = tuple((v, flits[blocks[i]]) for i, v in enumerate(nf.named))
+        eq_blocks = blocks if eq_matters else None
+        for (f0, f1), (n0, n1) in _rectangles(cells_by_profile[key], r + 1):
+            f_range = (f0, None if f1 == r else f1)
+            n_range = (n0, None if n1 == r else n1)
+            out.append(CountingType(literals, eq_blocks, f_range, n_range))
+    return tuple(out)
+
+
+def rebuild_formula(nf):
+    """A formula (in the identity language) equivalent to the normal form.
+
+    Each presented type becomes literals, the (in)equality pattern, and
+    threshold-counting conjuncts over fresh variables excluded from the
+    named ones; the disjunction of the types rebuilds the input up to
+    equivalence over every one-predicate structure.
+    """
+    used = {v.index for v in nf.named}
+    fresh_start = (max(used) + 1) if used else 0
+
+    def count_at_least(j: int, positive: bool):
+        if j == 0:
+            return Top()
+        zs = [Variable(fresh_start + i) for i in range(j)]
+        parts = []
+        for z in zs:
+            atom = Atom(F, (z,))
+            parts.append(atom if positive else Not(atom))
+        parts.extend(
+            Not(Eq(zs[i], zs[jj]))
+            for i in range(j)
+            for jj in range(i + 1, j)
+        )
+        parts.extend(Not(Eq(z, v)) for z in zs for v in nf.named)
+        out = conj(parts)
+        for z in reversed(zs):
+            out = Exists(z, out)
+        return out
+
+    disjuncts = []
+    for t in presented(nf):
+        parts = []
+        for v, positive in t.literals:
+            atom = Atom(F, (v,))
+            parts.append(atom if positive else Not(atom))
+        if t.eq_blocks is not None:
+            names = [v for v, _ in t.literals]
+            for i in range(len(names)):
+                for j in range(i + 1, len(names)):
+                    pair = Eq(names[i], names[j])
+                    parts.append(
+                        pair if t.eq_blocks[i] == t.eq_blocks[j] else Not(pair)
+                    )
+        for positive, (lo, hi) in ((True, t.f_range), (False, t.neg_range)):
+            if lo > 0:
+                parts.append(count_at_least(lo, positive))
+            if hi is not None:
+                parts.append(Not(count_at_least(hi + 1, positive)))
+        disjuncts.append(conj(parts))
+    return disj(disjuncts)
 
 
 def test_monadic_nf_exists():
     nf = monadic_nf(Exists(x, fx), [])
-    assert len(nf.presented) == 1
-    t = nf.presented[0]
+    assert len(presented(nf)) == 1
+    t = presented(nf)[0]
     assert t.literals == ()
     assert t.f_range == (1, None)
     assert t.neg_range == (0, None)
@@ -364,8 +491,8 @@ def test_monadic_nf_literals():
     x1, x2, y1 = Variable(0), Variable(1), Variable(2)
     phi = And(Atom(F, (x1,)), And(Atom(F, (x2,)), Not(Atom(F, (y1,)))))
     nf = monadic_nf(phi, [x1, x2, y1])
-    assert len(nf.presented) == 1
-    t = nf.presented[0]
+    assert len(presented(nf)) == 1
+    t = presented(nf)[0]
     assert dict(t.literals) == {x1: True, x2: True, y1: False}
     assert t.eq_blocks is None  # no identity in the formula
 
@@ -373,8 +500,8 @@ def test_monadic_nf_literals():
 def test_monadic_nf_counting_quantifier():
     phi = counting_exists(2, x, lambda v: Not(Atom(F, (v,))))
     nf = monadic_nf(phi, [])
-    assert len(nf.presented) == 1
-    t = nf.presented[0]
+    assert len(presented(nf)) == 1
+    t = presented(nf)[0]
     assert t.neg_range == (2, 2)
     assert t.f_range == (0, None)
 
@@ -516,6 +643,21 @@ def test_eval_k_rejects_bad_input():
         eval_k(Atom(Predicate(1, 1), (x,)), -1, {x: -1})
     # with the flag, foreign predicates read as empty
     assert not eval_k(Atom(Predicate(1, 1), (x,)), -1, {x: -1}, empty_predicates=True)
+
+
+def test_assignment_values_below_the_ceiling_are_refused():
+    """A value -n puts an n-bit int in the denotation of an atom at it, so
+    values below -MAX_ASSIGNMENT are refused before any set is built; the
+    ceiling itself is accepted."""
+    from condlog.kmodel import MAX_ASSIGNMENT
+
+    assert denote_k(fx, {x: -MAX_ASSIGNMENT}).least_integer() == -MAX_ASSIGNMENT
+    for value in (-MAX_ASSIGNMENT - 1, -(10**20)):
+        message = f"assignment value {value} for x is below -MAX_ASSIGNMENT"
+        with pytest.raises(KModelError, match=message):
+            denote_k(fx, {x: value})
+        with pytest.raises(KModelError, match=message):
+            eval_k(fx, -1, {x: value})
 
 
 def test_denote_k_rejects_an_uncovered_variable():
@@ -690,6 +832,17 @@ def test_witness_descent_divergence_is_inherent():
     assert eval_k(phi, MINUS_INF, {})
     for n in (10, 17, 30):
         assert not eval_truncated(n, phi, MINUS_INF, {})
+
+
+def probe_truncation(n: int) -> bool:
+    """True when the truncation shows no such violation (finite minima)."""
+    model = truncate(n)
+    frame = model.frame
+    inf = n
+    full_integers = (1 << n) - 1
+    f_all = frame.min_set(full_integers, inf)
+    f_single = frame.min_set(1 << 0, inf)
+    return not _SELECTION["Uniformity"][1](full_integers, 1 << 0, inf, f_all, f_single)
 
 
 def test_truncation_differs_from_k_on_sla():
@@ -877,8 +1030,7 @@ def test_counting_equivalence_in_k():
 def test_normal_form_rebuild_equivalence():
     """Rebuilding a counting normal form into a formula preserves the
     denotation, for conditional-free pool formulas."""
-    from condlog.kmodel import rebuild_formula
-    from condlog.syntax import Cond as CondNode, subformulas
+    from condlog.syntax import Cond as CondNode
 
     pool = [
         p
@@ -1223,7 +1375,8 @@ def test_quantifier_fragment_normal_forms_pinned():
                 named = tuple(sorted(free_variables(s), key=lambda v: v.index))
                 seen.setdefault((_quantifier_fragment(s, False), named), None)
     lines = sorted(
-        f"{frag!r}|{[v.index for v in named]}|{sorted(monadic_nf(frag, named).types)}"
+        f"{frag!r}|{[v.index for v in named]}|"
+        f"{sorted(nf_types(monadic_nf(frag, named)))}"
         for frag, named in seen
     )
     assert len(lines) == 2934

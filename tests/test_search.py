@@ -18,8 +18,8 @@ from condlog.search import (
     enumerate_frames,
     _chain_selection_frame,
     _f_values,
-    _frame_groups,
     _perm_tables,
+    _table_groups,
     correspondence_sweep,
 )
 from condlog.semantics import Model, SelectionFrame, evaluate, first_failure
@@ -358,7 +358,8 @@ def test_frame_groups_flatten_to_enumerate_frames(max_worlds, max_domain, props)
     the groups in order are exactly the enumerated frames."""
     params = EnumerationParams(max_worlds, max_domain, frozenset(props))
     flat, keys = [], set()
-    for group in _frame_groups(params):
+    for table_group in _table_groups(params):
+        group = table_group.frames()
         key = {(f.n_worlds, f.n_domain, f.r, f.table) for f in group}
         assert len(key) == 1 and not key & keys
         keys |= key
@@ -465,9 +466,9 @@ def test_correspondence_sweep_reports_disagreements_of_the_per_frame_check(
     params = EnumerationParams(max_worlds=2, max_domain=1)
     frames = groups = 0
     disagreements = []
-    for group in _frame_groups(params):
+    for group in _table_groups(params):
         groups += 1
-        for frame in group:
+        for frame in group.frames():
             frames += 1
             res = qc2_correspondence_check(frame, 2, 1)
             if not res.agree:

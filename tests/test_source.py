@@ -1,6 +1,7 @@
 """Guards over the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import condlog
@@ -20,3 +21,53 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def _is_command(node: ast.FunctionDef | ast.ClassDef) -> bool:
+    """Decorated with ``<group>.command(...)`` or ``<group>.group(...)``:
+    Click reaches it, not a name."""
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def _references(tree: ast.AST) -> Counter:
+    """The names a tree reads: bare names, attributes and imported names.
+    Docstrings and comments are not read."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rpartition(".")[2]] += 1
+    return out
+
+
+def test_every_module_level_definition_is_read_by_the_program():
+    """A module-level function or class of the package that nothing in the
+    package (its re-exports included) or in the benchmark reads, other than
+    its own body, is API that only tests reach: an oracle belongs in the
+    test that uses it."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for path in [*sorted(PACKAGE.glob("*.py")), *sorted(bench.rglob("*.py"))]
+    }
+    program = Counter()
+    for tree in trees.values():
+        program.update(_references(tree))
+    unread = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not _is_command(node)
+        and program[node.name] == _references(node)[node.name]
+    ]
+    assert not unread, unread
