@@ -248,22 +248,13 @@ def cmd_model_valid(model_path, formula, lang, fmt) -> None:
 @main.command("frame-valid")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--formula", required=True)
-@click.option("--max-worlds", default=5, show_default=True, type=click.IntRange(min=1))
-@click.option("--max-domain", default=3, show_default=True, type=click.IntRange(min=1))
-@click.option("--max-arity", default=2, show_default=True, type=click.IntRange(min=0))
 @lang_option
 @format_option
-def cmd_frame_valid(model_path, formula, max_worlds, max_domain, max_arity, lang, fmt):
+def cmd_frame_valid(model_path, formula, lang, fmt):
     """Validity over every interpretation on the model's frame."""
     model = _load_model(model_path)
     for phi in _read_formulas(formula, LANGS[lang]):
-        res = semantics.frame_valid(
-            model.frame,
-            phi,
-            max_worlds=max_worlds,
-            max_domain=max_domain,
-            max_arity=max_arity,
-        )
+        res = semantics.frame_valid(model.frame, phi)
         if not res.valid:
             cx = res.counterexample
             names = model.frame.world_names
@@ -355,16 +346,14 @@ def cmd_prove(proof_path, fmt) -> None:
 @main.command("correspondence")
 @click.option("--model", "model_path", type=click.Path(exists=True), default=None)
 @click.option("--sweep", is_flag=True, help="Check all enumerated frames instead.")
-@click.option("--max-worlds", type=click.IntRange(min=1), help="[default: 2, or 5 with --model]")
-@click.option("--max-domain", type=click.IntRange(min=1), help="[default: 2, or 3 with --model]")
+@click.option("--max-worlds", type=click.IntRange(min=1), help="--sweep only [default: 2]")
+@click.option("--max-domain", type=click.IntRange(min=1), help="--sweep only [default: 2]")
 @format_option
 def cmd_correspondence(model_path, sweep, max_worlds, max_domain, fmt) -> None:
     """Instance-family validity versus the frame conditions."""
-    max_worlds = max_worlds or (2 if sweep else 5)
-    max_domain = max_domain or (2 if sweep else 3)
     if sweep:
         report = search.correspondence_sweep(
-            search.EnumerationParams(max_worlds=max_worlds, max_domain=max_domain)
+            search.EnumerationParams(max_worlds or 2, max_domain or 2)
         )
         _finish(
             fmt,
@@ -379,10 +368,13 @@ def cmd_correspondence(model_path, sweep, max_worlds, max_domain, fmt) -> None:
         return
     if model_path is None:
         raise click.UsageError("give --model or --sweep")
+    for option, value in (("--max-worlds", max_worlds), ("--max-domain", max_domain)):
+        if value is not None:
+            raise click.UsageError(f"{option} bounds --sweep only")
     model = _load_model(model_path)
     if not isinstance(model.frame, semantics.SelectionFrame):
         raise click.UsageError("correspondence checks need a selection model")
-    res = frameprops.qc2_correspondence_check(model.frame, max_worlds, max_domain)
+    res = frameprops.qc2_correspondence_check(model.frame)
     _finish(
         fmt,
         res.agree,

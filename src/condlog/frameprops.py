@@ -381,11 +381,7 @@ def correspondence_instances() -> list[tuple[str, Formula]]:
     return list(_INSTANCE_FAMILY)
 
 
-def qc2_correspondence_check(
-    frame: SelectionFrame,
-    max_worlds: int = 5,
-    max_domain: int = 3,
-) -> CorrespondenceResult:
+def qc2_correspondence_check(frame: SelectionFrame) -> CorrespondenceResult:
     """Instance-family validity versus (weakly Stalnakerian and globally
     constant), checked independently; the two verdicts should coincide.
 
@@ -400,7 +396,7 @@ def qc2_correspondence_check(
     instance_valid = True
     failing = None
     for name, inst in correspondence_instances():
-        res = frame_valid(frame, inst, max_worlds=max_worlds, max_domain=max_domain)
+        res = frame_valid(frame, inst)
         if not res.valid:
             instance_valid = False
             failing = name
@@ -408,9 +404,7 @@ def qc2_correspondence_check(
     return CorrespondenceResult(instance_valid, properties_hold, failing)
 
 
-def _shared_failure(
-    first: SelectionFrame, max_worlds: int, max_domain: int
-) -> Optional[tuple[str, bool]]:
+def _shared_failure(first: SelectionFrame) -> Optional[tuple[str, bool]]:
     """The verdicts shared by every frame with the W, R, table and |D| of
     ``first``: the first of the family's leading members that read no local
     domain (19, 21 and 22) to fail on ``first``, and whether the table is
@@ -420,9 +414,7 @@ def _shared_failure(
         (
             name
             for name, inst in _INSTANCE_FAMILY[:_LOCAL_FREE]
-            if not frame_valid(
-                first, inst, max_worlds=max_worlds, max_domain=max_domain
-            ).valid
+            if not frame_valid(first, inst).valid
         ),
         None,
     )
@@ -434,15 +426,13 @@ def _shared_failure(
 def _group_results(
     frames: Sequence[SelectionFrame],
     shared: Optional[tuple[str, bool]],
-    max_worlds: int,
-    max_domain: int,
 ) -> list[CorrespondenceResult]:
     """The results of ``frames``, one group whose ``_shared_failure`` is
     ``shared``: each frame checked on its own when it is None, and
     otherwise the shared failing instance with the properties holding where
     the table is weakly Stalnakerian and the frame globally constant."""
     if shared is None:
-        return [qc2_correspondence_check(f, max_worlds, max_domain) for f in frames]
+        return [qc2_correspondence_check(f) for f in frames]
     failing, weakly = shared
     return [
         CorrespondenceResult(

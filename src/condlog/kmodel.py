@@ -190,18 +190,8 @@ class KSet:
         return tuple(reversed(out))
 
     @property
-    def integer_empty(self) -> bool:
-        return self.bits >> 1 == 0
-
-    @property
     def is_empty(self) -> bool:
         return self.bits == 0
-
-    def least_integer(self) -> Optional[int]:
-        """Smallest integer member; None when empty or unbounded below."""
-        if self.bits < 2:
-            return None
-        return 1 - self.bits.bit_length()
 
     def union(self, other: "KSet") -> "KSet":
         return KSet(self.bits | other.bits)
@@ -211,9 +201,6 @@ class KSet:
 
     def complement(self) -> "KSet":
         return KSet(~self.bits)
-
-    def minus(self, other: "KSet") -> "KSet":
-        return KSet(self.bits & ~other.bits)
 
     def to_json(self) -> dict:
         return {

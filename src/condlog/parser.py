@@ -286,13 +286,11 @@ def _print(phi: Formula, level: int, tail: bool) -> str:
     return f"({text})" if mine < level else text
 
 
+_TOP = Top()
+
+
 def _match_top(phi: Formula) -> bool:
-    return (
-        isinstance(phi, Forall)
-        and isinstance(phi.body, Imp)
-        and phi.body.left == phi.body.right
-        and phi.body.left == Atom(Predicate(0, 1), (phi.var,))
-    )
+    return phi == _TOP
 
 
 def _match_bot(phi: Formula) -> bool:

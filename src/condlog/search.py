@@ -57,6 +57,10 @@ CLASSIFICATIONS = {
 HARD_WORLD_LIMIT = 4
 HARD_DOMAIN_LIMIT = 6
 
+# The largest prefix compactness_witness searches: its work grows about 30
+# times per step of n, and n = 7 takes a few seconds.
+MAX_COMPACTNESS_N = 7
+
 # What ``EnumerationParams.required_properties`` may name.
 PROPERTY_NAMES = (*SELECTION_CONDITIONS, "GloballyConstant", *CLASSIFICATIONS)
 
@@ -438,11 +442,11 @@ def correspondence_sweep(params: EnumerationParams) -> dict:
         groups += 1
         checked += len(group.local_domains)
         first = group.frame(group.local_domains[0])
-        shared = _shared_failure(first, params.max_worlds, params.max_domain)
+        shared = _shared_failure(first)
         if shared is not None and not shared[1]:
             continue
         frames = [first, *map(group.frame, group.local_domains[1:])]
-        results = _group_results(frames, shared, params.max_worlds, params.max_domain)
+        results = _group_results(frames, shared)
         for frame, res in zip(frames, results):
             if not res.agree:
                 disagreements.append(
@@ -491,6 +495,11 @@ def compactness_witness(n: int) -> SearchOutcome:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > MAX_COMPACTNESS_N:
+        raise ResourceGuard(
+            f"compactness ceiling exceeded: n={n} above MAX_COMPACTNESS_N = "
+            f"{MAX_COMPACTNESS_N}"
+        )
     outcome = SearchOutcome(found=False)
     family = compactness_prefix(n)
 

@@ -777,6 +777,10 @@ class _Interpretations:
         return got
 
 
+# The most points (interpretation, assignment, world) that frame_valid walks:
+# 2^23 of them take a few seconds.
+MAX_FRAME_POINTS = 1 << 23
+
 # Interpretations are decided in a block of one and then in blocks of
 # _MAX_BLOCK: a failure at the first interpretation costs a block of one,
 # and the closures walk the formula once per block, whatever its size.
@@ -834,23 +838,21 @@ def first_failure(
     return i, space.interpretation(i), dict(zip(compiled.free, env)), w
 
 
-def frame_valid(
-    frame: Frame, phi: Formula, max_worlds: int = 5, max_domain: int = 3, max_arity: int = 2
-) -> FrameValidityResult:
+def frame_valid(frame: Frame, phi: Formula) -> FrameValidityResult:
     """Enumerate all interpretations of the predicates occurring in phi.
     A failing result holds the first failing point of ``first_failure``'s
     order and builds its counterexample and countermodel each when first
-    read."""
+    read.  More than ``MAX_FRAME_POINTS`` points are refused first."""
     n, nd = frame.n_worlds, frame.n_domain
-    if n > max_worlds or nd > max_domain:
-        raise ResourceGuard(
-            f"frame validity ceiling exceeded: |W|={n}, |D|={nd} "
-            f"(limits {max_worlds}, {max_domain}; raise them explicitly to override)"
-        )
     compiled = _compiled(phi)
-    for p in compiled.preds:
-        if p.arity > max_arity:
-            raise ResourceGuard(f"predicate arity {p.arity} above ceiling {max_arity}")
+    bits, k = n * sum([nd**p.arity for p in compiled.preds]), len(compiled.free)
+    # nd**k * n >= 1: from the ceiling's bit length on, 2^bits alone is too many
+    if bits >= MAX_FRAME_POINTS.bit_length() or (nd**k * n) << bits > MAX_FRAME_POINTS:
+        raise ResourceGuard(
+            f"frame validity ceiling exceeded: 2^{bits} interpretations x "
+            f"{nd}^{k} assignments x {n} worlds is above MAX_FRAME_POINTS = "
+            f"{MAX_FRAME_POINTS} points"
+        )
     hit = _failure(frame, compiled, subset_options)
     if hit is None:
         return FrameValidityResult(True)

@@ -354,14 +354,8 @@ def test_search_frames_count():
     "argv, option",
     [
         (("search", "frames", "--limit", "-1"), "--limit"),
-        (("frame-valid", "--model", _MODEL, "--formula", "F(x)", "--max-worlds", "0"),
-         "--max-worlds"),
-        (("frame-valid", "--model", _MODEL, "--formula", "F(x)", "--max-domain", "0"),
-         "--max-domain"),
-        (("frame-valid", "--model", _MODEL, "--formula", "F(x)", "--max-arity", "-1"),
-         "--max-arity"),
     ],
-    ids=["limit", "max-worlds", "max-domain", "max-arity"],
+    ids=["limit"],
 )
 def test_numeric_option_below_its_range_exits_2(argv, option):
     """A count option below its range is refused by Click, naming it,
@@ -570,18 +564,71 @@ def test_correspondence_model_above_validity_ceiling_exits_2(tmp_path):
     assert res.exit_code == 0
     res = run("correspondence", "--model", str(selection))
     assert res.exit_code == 2
-    assert "frame validity ceiling exceeded: |W|=7" in res.output
+    assert (
+        "frame validity ceiling exceeded: 2^42 interpretations x 6^1 assignments "
+        "x 7 worlds is above MAX_FRAME_POINTS = 8388608 points"
+    ) in res.output
 
 
 def test_correspondence_model_honours_max_worlds():
-    """``--max-worlds`` below the model's 2 worlds exits 2, as it does
-    for ``frame-valid``."""
+    """``--max-worlds`` bounds ``--sweep``'s enumeration only: with
+    ``--model`` it exits 2 and says so."""
     res = run(
         "correspondence", "--model", str(FIXTURES / "remark25.json"),
         "--max-worlds", "1",
     )
     assert res.exit_code == 2
-    assert "frame validity ceiling exceeded" in res.output
+    assert "--max-worlds bounds --sweep only" in res.output
+    assert "Traceback" not in res.output
+
+
+def _refuse(*args):
+    raise AssertionError("work started above the ceiling")
+
+
+def test_frame_valid_above_the_point_ceiling_exits_2(monkeypatch, tmp_path):
+    """The points are counted before any interpretation is built: one
+    binary predicate on 5 worlds and 3 elements gives 2^45
+    interpretations."""
+    from condlog import semantics
+
+    monkeypatch.setattr(semantics, "_Interpretations", _refuse)
+    model = tmp_path / "five.json"
+    model.write_text(json.dumps({
+        "kind": "selection",
+        "worlds": [f"w{i}" for i in range(5)],
+        "domain": ["a", "b", "c"],
+        "default": "empty",
+    }))
+    res = run(
+        "frame-valid", "--model", str(model),
+        "--formula", "forall x. forall y. (P1(x,y) -> P1(x,y))",
+    )
+    assert res.exit_code == 2, res.output
+    assert "2^45 interpretations x 3^0 assignments x 5 worlds" in res.output
+    assert f"above MAX_FRAME_POINTS = {semantics.MAX_FRAME_POINTS}" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_frame_valid_counts_points_not_worlds():
+    """11 worlds with one proposition are 2^11 x 11 points, well below the
+    ceiling."""
+    res = run(
+        "frame-valid", "--model", str(FIXTURES / "selection_11_worlds.json"),
+        "--formula", "A > A",
+    )
+    assert res.exit_code == 0, res.output
+    assert "valid on the frame" in res.output
+
+
+def test_search_compactness_above_its_ceiling_exits_2(monkeypatch):
+    from condlog import search
+
+    monkeypatch.setattr(search, "_compactness_search", _refuse)
+    res = run("search", "compactness", "--n", str(search.MAX_COMPACTNESS_N + 1))
+    assert res.exit_code == 2, res.output
+    assert f"above MAX_COMPACTNESS_N = {search.MAX_COMPACTNESS_N}" in res.output
+    assert "Traceback" not in res.output
 
 
 @pytest.mark.parametrize("option", ["--max-size", "--max-vars"])
@@ -781,9 +828,6 @@ _COMMANDS = {
     ("frame-valid",): [
         ("--model", _MODEL_PATHS, _REQUIRED),
         ("--formula", _FORMULAS, _REQUIRED),
-        ("--max-worlds", _INTS, _OPTIONAL),
-        ("--max-domain", _INTS, _OPTIONAL),
-        ("--max-arity", _INTS, _OPTIONAL),
         ("--lang", _LANGS, _OPTIONAL),
     ],
     ("frame-props",): [("--model", _MODEL_PATHS, _REQUIRED)],

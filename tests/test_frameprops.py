@@ -564,10 +564,10 @@ def test_grouped_correspondence_matches_the_per_frame_check():
     frames = shared = 0
     for table_group in _table_groups(EnumerationParams(max_worlds=2, max_domain=1)):
         group = table_group.frames()
-        results = _group_results(group, _shared_failure(group[0], 2, 1), 2, 1)
+        results = _group_results(group, _shared_failure(group[0]))
         assert len(results) == len(group)
         for frame, res in zip(group, results):
-            assert res == qc2_correspondence_check(frame, 2, 1), frame
+            assert res == qc2_correspondence_check(frame), frame
         frames += len(group)
         shared += results[0].failing_instance in (
             "identity (19)", "weak centering (21)", "excluded middle (22)"

@@ -137,7 +137,13 @@ def test_print_sugar():
 def test_roundtrip_ds():
     ds = build_ds()
     assert alpha_equal(parse_formula(print_formula(ds), Lang.L), ds)
-    for text in ("A <-> B -> C", "forall x. E(x) <-> F(x)"):
+    for text in (
+        "A <-> B -> C",
+        "forall x. E(x) <-> F(x)",
+        # top and bot are F over x0 only
+        "forall y. F(y) -> F(y)",
+        "~(F(x) > ~forall y. F(y) -> F(y))",
+    ):
         assert print_formula(parse_formula(text, Lang.LE)) == text
 
 

@@ -470,7 +470,7 @@ def test_correspondence_sweep_reports_disagreements_of_the_per_frame_check(
         groups += 1
         for frame in group.frames():
             frames += 1
-            res = qc2_correspondence_check(frame, 2, 1)
+            res = qc2_correspondence_check(frame)
             if not res.agree:
                 disagreements.append(_disagreement(frame, res))
     assert len(disagreements) > 10

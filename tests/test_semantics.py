@@ -225,11 +225,56 @@ def test_frame_valid_mod_instance_single_world():
 
 
 def test_frame_valid_resource_guard():
+    """The ceiling counts points, not worlds: 6 worlds with one unary
+    predicate are 2^6 x 6 points and answer; four unary predicates are
+    2^24 x 6 and are refused, and so is a predicate whose 2^(2^40 x 6)
+    interpretations could not be counted out as an int."""
     big = SelectionFrame.build(
         n_worlds=6, r=(0b111111,) * 6, entries={}, default="centering", n_domain=1
     )
-    with pytest.raises(ResourceGuard):
-        frame_valid(big, Atom(F, (x,)))
+    assert not frame_valid(big, Atom(F, (x,))).valid
+    four = conj([Atom(Predicate(i, 1), (x,)) for i in range(4)])
+    with pytest.raises(ResourceGuard, match=r"2\^24 interpretations x 1\^1 assignments"):
+        frame_valid(big, four)
+    two = SelectionFrame.build(
+        n_worlds=6, r=(0b111111,) * 6, entries={}, default="centering", n_domain=2
+    )
+    with pytest.raises(ResourceGuard, match=rf"2\^{6 << 40} interpretations"):
+        frame_valid(two, Atom(Predicate(0, 40), (x,) * 40))
+
+
+def _with_free(arities: tuple[int, ...], k: int):
+    """Atoms of one predicate per arity in ``arities`` over x and y, with
+    exactly the first k of x, y free."""
+    atoms = [Atom(Predicate(i, a), (x, y)[:a]) for i, a in enumerate(arities)]
+    phi = conj([*atoms, EPred(x), EPred(y)])
+    for v in (x, y)[k:]:
+        phi = Forall(v, phi)
+    return phi
+
+
+@pytest.mark.parametrize("n, nd", itertools.product((1, 2, 3), repeat=2))
+def test_frame_valid_refuses_exactly_the_points_it_would_walk(monkeypatch, n, nd):
+    """The count frame_valid checks against MAX_FRAME_POINTS is what
+    ``_failure`` walks: interpretations x assignments x worlds."""
+    from condlog import semantics
+
+    frame = SelectionFrame.build(
+        n_worlds=n, r=((1 << n) - 1,) * n, entries={}, default="centering", n_domain=nd
+    )
+    monkeypatch.setattr(semantics, "_failure", lambda *args: None)
+    for arities in ((0,), (1,), (2,), (1, 1), (0, 1, 2)):
+        for k in range(3):
+            phi = _with_free(arities, k)
+            compiled = semantics._compiled(phi)
+            assert len(compiled.free) == k
+            space = semantics._Interpretations(compiled, n, nd, subset_options)
+            points = space.total * len(space.envs) * n
+            monkeypatch.setattr(semantics, "MAX_FRAME_POINTS", points)
+            assert frame_valid(frame, phi).valid
+            monkeypatch.setattr(semantics, "MAX_FRAME_POINTS", points - 1)
+            with pytest.raises(ResourceGuard):
+                frame_valid(frame, phi)
 
 
 # ---------------------------------------------------------------------------
