@@ -17,6 +17,7 @@ from .semantics import (
     SelectionFrame,
     _bits,
     frame_valid,
+    frames_valid,
 )
 from .hilbert import schema_instance
 from .syntax import Atom, EPred, Forall, Formula, Predicate, Variable, subformulas
@@ -51,10 +52,6 @@ class FrameReport:
     @property
     def weakly_stalnakerian(self) -> bool:
         return self._holds("weaklyStalnakerian")
-
-    @property
-    def lewisian(self) -> bool:
-        return self._holds("lewisian")
 
     def first_failure(self, order: Sequence[str]) -> str:
         for c in order:
@@ -404,23 +401,27 @@ def qc2_correspondence_check(frame: SelectionFrame) -> CorrespondenceResult:
     return CorrespondenceResult(instance_valid, properties_hold, failing)
 
 
-def _shared_failure(first: SelectionFrame) -> Optional[tuple[str, bool]]:
-    """The verdicts shared by every frame with the W, R, table and |D| of
-    ``first``: the first of the family's leading members that read no local
-    domain (19, 21 and 22) to fail on ``first``, and whether the table is
-    weakly Stalnakerian, decided cheapest first up to the first condition
-    that fails; None when all of those members hold."""
-    failing = next(
-        (
-            name
-            for name, inst in _INSTANCE_FAMILY[:_LOCAL_FREE]
-            if not frame_valid(first, inst).valid
-        ),
-        None,
-    )
-    if failing is None:
-        return None
-    return failing, _meets(first, WEAKLY_STALNAKERIAN)
+def _shared_failure(
+    firsts: Sequence[SelectionFrame],
+) -> list[Optional[tuple[str, bool]]]:
+    """Per frame of ``firsts``, a batch of frames with one |W| and |D|, the
+    verdicts shared by every frame with its W, R, table and |D|: the first
+    of the family's leading members that read no local domain (19, 21 and
+    22) to fail on it, and whether the table is weakly Stalnakerian,
+    decided cheapest first up to the first condition that fails; None when
+    all of those members hold.  Each member is decided as one batch on the
+    frames where the members before it held."""
+    out: list[Optional[tuple[str, bool]]] = [None] * len(firsts)
+    todo = list(range(len(firsts)))
+    for name, inst in _INSTANCE_FAMILY[:_LOCAL_FREE]:
+        if not todo:
+            break
+        results = frames_valid([firsts[k] for k in todo], inst)
+        for k, res in zip(todo, results):
+            if not res.valid:
+                out[k] = name, _meets(firsts[k], WEAKLY_STALNAKERIAN)
+        todo = [k for k in todo if out[k] is None]
+    return out
 
 
 def _group_results(

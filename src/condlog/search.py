@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .frameprops import (
     SELECTION_CONDITIONS,
@@ -29,7 +29,9 @@ from .semantics import (
     SelectionFrame,
     SemanticsError,
     _bits,
+    _compiled,
     _default_names,
+    _failure,
     evaluate,
     first_failure,
     ordering_to_selection,
@@ -60,6 +62,11 @@ HARD_DOMAIN_LIMIT = 6
 # The largest prefix compactness_witness searches: its work grows about 30
 # times per step of n, and n = 7 takes a few seconds.
 MAX_COMPACTNESS_N = 7
+
+# How many consecutive frames (or (R, table) groups) of one |W| and |D| the
+# sweeps decide as one batch of the evaluator; a sweep holds one batch at a
+# time, never its whole enumeration.
+_BATCH = 512
 
 # What ``EnumerationParams.required_properties`` may name.
 PROPERTY_NAMES = (*SELECTION_CONDITIONS, "GloballyConstant", *CLASSIFICATIONS)
@@ -380,46 +387,59 @@ def _f_values(n_domain: int, arity: int) -> list[frozenset[tuple[int, ...]]]:
     return [frozenset((a,) for a in _bits(k)) for k in range(1 << n_domain)]
 
 
+def _batches(items: Iterable, size: Callable[..., tuple]) -> Iterator[list]:
+    """Runs of consecutive ``items`` with one ``size`` (|W|, |D|), at most
+    ``_BATCH`` of them each."""
+    for _, run in itertools.groupby(items, size):
+        while batch := list(itertools.islice(run, _BATCH)):
+            yield batch
+
+
 def ds_sweep(params: EnumerationParams) -> SearchOutcome:
     """Search for a pointed model of the descending-sequence formula over
     the enumerated frames and every interpretation of F.  Over weakly
     Stalnakerian frames no satisfying point should exist; the control runs
     drop conditions to confirm the sweep can find one.
 
-    A satisfying point is a failing point of the negated formula, asked of
-    ``first_failure`` with F's extensions in bitmask order at each world.
-    ``points_checked`` counts (interpretation, world) points up to the
-    witness, or all of them."""
+    A satisfying point is a failing point of the negated formula.  The
+    frames are decided in batches, with F's extensions in bitmask order at
+    each world, and the first frame where the negation fails is asked of
+    ``first_failure`` for its first failing point.  ``points_checked``
+    counts (interpretation, world) points up to the witness, or all of
+    them."""
     outcome = SearchOutcome(found=False)
     ds = build_ds()
     negated = Not(ds)
-    for frame in enumerate_frames(params):
-        outcome.frames_enumerated += 1
-        n = frame.n_worlds
-        hit = first_failure(frame, negated, _f_values)
-        if hit is None:
-            outcome.points_checked += (1 << frame.n_domain) ** n * n
-            continue
-        index, interp, _g, w = hit
-        outcome.points_checked += index * n + w + 1
-        model = Model(frame, interp)
-        if not evaluate(model, w, {}, ds):
-            raise ReplayError(
-                f"witness failed replay at world {w} of {frame!r} under {interp!r}"
-            )
-        outcome.found = True
-        outcome.witness = {
-            "frame": frame,
-            "model": model,
-            "world": frame.world_names[w],
-            "interpretation": {
-                frame.world_names[v]: sorted(
-                    frame.domain_names[a] for (a,) in interp[F][v]
+    compiled = _compiled(negated)
+    frames = enumerate_frames(params)
+    for batch in _batches(frames, lambda f: (f.n_worlds, f.n_domain)):
+        hits = _failure(batch, compiled, _f_values)
+        for frame, hit in zip(batch, hits):
+            outcome.frames_enumerated += 1
+            n = frame.n_worlds
+            if hit is None:
+                outcome.points_checked += (1 << frame.n_domain) ** n * n
+                continue
+            index, interp, _g, w = first_failure(frame, negated, _f_values)
+            outcome.points_checked += index * n + w + 1
+            model = Model(frame, interp)
+            if not evaluate(model, w, {}, ds):
+                raise ReplayError(
+                    f"witness failed replay at world {w} of {frame!r} under {interp!r}"
                 )
-                for v in range(n)
-            },
-        }
-        return outcome
+            outcome.found = True
+            outcome.witness = {
+                "frame": frame,
+                "model": model,
+                "world": frame.world_names[w],
+                "interpretation": {
+                    frame.world_names[v]: sorted(
+                        frame.domain_names[a] for (a,) in interp[F][v]
+                    )
+                    for v in range(n)
+                },
+            }
+            return outcome
     return outcome
 
 
@@ -429,36 +449,37 @@ def correspondence_sweep(params: EnumerationParams) -> dict:
     counts the (R, table) groups of ``_table_groups``.
 
     Each group is decided on its first frame, the only one built for most
-    groups (``frameprops._shared_failure``).  When a local-free instance
-    fails there and the table is not weakly Stalnakerian, every frame of
-    the group fails that instance and breaks a condition, so all of them
-    agree and only their number is counted.  The frames of the other groups
-    are built and checked (``frameprops._group_results``): frame by frame
-    where every local-free instance holds, and by GloballyConstant where
-    the table is weakly Stalnakerian."""
+    groups, and the first frames of a batch of groups are decided together
+    (``frameprops._shared_failure``).  When a local-free instance fails
+    there and the table is not weakly Stalnakerian, every frame of the
+    group fails that instance and breaks a condition, so all of them agree
+    and only their number is counted.  The frames of the other groups are
+    built and checked (``frameprops._group_results``): frame by frame where
+    every local-free instance holds, and by GloballyConstant where the
+    table is weakly Stalnakerian."""
     checked = groups = 0
     disagreements = []
-    for group in _table_groups(params):
-        groups += 1
-        checked += len(group.local_domains)
-        first = group.frame(group.local_domains[0])
-        shared = _shared_failure(first)
-        if shared is not None and not shared[1]:
-            continue
-        frames = [first, *map(group.frame, group.local_domains[1:])]
-        results = _group_results(frames, shared)
-        for frame, res in zip(frames, results):
-            if not res.agree:
-                disagreements.append(
-                    {
-                        "frame": {
-                            "r": list(frame.r),
-                            "table": [list(row) for row in frame.table],
-                            "local": list(frame.local),
-                        },
-                        "result": res.to_json(),
-                    }
-                )
+    for batch in _batches(_table_groups(params), lambda g: (g.n_worlds, g.n_domain)):
+        firsts = [group.frame(group.local_domains[0]) for group in batch]
+        for group, first, shared in zip(batch, firsts, _shared_failure(firsts)):
+            groups += 1
+            checked += len(group.local_domains)
+            if shared is not None and not shared[1]:
+                continue
+            frames = [first, *map(group.frame, group.local_domains[1:])]
+            results = _group_results(frames, shared)
+            for frame, res in zip(frames, results):
+                if not res.agree:
+                    disagreements.append(
+                        {
+                            "frame": {
+                                "r": list(frame.r),
+                                "table": [list(row) for row in frame.table],
+                                "local": list(frame.local),
+                            },
+                            "result": res.to_json(),
+                        }
+                    )
     return {
         "framesChecked": checked,
         "groupsChecked": groups,

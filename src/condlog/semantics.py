@@ -4,32 +4,37 @@ Worlds and domain elements are indices internally; sets of worlds are bit
 masks.  Loaded models carry the original names for reporting.
 
 There is one evaluator.  A formula is compiled once, independent of any
-frame, into closures whose values pack the world masks of a block of
-interpretations into one int (bitslicing, Biham 1997).  ``extension``,
-``evaluate`` and ``model_valid`` evaluate a block of one interpretation,
-the model's, whose atom tables are built once per model and predicate and
-kept on the model.  ``first_failure`` walks the interpretations of a formula's
-predicates in blocks that start at one and grow geometrically; both
-``frame_valid`` and the descending-sequence sweep ask it.
+frame, into closures whose values pack the world masks of a block into one
+int (bitslicing, Biham 1997).  A block is a batch of frames that share |W|,
+|D| and the conditional clause, times a run of interpretations: each frame
+owns a byte-aligned segment of slots, one per interpretation.
+``extension``, ``evaluate`` and ``model_valid`` evaluate a block of one
+frame and one interpretation, the model's, whose atom tables are built once
+per model and predicate and kept on the model.  ``_failure`` walks the
+interpretations of a formula's predicates on a batch of frames: a block of
+one interpretation per frame, then blocks of up to ``_MAX_SLOTS`` slots,
+each frame dropped once it has failed.  ``frame_valid`` and
+``first_failure`` ask it for a batch of one; ``frames_valid`` and the
+descending-sequence sweep for a batch of many.
 
 A sweep checks one formula on many frames.  The formula's interpretation
-space keeps the atom tables of each block and the frame-independent part
-of a block's layout per local domains, so the frames of a sweep share
-them; a block reads the order rows cached on an ordering frame, or any
-other frame's selection table (a quasi frame's is min_w of its order),
-from its own frame.  The space also keeps the conditional clause's values
-per block while consecutive frames have the same selection rows: the
-clause reads no local domain, so the frames of one (R, table) share them.
+space keeps the atom tables of each run of interpretations, and a block
+spreads them over its frames' segments with one multiplication.  The
+selection clause reads a packed row per world and antecedent: each frame's
+f(P, w) over that frame's slots, built when first read, so it takes at most
+2^|W| antecedent groups per call however many frames the block holds; a
+block keeps the clause's values by (p, q) for its own life.  An ordering
+frame is a batch of one and reads the order rows cached on it.
 A failing ``frame_valid`` builds its countermodel only when it is read.
 """
-
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .syntax import (
     Atom,
@@ -359,11 +364,15 @@ class Model:
 # ---------------------------------------------------------------------------
 # Satisfaction.
 #
-# Over n worlds, interpretation j of a block owns bits j*(n+1) .. j*(n+1)+n-1
-# of a value, and bit j*(n+1)+n is its guard, clear in every value.  Adding
-# ``full`` (all worlds of every interpretation) sets the guard of exactly the
-# interpretations whose world set is nonempty, so ``(v + full) & guard``
-# tests every interpretation of the block at once.
+# Over n worlds, a slot of a block owns n + 1 bits of a value: bits j .. j+n-1
+# hold its worlds and bit j+n is its guard, clear in every value.  Adding
+# ``full`` (all worlds of every slot) sets the guard of exactly the slots
+# whose world set is nonempty, so ``(v + full) & guard`` tests every slot of
+# the block at once.  In a block of ``size`` interpretations of a batch of
+# frames, frame k owns the segment of bytes k*nb .. (k+1)*nb - 1, the fewest
+# whole bytes that hold ``size`` slots, and its interpretation j is the slot
+# at bit 8*nb*k + j*(n+1); the bits between its last slot and the next
+# segment are clear in every value.
 
 
 def _tuple_index(tup: Iterable[int], n_domain: int) -> int:
@@ -372,24 +381,6 @@ def _tuple_index(tup: Iterable[int], n_domain: int) -> int:
     for a in tup:
         i = i * n_domain + a
     return i
-
-
-def _shape(n: int, nd: int, local: tuple[int, ...], size: int) -> tuple:
-    """(ones, full, guard, exists, elements) for blocks of ``size``
-    interpretations over n worlds and nd elements with local domains
-    ``local``: all a block needs that does not depend on the frame's
-    selection function or order.  ``exists`` maps an element to the worlds
-    whose local domain holds it; ``elements`` pairs each element of some
-    local domain with the worlds that lack it."""
-    width = n + 1
-    ones = ((1 << (width * size)) - 1) // ((1 << width) - 1)
-    full = ones * ((1 << n) - 1)
-    exists = [0] * nd
-    for w, dom in enumerate(local):
-        for a in _bits(dom):
-            exists[a] |= ones << w
-    elements = [(a, full ^ mask) for a, mask in enumerate(exists) if mask]
-    return ones, full, ones << n, exists, elements
 
 
 def _order_rows(frame: OrderingFrame, ones: int) -> list:
@@ -408,29 +399,103 @@ def _order_rows(frame: OrderingFrame, ones: int) -> list:
     return rows
 
 
+class _PackedRow(dict):
+    """World w's row of a block of selection frames: ``row[p]`` holds each
+    frame's f(p, w) in every slot of that frame's segment of ``nb`` bytes,
+    built when first read.  ``ones`` marks the slots of one segment."""
+
+    __slots__ = ("rows", "nb", "ones")
+
+    def __init__(self, rows: list, nb: int, ones: int):
+        self.rows, self.nb, self.ones = rows, nb, ones
+
+    def __missing__(self, p: int) -> int:
+        if len(self.rows) == 1:
+            packed = self.rows[0][p]
+        else:
+            buf = bytearray(len(self.rows) * self.nb)
+            # a batch has |W| <= 8, so each f(p, w) is one byte
+            buf[:: self.nb] = bytes(map(operator.itemgetter(p), self.rows))
+            packed = int.from_bytes(buf, "little")
+        out = self[p] = packed * self.ones
+        return out
+
+
+class _Layout(NamedTuple):
+    """All a block of ``size`` interpretations of each frame of a batch
+    needs that does not depend on the interpretations.  Frame k owns the
+    segment of bytes k*nb .. (k+1)*nb - 1 and ``spread`` has bit 0 of every
+    segment.  ``exists`` maps an element to the worlds whose local domain
+    holds it; ``elements`` pairs each element of some local domain with the
+    worlds that lack it.  ``rows`` is what the conditional clause reads:
+    an ordering frame's order rows (``lewis``), or else per world the
+    packed rows of the selection tables, which for one frame and one
+    interpretation (``ones == 1``) are the frame's own table."""
+
+    n: int
+    nd: int
+    nb: int
+    spread: int
+    ones: int
+    full: int
+    guard: int
+    exists: list[int]
+    elements: list[tuple[int, int]]
+    rows: object
+    lewis: bool
+
+
+def _layout(frames: Sequence[Frame], size: int) -> _Layout:
+    """The layout of blocks of ``size`` interpretations of each of
+    ``frames``."""
+    first = frames[0]
+    n, nd = first.n_worlds, first.n_domain
+    width = n + 1
+    nb = (size * width + 7) // 8
+    # bit 0 of the segment of each frame, per local domain
+    marks: dict[tuple[int, ...], bytearray] = {}
+    for k, frame in enumerate(frames):
+        marks.setdefault(frame.local, bytearray(len(frames) * nb))[k * nb] = 1
+    slot = ((1 << (width * size)) - 1) // ((1 << width) - 1)
+    exists, spread = [0] * nd, 0
+    for local, at in marks.items():
+        bits = int.from_bytes(at, "little")
+        spread |= bits
+        for w, dom in enumerate(local):
+            for a in _bits(dom):
+                exists[a] |= slot * bits << w
+    ones = slot * spread
+    full = ones * ((1 << n) - 1)
+    elements = [(a, full ^ mask) for a, mask in enumerate(exists) if mask]
+    lewis = isinstance(first, OrderingFrame)
+    if lewis:
+        rows: object = _order_rows(first, ones)
+    elif ones == 1:
+        rows = first.table
+    else:
+        rows = [_PackedRow([f.table[w] for f in frames], nb, slot) for w in range(n)]
+    guard = ones << n
+    return _Layout(n, nd, nb, spread, ones, full, guard, exists, elements, rows, lewis)
+
+
 class _Block:
-    """A block of interpretations on a frame: its ``_shape``, an ordering
-    frame's order ``rows`` or any other frame's selection table, the
-    conditional ``clause`` that reads them, and the state compiled closures
+    """A block of a batch of frames: its ``_Layout``, the conditional
+    ``clause`` that reads the layout's rows, and the state compiled closures
     read: the atom ``tables`` of the block, the ``memos``, the variable
-    values ``env`` and ``conds``, the clause's values by (p, q)."""
+    values ``env`` and ``conds``, the clause's values in this block by
+    (p, q)."""
 
     __slots__ = (
         "n", "nd", "ones", "full", "guard", "exists", "elements", "rows", "clause",
         "tables", "memos", "env", "conds",
     )
 
-    def __init__(
-        self, frame: Frame, shape: tuple, tables: list, n_memos: int, conds: dict
-    ):
-        self.n, self.nd = frame.n_worlds, frame.n_domain
-        self.ones, self.full, self.guard, self.exists, self.elements = shape
-        if isinstance(frame, OrderingFrame):
-            self.rows, self.clause = _order_rows(frame, self.ones), self._lewis
-        else:
-            self.rows, self.clause = frame.table, self._selection
+    def __init__(self, layout: _Layout, tables: list, n_memos: int):
+        self.n, self.nd, _, _, self.ones, self.full, self.guard = layout[:7]
+        self.exists, self.elements, self.rows, lewis = layout[7:]
+        self.clause = self._lewis if lewis else self._selection
         self.tables, self.memos = tables, [{} for _ in range(n_memos)]
-        self.conds = conds
+        self.conds: dict[tuple[int, int], int] = {}
 
     def cond(self, p: int, q: int) -> int:
         """The packed value of [p > q]: ``conds`` holds it once computed."""
@@ -442,7 +507,7 @@ class _Block:
 
     def _selection(self, p: int, q: int) -> int:
         """w is in [p > q] iff f(p, w) is within q.  The block is split by
-        antecedent world set p, and each group reads f(p, w) once."""
+        antecedent world set p, and each group reads its packed rows once."""
         n, full, guard, ones = self.n, self.full, self.guard, self.ones
         bad, out, todo = full ^ q, 0, guard
         while todo:
@@ -452,7 +517,7 @@ class _Block:
             shift = n
             for row in self.rows:
                 sel = row[pv]
-                out |= (same & ~((bad & sel * ones) + full) if sel else same) >> shift
+                out |= (same & ~((bad & sel) + full) if sel else same) >> shift
                 shift -= 1
         return out
 
@@ -490,7 +555,9 @@ class _Compiled:
         self.free = ordered_free_variables(phi)
         self.slots = {v: i for i, v in enumerate(self.free)}
         self.n_memos = 0
-        self.space: Optional[_Interpretations] = None  # first_failure's last
+        # the interpretation space of the last batch ``_failure`` walked:
+        # the batches of a sweep share one |W| and |D|, so they share it
+        self.space: Optional[_Interpretations] = None
         # the closure of each (id(node), bound), kept for this compile only
         self._done: dict[tuple[int, frozenset[Variable]], Callable] = {}
         self.run = self._compile(phi, frozenset())
@@ -602,7 +669,7 @@ def extension(model: Model, g: Assignment, phi: Formula) -> int:
         if not isinstance(a, int) or not 0 <= a < nd:
             raise SemanticsError(f"value {a!r} of {v} outside the domain 0..{nd - 1}")
     # a model is evaluated many times: its atom tables are cached on the
-    # model, its one-interpretation shape on the frame, which many models
+    # model, its one-interpretation layout on the frame, which many models
     # share
     cache = model.__dict__.setdefault("_tables", {})
     tables = []
@@ -611,10 +678,10 @@ def extension(model: Model, g: Assignment, phi: Formula) -> int:
         if table is None:
             table = cache[p] = _atom_table(model, p)
         tables.append(table)
-    shape = frame.__dict__.get("_shape")
-    if shape is None:
-        shape = frame.__dict__["_shape"] = _shape(frame.n_worlds, nd, frame.local, 1)
-    block = _Block(frame, shape, tables, compiled.n_memos, {})
+    layout = frame.__dict__.get("_layout")
+    if layout is None:
+        layout = frame.__dict__["_layout"] = _layout((frame,), 1)
+    block = _Block(layout, tables, compiled.n_memos)
     block.env = env
     return compiled.run(block)
 
@@ -681,8 +748,8 @@ class FrameValidityResult:
 class _Failure(FrameValidityResult):
     """A failing ``frame_valid`` result that builds its counterexample and
     its countermodel each when first read: the sweeps read only ``valid``.
-    ``hit`` is what ``_failure`` returned for ``phi``, compiled, on
-    ``frame``."""
+    ``hit`` is the entry of ``frame`` in what ``_failure`` returned for
+    ``phi``, compiled."""
 
     def __init__(self, frame: Frame, phi: Formula, compiled: _Compiled, hit: tuple):
         object.__setattr__(self, "valid", False)
@@ -713,21 +780,11 @@ class _Interpretations:
     """The interpretations of a compiled formula's predicates over n worlds
     and nd elements: the product over the cells (p, w), the last cell
     fastest, of the values ``options(nd, p.arity)``.  It keeps every
-    assignment's variable values, each block's atom tables and each block
-    ``_shape`` per local domains once built, so the frames of a sweep share
-    them.
-
-    It also keeps the conditional clause's values per block start, good
-    while the frames passed to ``_failure`` keep one selection rows object
-    (``rows``: an ordering frame itself, whose order rows are cached on it,
-    or any other frame's table).  The clause reads only those rows and the
-    block's n, ``ones``, ``full`` and ``guard``, which n and the block size
-    fix, and ``start`` fixes the size; it reads no local domain, so the
-    frames of one (R, table) share it."""
+    assignment's variable values and the atom tables of each run of
+    interpretations once built, so the batches of a sweep share them."""
 
     def __init__(self, compiled: _Compiled, n: int, nd: int, options):
         self.key, self.preds, self.width = (n, nd, options), compiled.preds, n + 1
-        self.n, self.nd = n, nd
         values = {a: options(nd, a) for a in {p.arity for p in self.preds}}
         # (predicate slot, world, the cell's values, their tuple indices)
         self.cells = [
@@ -742,10 +799,7 @@ class _Interpretations:
             [*values, *pad]
             for values in itertools.product(range(nd), repeat=len(compiled.free))
         ]
-        self._blocks: dict[int, list[list[int]]] = {}
-        self._shapes: dict[tuple, tuple] = {}
-        self.rows: object = None
-        self.conds: dict[int, dict[tuple[int, int], int]] = {}
+        self._tables: dict[tuple[int, int], list[list[int]]] = {}
 
     def _digits(self, i: int) -> list[int]:
         out = []
@@ -761,66 +815,96 @@ class _Interpretations:
         return interp
 
     def tables(self, start: int, size: int) -> list[list[int]]:
-        if start not in self._blocks:
-            tables = self._blocks[start] = [[0] * s for s in self.sizes]
+        """The atom tables of interpretations start .. start + size - 1,
+        interpretation j in the slot at bit j * (n + 1)."""
+        tables = self._tables.get((start, size))
+        if tables is None:
+            tables = self._tables[start, size] = [[0] * s for s in self.sizes]
             for j in range(size):
                 for (k, w, _, members), d in zip(self.cells, self._digits(start + j)):
                     for t in members[d]:
                         tables[k][t] |= 1 << (j * self.width + w)
-        return self._blocks[start]
-
-    def shape(self, local: tuple[int, ...], size: int) -> tuple:
-        key = (local, size)
-        got = self._shapes.get(key)
-        if got is None:
-            got = self._shapes[key] = _shape(self.n, self.nd, local, size)
-        return got
+        return tables
 
 
-# The most points (interpretation, assignment, world) that frame_valid walks:
-# 2^23 of them take a few seconds.
+# The most points (interpretation, assignment, world) that frame_valid walks
+# on one frame: 2^23 of them take a few seconds.
 MAX_FRAME_POINTS = 1 << 23
 
-# Interpretations are decided in a block of one and then in blocks of
-# _MAX_BLOCK: a failure at the first interpretation costs a block of one,
-# and the closures walk the formula once per block, whatever its size.
-_MAX_BLOCK = 256
+# Interpretations are decided in a block of one per frame and then in blocks
+# of at most _MAX_SLOTS slots (frames x interpretations), or of one
+# interpretation per frame when more than _MAX_SLOTS frames are left: a
+# failure at the first interpretation costs a block of one, and the closures
+# walk the formula once per block, whatever its size.
+_MAX_SLOTS = 4096
 
 
 def _failure(
-    frame: Frame, compiled: _Compiled, options
-) -> Optional[tuple[_Interpretations, int, list[int], int]]:
-    """The first point where the compiled formula is false on ``frame``, as
-    (space, interpretation index, variable values, world), or None."""
-    n, nd = frame.n_worlds, frame.n_domain
+    frames: Sequence[Frame], compiled: _Compiled, options
+) -> list[Optional[tuple[_Interpretations, int, list[int], int]]]:
+    """Per frame of a batch, the first point where the compiled formula is
+    false on it, as (space, interpretation index, variable values, world),
+    or None.  The frames of a batch share |W| and |D|; an ordering frame is
+    a batch of one, and a batch of more holds at most 8 worlds."""
+    first = frames[0]
+    n, nd = first.n_worlds, first.n_domain
+    if len(frames) > 1 and (
+        n > 8
+        or len(set(map(operator.attrgetter("n_worlds", "n_domain"), frames))) > 1
+        or OrderingFrame in set(map(type, frames))
+    ):
+        raise SemanticsError(
+            "a batch of frames shares |W| <= 8 and |D| and holds no ordering frame"
+        )
     space = compiled.space
     if space is None or space.key != (n, nd, options):
         space = compiled.space = _Interpretations(compiled, n, nd, options)
-    rows = frame if isinstance(frame, OrderingFrame) else frame.table
-    if rows is not space.rows:
-        space.rows, space.conds = rows, {}
-    start, size = 0, 1
-    while start < space.total:
-        size = min(size, space.total - start)
-        shape = space.shape(frame.local, size)
-        conds = space.conds.setdefault(start, {})
-        block = _Block(frame, shape, space.tables(start, size), compiled.n_memos, conds)
-        best = None
+    width = space.width
+    out: list = [None] * len(frames)
+    live, start, layouts = list(range(len(frames))), 0, {}
+    while live and start < space.total:
+        count = len(live)
+        size = min(max(_MAX_SLOTS // count, 1) if start else 1, space.total - start)
+        layout = layouts.get(size)
+        if layout is None:
+            layout = layouts[size] = _layout([frames[k] for k in live], size)
+        nb, spread, full, guard = layout.nb, layout.spread, layout.full, layout.guard
+        tables = [[t * spread for t in table] for table in space.tables(start, size)]
+        block = _Block(layout, tables, compiled.n_memos)
+        hits, failed, firsts = [], 0, spread << n
         for env in space.envs:
             block.env = env
             value = compiled.run(block)
-            failing = ((block.full ^ value) + block.full) & block.guard
-            if failing and (best is None or failing & -failing < best[0]):
-                best = (failing & -failing, env, value)
-                if best[0] == 1 << n:
-                    break
-        if best is not None:
-            low, env, value = best
-            j = (low.bit_length() - 1) // space.width
-            false = (block.full ^ value) >> (j * space.width)
-            return space, start + j, env, (false & -false).bit_length() - 1
-        start, size = start + size, _MAX_BLOCK
-    return None
+            failing = ((full ^ value) + full) & guard
+            if failing:
+                hits.append((failing, env, value))
+                failed |= failing
+                if failed & firsts == firsts:
+                    break  # every frame fails at its first slot
+        if failed:
+            # per frame, read from its segment's bytes: its lowest failing
+            # slot, the first env that fails there and its lowest false world
+            length = count * nb
+            data = failed.to_bytes(length, "little")
+            hits = [
+                (f.to_bytes(length, "little"), e, (full ^ v).to_bytes(length, "little"))
+                for f, e, v in hits
+            ]
+            for k in range(count):
+                seg = slice(k * nb, (k + 1) * nb)
+                bits = int.from_bytes(data[seg], "little")
+                if bits:
+                    low = bits & -bits
+                    for fails, env, false in hits:
+                        if int.from_bytes(fails[seg], "little") & low:
+                            break
+                    j = (low.bit_length() - 1 - n) // width
+                    worlds = int.from_bytes(false[seg], "little") >> j * width
+                    w = (worlds & -worlds).bit_length() - 1
+                    out[live[k]] = space, start + j, env, w
+            live, layouts = [k for k in live if out[k] is None], {}
+        start += size
+    return out
 
 
 def first_failure(
@@ -831,19 +915,21 @@ def first_failure(
     Points are ordered by interpretation (``_Interpretations`` order), then
     by assignment to phi's free variables in product order, then by world."""
     compiled = _compiled(phi)
-    hit = _failure(frame, compiled, options)
+    hit = _failure((frame,), compiled, options)[0]
     if hit is None:
         return None
     space, i, env, w = hit
     return i, space.interpretation(i), dict(zip(compiled.free, env)), w
 
 
-def frame_valid(frame: Frame, phi: Formula) -> FrameValidityResult:
-    """Enumerate all interpretations of the predicates occurring in phi.
-    A failing result holds the first failing point of ``first_failure``'s
-    order and builds its counterexample and countermodel each when first
-    read.  More than ``MAX_FRAME_POINTS`` points are refused first."""
-    n, nd = frame.n_worlds, frame.n_domain
+def frames_valid(frames: Sequence[Frame], phi: Formula) -> list[FrameValidityResult]:
+    """``frame_valid`` of each of ``frames``, decided as one batch: the
+    frames share |W| and |D|, and selection and quasi frames of at most 8
+    worlds batch together, while an ordering frame is a batch of one.
+    More than ``MAX_FRAME_POINTS`` points per frame are refused first, once
+    for the batch."""
+    first = frames[0]
+    n, nd = first.n_worlds, first.n_domain
     compiled = _compiled(phi)
     bits, k = n * sum([nd**p.arity for p in compiled.preds]), len(compiled.free)
     # nd**k * n >= 1: from the ceiling's bit length on, 2^bits alone is too many
@@ -853,10 +939,21 @@ def frame_valid(frame: Frame, phi: Formula) -> FrameValidityResult:
             f"{nd}^{k} assignments x {n} worlds is above MAX_FRAME_POINTS = "
             f"{MAX_FRAME_POINTS} points"
         )
-    hit = _failure(frame, compiled, subset_options)
-    if hit is None:
-        return FrameValidityResult(True)
-    return _Failure(frame, phi, compiled, hit)
+    hits = _failure(frames, compiled, subset_options)
+    return [
+        FrameValidityResult(True)
+        if hit is None
+        else _Failure(frame, phi, compiled, hit)
+        for frame, hit in zip(frames, hits)
+    ]
+
+
+def frame_valid(frame: Frame, phi: Formula) -> FrameValidityResult:
+    """Enumerate all interpretations of the predicates occurring in phi.
+    A failing result holds the first failing point of ``first_failure``'s
+    order and builds its counterexample and countermodel each when first
+    read.  More than ``MAX_FRAME_POINTS`` points are refused first."""
+    return frames_valid((frame,), phi)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -672,6 +672,10 @@ def test_frame_props_json_golden(model):
 SWEEP_GOLDENS = [
     ("kmodel-cem-sweep-axioms", ("kmodel", "cem-sweep", "--axioms")),
     ("correspondence-sweep", ("correspondence", "--sweep")),
+    (
+        "correspondence-sweep-bench",
+        ("correspondence", "--sweep", "--max-worlds", "2", "--max-domain", "1"),
+    ),
     ("search-ds", ("search", "ds")),
     ("search-compactness-5", ("search", "compactness", "--n", "5")),
     ("kmodel-probe", ("kmodel", "probe")),
@@ -686,6 +690,18 @@ def test_sweep_json_golden(name, argv):
     res = run(*argv, "--format", "json")
     assert res.exit_code == 0, res.output
     golden = FIXTURES / "golden" / f"{name}.json"
+    assert res.output == golden.read_text()
+
+
+def test_search_ds_control_witness_json_golden():
+    """The control run that drops Uniformity finds a witness, so it exits
+    1; its JSON report, byte for byte."""
+    res = run(
+        "search", "ds", "--max-worlds", "2", "--max-domain", "2",
+        "--require", "Success", "--require", "Uniqueness", "--format", "json",
+    )
+    assert res.exit_code == 1, res.output
+    golden = FIXTURES / "golden" / "search-ds-control.json"
     assert res.output == golden.read_text()
 
 

@@ -775,7 +775,7 @@ def test_truncate_is_lewisian_and_stalnakerian():
     model = truncate(2)
     assert model.frame.n_worlds == 3
     rep = check_ordering_props(model.frame)
-    assert rep.lewisian
+    assert rep._holds("lewisian")
     assert rep.verdicts["SLA"]
 
 

@@ -413,14 +413,22 @@ def test_correspondence_sweep_two_worlds_one_element():
 def test_correspondence_sweep_builds_only_the_frames_it_reads(monkeypatch):
     """Work bounded by counting: one frame per (R, table) group plus the
     frames of the 7 groups checked frame by frame (23 frames, 16 besides
-    their first), a result only for those 23, and as many ``frame_valid``
-    calls as when every frame was built (42,360)."""
-    counts = {"frames": 0, "results": 0, "frame_valid": 0}
+    their first), a result only for those 23, and as many frame validity
+    decisions as when every frame was built (42,360): 106 ``frame_valid``
+    calls on those 23 frames, the rest in ``frames_valid`` batches."""
+    counts = {"frames": 0, "results": 0, "frame_valid": 0, "decided": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
             counts[key] += 1
             return fn(*args, **kwargs)
+
+        return wrapper
+
+    def counting_frames(fn):
+        def wrapper(frames, phi):
+            counts["decided"] += len(frames)
+            return fn(frames, phi)
 
         return wrapper
 
@@ -437,11 +445,15 @@ def test_correspondence_sweep_builds_only_the_frames_it_reads(monkeypatch):
     monkeypatch.setattr(
         frameprops, "frame_valid", counting("frame_valid", frameprops.frame_valid)
     )
+    monkeypatch.setattr(
+        frameprops, "frames_valid", counting_frames(frameprops.frames_valid)
+    )
     rep = correspondence_sweep(EnumerationParams(max_worlds=2, max_domain=1))
     assert (rep["framesChecked"], rep["groupsChecked"]) == (167341, 41910)
     assert counts["frames"] <= 41910 + 23
     assert counts["results"] == 23
-    assert counts["frame_valid"] == 42360
+    assert counts["frame_valid"] == 106
+    assert counts["frame_valid"] + counts["decided"] == 42360
 
 
 def _disagreement(frame, res):

@@ -22,6 +22,7 @@ from condlog.semantics import (
     extension,
     first_failure,
     frame_valid,
+    frames_valid,
     model_valid,
     ordering_to_selection,
     selection_to_ordering,
@@ -262,7 +263,9 @@ def test_frame_valid_refuses_exactly_the_points_it_would_walk(monkeypatch, n, nd
     frame = SelectionFrame.build(
         n_worlds=n, r=((1 << n) - 1,) * n, entries={}, default="centering", n_domain=nd
     )
-    monkeypatch.setattr(semantics, "_failure", lambda *args: None)
+    monkeypatch.setattr(
+        semantics, "_failure", lambda frames, *args: [None] * len(frames)
+    )
     for arities in ((0,), (1,), (2,), (1, 1), (0, 1, 2)):
         for k in range(3):
             phi = _with_free(arities, k)
@@ -585,8 +588,8 @@ def _oracle_first_failure(frame, phi):
     return None
 
 
-# First failing interpretations on both sides of the edges of blocks of
-# 1, 8, 64 and 256 interpretations and of blocks of 1 and then 256.
+# First failing interpretations on both sides of the block of one that
+# starts every walk, and of the edges of blocks of 8, 64 and 256.
 _BLOCK_EDGES = (0, 1, 7, 8, 9, 63, 64, 65, 255, 256, 257)
 
 
@@ -936,8 +939,8 @@ def test_frame_valid_matches_reference_loop(kind, seed):
     interpretation of the same block, and implications between conditionals
     whose antecedents differ across the interpretations of a block."""
     rng = random.Random(f"frame-valid-{kind}-{seed}")
-    # blocks of 1, 8 and 64 cover the first 73 interpretations and later ones
-    # are decided in blocks of 256, so frames are drawn until a case gets there
+    # the first interpretation is decided alone and later ones in blocks of
+    # many, so frames are drawn until a case gets past the first 73
     late = 0
     for frames in range(40):
         if frames >= 10 and late:
@@ -1088,8 +1091,8 @@ def test_frame_valid_builds_the_countermodel_when_read(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The conditional memo of an interpretation space, shared by consecutive
-# frames with one selection rows object, against a fresh space per frame.
+# The interpretation space of a compiled formula, which the frames of a sweep
+# share, against a fresh space per frame.
 
 
 def _shared_and_fresh(frames, formulas, reference=False):
@@ -1139,7 +1142,7 @@ def test_conditional_memo_agrees_on_the_ds_sweep_frames():
 
 def test_conditional_memo_agrees_on_the_correspondence_instances():
     """Every 50th frame of (2, 1): consecutive frames hold other tables, so
-    the memo of the frame before must not be read."""
+    nothing of the frame before may be read."""
     from condlog.frameprops import correspondence_instances
     from condlog.search import EnumerationParams, enumerate_frames
 
@@ -1154,7 +1157,7 @@ def test_conditional_memo_agrees_on_ordering_and_quasi_frames(seed):
     a row, then the first again after the second, and both let go before
     the next pair is built.  One formula's conditional has the same
     antecedent and consequent, both empty, in every block, so a value kept
-    for a block of another size would be read."""
+    for another frame or a block of another size would show."""
     rng = random.Random(f"conditional-memo-{seed}")
     n, nd = rng.randint(2, 3), 1
     local = tuple(rng.randrange(1, 1 << nd) for _ in range(n))
@@ -1181,3 +1184,127 @@ def test_conditional_memo_agrees_on_ordering_and_quasi_frames(seed):
     probe = SelectionFrame.build(n, [0] * n, {}, "empty", nd)
     formulas = [phi for phi in formulas if _interpretation_count(probe, phi) <= 4096]
     assert _shared_and_fresh(frames(), formulas, reference=True) > 0
+
+
+# ---------------------------------------------------------------------------
+# Batches: frames that share |W| and |D| decided in one walk, each frame in
+# its own segment of every block, against each frame decided alone and
+# against ``reference_frame_valid``.
+
+
+def _check_batch(batch, phi):
+    """Each frame's verdict, counterexample and countermodel in the batch
+    equal its batch-of-one ``first_failure`` and the reference.  Returns
+    the positions of the failing frames."""
+    results = frames_valid(batch, phi)
+    assert len(results) == len(batch)
+    failing = []
+    for k, (frame, res) in enumerate(zip(batch, results)):
+        alone, want = first_failure(frame, phi), reference_frame_valid(frame, phi)
+        assert res.valid == (alone is None) == (want is None), (k, phi, frame)
+        if want is not None:
+            failing.append(k)
+            index, model, counterexample = want
+            assert alone == (
+                index, model.interp, counterexample.assignment, counterexample.world
+            ), (k, phi, frame)
+            assert res.countermodel == model, (k, phi, frame)
+            assert res.counterexample == counterexample, (k, phi, frame)
+    return failing
+
+
+def _random_batch_frame(rng, n: int, nd: int):
+    """A selection or quasi frame with random R, table or order and local
+    domains, some of them empty."""
+    local = tuple(rng.randrange(1 << nd) for _ in range(n))
+    if rng.random() < 0.3:
+        return QuasiSelectionFrame(_random_ordering_frame(rng, n, nd, local))
+    return _random_selection_frame(rng, n, nd, local)
+
+
+def _selects_nothing(n: int, nd: int) -> SelectionFrame:
+    return SelectionFrame.build(n, [(1 << n) - 1] * n, {}, "empty", nd)
+
+
+def _centered(n: int, nd: int) -> SelectionFrame:
+    return SelectionFrame.build(n, [(1 << n) - 1] * n, {}, "centering", nd)
+
+
+# T > ~(P0(x) & P1(x) & P2(x)): valid where nothing is selected; on a
+# centered frame of two worlds and one element it first fails at
+# interpretation 21 (all three true at w1, each predicate's w1 cell the
+# later one) of 64.
+_LATE = Cond(Top(), Not(conj([Atom(Predicate(k, 1), (x,)) for k in range(3)])))
+
+
+@pytest.mark.parametrize("slots", [3, 16, 4096])
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_frames_match_each_frame_alone(monkeypatch, slots, seed):
+    """Random batches of selection tables, local domains and quasi frames,
+    |W| <= 3 and |D| <= 2, under blocks of at most ``slots`` slots, so that
+    a block holds one interpretation per frame, a few, or all of them."""
+    from condlog import semantics
+
+    monkeypatch.setattr(semantics, "_MAX_SLOTS", slots)
+    rng = random.Random(f"batch-{seed}")
+    failing = valid = 0
+    for _ in range(6):
+        n, nd = rng.randint(1, 3), rng.randint(1, 2)
+        batch = [_random_batch_frame(rng, n, nd) for _ in range(rng.randint(2, 9))]
+        formulas = [_random_formula(rng, rng.randint(2, 6)) for _ in range(6)]
+        formulas += [Imp(formulas[0], formulas[0])]  # valid: walks every block
+        for phi in formulas:
+            if _interpretation_count(batch[0], phi) > 64:
+                continue
+            failed = _check_batch(batch, phi)
+            failing += len(failed)
+            valid += len(batch) - len(failed)
+    assert failing and valid
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_batch_with_one_failing_frame(monkeypatch, at):
+    """One centered frame among frames that select nothing: the batch finds
+    its first failure at interpretation 21, in a late block when a block
+    holds few interpretations, and every other frame valid."""
+    from condlog import semantics
+
+    for slots in (2, 12, 4096):
+        monkeypatch.setattr(semantics, "_MAX_SLOTS", slots)
+        batch = [_selects_nothing(2, 1) for _ in range(5)]
+        k = {"first": 0, "middle": 2, "last": 4}[at]
+        batch[k] = _centered(2, 1)
+        assert _check_batch(batch, _LATE) == [k]
+        hit = semantics._failure(batch, semantics._compiled(_LATE), subset_options)
+        assert [h if h is None else h[1] for h in hit] == [
+            21 if i == k else None for i in range(5)
+        ]
+
+
+def test_batch_where_every_frame_is_valid(monkeypatch):
+    """A valid formula on every frame walks every block, whatever its size."""
+    from condlog import semantics
+
+    rng = random.Random("batch-valid")
+    batch = [_random_batch_frame(rng, 2, 2) for _ in range(7)]
+    a, b = Atom(P, (x,)), Atom(G, (x,))
+    phi = Imp(Cond(a, Forall(y, b)), Cond(a, Forall(y, b)))
+    for slots in (1, 5, 4096):
+        monkeypatch.setattr(semantics, "_MAX_SLOTS", slots)
+        assert _check_batch(batch, phi) == []
+
+
+def test_batch_of_ordering_or_mixed_sizes_is_refused():
+    """A batch shares |W| and |D| and holds no ordering frame; an ordering
+    frame is decided alone."""
+    rng = random.Random("batch-refused")
+    phi = Cond(Atom(P, (x,)), Atom(G, (x,)))
+    order = _random_ordering_frame(rng, 2, 1, (1, 1))
+    for batch in (
+        [order, _centered(2, 1)],
+        [_centered(2, 1), _centered(3, 1)],
+        [_centered(2, 1), _centered(2, 2)],
+    ):
+        with pytest.raises(SemanticsError, match="batch"):
+            frames_valid(batch, phi)
+    assert frames_valid([order], phi)[0].valid == frame_valid(order, phi).valid

@@ -52,8 +52,6 @@ def _references(tree: ast.AST) -> Counter:
 _TEST_ONLY = {
     # the oracle that the K quantifier clause's stretch table is checked against
     "CountingNormalForm.satisfied",
-    # the ordering twin of ``stalnakerian``; the JSON reads the class by name
-    "FrameReport.lewisian",
 }
 
 
