@@ -571,7 +571,8 @@ def cmd_search_frames(max_worlds, max_domain, require, policy, limit, fmt) -> No
     payload = {"count": count}
     if shown:
         payload["frames"] = shown
-    _finish(fmt, True, payload, [f"{count} canonical frames"])
+    lines = [f"{count} canonical frames", *(json.dumps(doc, indent=2) for doc in shown)]
+    _finish(fmt, True, payload, lines)
 
 
 @search_group.command("ds")

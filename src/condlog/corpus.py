@@ -9,8 +9,8 @@ preconditions require.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Optional
 
 from .semantics import Model, OrderingFrame
 from .syntax import (
@@ -67,28 +67,22 @@ def formula_corpus(
     count: int,
     max_size: int,
     lang: Lang = Lang.L,
-    predicates: tuple[Predicate, ...] = DEFAULT_PREDICATES,
     variables: tuple[Variable, ...] = DEFAULT_VARIABLES,
 ) -> list[Formula]:
     rng = random.Random(seed)
     return [
-        random_formula(rng, max_size, lang, predicates, variables)
-        for _ in range(count)
+        random_formula(rng, max_size, lang, variables=variables) for _ in range(count)
     ]
 
 
 def random_stalnakerian_ordering_model(
-    rng: random.Random,
-    max_worlds: int = 4,
-    max_domain: int = 3,
-    predicates: tuple[Predicate, ...] = DEFAULT_PREDICATES,
-    n_worlds: Optional[int] = None,
+    rng: random.Random, max_worlds: int = 4, max_domain: int = 3
 ) -> Model:
     """A random ordering model satisfying all the Stalnakerian order
     conditions: per world, a linear order on a reflexive R(w) with w
     strictly first (weak and strong centering), which is well-founded
     because it is finite."""
-    n = n_worlds if n_worlds is not None else rng.randint(1, max_worlds)
+    n = rng.randint(1, max_worlds)
     nd = rng.randint(1, max_domain)
     r = []
     pairs: dict[int, list[tuple[int, int]]] = {}
@@ -105,19 +99,13 @@ def random_stalnakerian_ordering_model(
     local = [(1 << nd) - 1] * n  # conversions are domain-agnostic; keep global
     frame = OrderingFrame.build(n, r, pairs, nd, local)
     interp: dict[Predicate, dict[int, frozenset]] = {}
-    for pred in predicates:
+    for pred in DEFAULT_PREDICATES:
         per_world = {}
         for w in range(n):
             tuples = set()
-            for combo in _tuples(nd, pred.arity):
+            for combo in itertools.product(range(nd), repeat=pred.arity):
                 if rng.random() < 0.5:
                     tuples.add(combo)
             per_world[w] = frozenset(tuples)
         interp[pred] = per_world
     return Model(frame, interp)
-
-
-def _tuples(nd: int, arity: int):
-    import itertools
-
-    return itertools.product(range(nd), repeat=arity)

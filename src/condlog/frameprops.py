@@ -247,11 +247,29 @@ def _violation(
     return shape.search(frame, violates)
 
 
-def _cheapest_first(conditions: Container[str]) -> tuple[str, ...]:
-    """The selection conditions in ``conditions``, in ``_SELECTION`` order
-    with those over single subsets before those over pairs."""
-    wanted = [c for c in _SELECTION if c in conditions]
-    return tuple(sorted(wanted, key=lambda c: c in _PAIR_CONDITIONS))
+class _Required(NamedTuple):
+    """Required conditions by what they read: ``cell`` is whether a cell
+    (p, w, f(p, w), R(w)) breaks one over single subsets, ``local`` whether
+    a world's (w, local(w), D) breaks one over single worlds, and ``pairs``
+    are those over pairs of subsets, in ``_SELECTION`` order."""
+
+    cell: Callable[..., bool]
+    local: Callable[..., bool]
+    pairs: tuple[str, ...]
+
+
+def _required(conditions: Container[str]) -> _Required:
+    def any_of(table: dict, shape: _Shape) -> Callable[..., bool]:
+        tests = [
+            v for c, (s, v) in table.items() if s is shape and c in conditions
+        ]
+        return lambda *candidate: any(test(*candidate) for test in tests)
+
+    return _Required(
+        any_of(_SELECTION, _SUBSETS),
+        any_of(_DOMAIN, _WORLDS),
+        tuple(c for c in _SELECTION if c in conditions and c in _PAIR_CONDITIONS),
+    )
 
 
 def _meets(frame: SelectionFrame, conditions: Sequence[str]) -> bool:

@@ -17,9 +17,9 @@ from .frameprops import (
     SELECTION_CONDITIONS,
     STALNAKERIAN,
     WEAKLY_STALNAKERIAN,
-    _cheapest_first,
     _group_results,
     _meets,
+    _required,
     _shared_failure,
 )
 from .semantics import (
@@ -142,25 +142,14 @@ def _relations(n: int, policy: str) -> Iterator[tuple[int, ...]]:
     yield from itertools.product(*options)
 
 
-def _table_rows(
-    n: int, w: int, r_mask: int, constrained: bool, success_only: bool
-) -> Iterator[tuple[int, ...]]:
-    """All selection rows f(., w): a value for every subset mask."""
-    per_subset = []
-    for p in range(1 << n):
-        if constrained:
-            if p == 0:
-                choices: tuple[int, ...] = (0,)
-            elif p & (1 << w):
-                choices = ((1 << w),) if r_mask & (1 << w) else ()
-            else:
-                choices = (0,) + tuple(1 << v for v in _bits(p & r_mask))
-            per_subset.append(choices)
-        elif success_only:
-            per_subset.append(_submasks(p & r_mask))
-        else:
-            per_subset.append(_submasks(r_mask))
-    yield from itertools.product(*per_subset)
+def _table_rows(n: int, w: int, rw: int, violates) -> tuple[tuple[int, ...], ...]:
+    """The selection rows f(., w) as the values of each cell: per subset
+    mask p, the subsets of R(w) in ascending order at which ``violates(p,
+    w, f(p, w), R(w))`` is false.  The rows are their product."""
+    subs = _submasks(rw)
+    return tuple(
+        tuple(fp for fp in subs if not violates(p, w, fp, rw)) for p in range(1 << n)
+    )
 
 
 def _submasks(mask: int) -> tuple[int, ...]:
@@ -261,12 +250,14 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
     """Yield every selection frame up to relabeling that satisfies the
     required properties, for all world/domain counts within the bounds.
 
-    Under Success, WeakCentering, and Uniqueness the table generation is
-    constrained (w in P forces f(P,w) = {w}; otherwise singletons of
-    P & R(w) or empty); remaining properties are post-filtered.  Frames are
-    deduplicated canonically: tables must be lexicographically minimal
-    under world permutation, local domains minimal under the table's
-    automorphisms and domain permutation.
+    The conditions are read from the tables of ``frameprops``: a cell
+    f(P,w) takes, in ascending order, the subsets of R(w) that break no
+    required condition over single subsets, and a world the local domains
+    that break none over single worlds; an R with a cell that has no value
+    is skipped.  Conditions over pairs of subsets are decided on each
+    canonical table.  Frames are deduplicated canonically: tables must be
+    lexicographically minimal under world permutation, local domains
+    minimal under the table's automorphisms and domain permutation.
 
     The permutation tables (inverse and mask images of every world
     permutation) and the default world names are built once per world
@@ -325,44 +316,45 @@ def _table_groups(params: EnumerationParams) -> Iterator[_TableGroup]:
             f"enumeration ceiling is |D| <= {HARD_DOMAIN_LIMIT}, "
             f"asked for {params.max_domain}"
         )
-    conditions = params.conditions()
-    constrained = {"Success", "WeakCentering", "Uniqueness"} <= conditions
-    success_only = not constrained and "Success" in conditions
-    post = _cheapest_first(conditions)  # every condition but GloballyConstant
+    required = _required(params.conditions())
     dperms_of = {nd: _perm_tables(nd) for nd in range(1, params.max_domain + 1)}
     probe_names = _default_names("a", 1)
     for n in range(1, params.max_worlds + 1):
         wperms = _perm_tables(n)
         world_names = _default_names("w", n)
+        cells_of = {
+            (w, rw): _table_rows(n, w, rw, required.cell)
+            for w in range(n)
+            for rw in range(1 << n)
+        }
         for nd in range(1, params.max_domain + 1):
             domain_names = _default_names("a", nd)
-            if "GloballyConstant" in conditions:
-                local_list = [((1 << nd) - 1,) * n]
-            else:
-                local_list = list(itertools.product(range(1 << nd), repeat=n))
+            full = (1 << nd) - 1
+            locals_of = [
+                [lw for lw in range(1 << nd) if not required.local(w, lw, full)]
+                for w in range(n)
+            ]
+            local_list = list(itertools.product(*locals_of))
             dperms = dperms_of[nd]
             # the canonical local domains, per automorphism group of a table
             canonical_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
             for r in _relations(n, params.policy):
-                if constrained and any(not r[w] & (1 << w) for w in range(n)):
-                    continue  # weak centering forces reflexivity
+                cells = [cells_of[w, rw] for w, rw in enumerate(r)]
+                if not all(map(all, cells)):
+                    continue  # a cell with no value: no table over R
                 stabiliser = _relation_stabiliser(r, wperms)
                 if stabiliser is None:
                     continue
-                for table in itertools.product(
-                    *(
-                        _table_rows(n, w, r[w], constrained, success_only)
-                        for w in range(n)
-                    )
-                ):
+                rows = [itertools.product(*row_cells) for row_cells in cells]
+                for table in itertools.product(*rows):
                     auts = _table_automorphisms(table, stabiliser)
                     if auts is None:
                         continue
-                    if post and not _meets(
+                    if required.pairs and not _meets(
                         SelectionFrame._unchecked(
                             n, r, table, 1, (1,) * n, world_names, probe_names
                         ),
-                        post,
+                        required.pairs,
                     ):
                         continue
                     canonical = canonical_of.get(auts)

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from condlog.cli import main
+from condlog.fileformats import load_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -703,6 +704,64 @@ def test_search_ds_control_witness_json_golden():
     assert res.exit_code == 1, res.output
     golden = FIXTURES / "golden" / "search-ds-control.json"
     assert res.output == golden.read_text()
+
+
+# Frame enumeration under condition sets: (golden name, options).  LA is a
+# condition over one cell that enumeration once decided on whole tables.
+FRAMES_GOLDENS = [
+    (
+        "search-frames-weakly-stalnakerian",
+        ("--max-worlds", "2", "--max-domain", "1", "--require", "weaklyStalnakerian"),
+    ),
+    (
+        "search-frames-success-uniqueness",
+        (
+            "--max-worlds", "2", "--max-domain", "2",
+            "--require", "Success", "--require", "Uniqueness",
+        ),
+    ),
+    (
+        "search-frames-la-reflexive",
+        (
+            "--max-worlds", "2", "--max-domain", "1",
+            "--require", "LA", "--policy", "reflexive-only",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, options", FRAMES_GOLDENS, ids=[case[0] for case in FRAMES_GOLDENS]
+)
+def test_search_frames_json_golden(name, options):
+    """The count and the first three frames of each enumeration, byte for
+    byte."""
+    res = run("search", "frames", *options, "--limit", "3", "--format", "json")
+    assert res.exit_code == 0, res.output
+    golden = FIXTURES / "golden" / f"{name}.json"
+    assert res.output == golden.read_text()
+
+
+def test_search_frames_limit_prints_the_frames_as_documents():
+    """In text mode ``--limit`` prints the count line and then each shown
+    frame as a model document, the same frames as the JSON report."""
+    options = FRAMES_GOLDENS[0][1]
+    res = run("search", "frames", *options, "--limit", "3")
+    assert res.exit_code == 0, res.output
+    first, rest = res.output.split("\n", 1)
+    assert first == "23 canonical frames"
+    decoder, docs = json.JSONDecoder(), []
+    rest = rest.strip()
+    while rest:
+        doc, end = decoder.raw_decode(rest)
+        docs.append(doc)
+        rest = rest[end:].strip()
+    assert len(docs) == 3
+    for doc in docs:
+        load_model(doc)
+    report = run("search", "frames", *options, "--limit", "3", "--format", "json")
+    assert docs == json.loads(report.output)["frames"]
+    assert run("search", "frames", *options).output == "23 canonical frames\n"
 
 
 @pytest.mark.parametrize("jobs", [0, 3])

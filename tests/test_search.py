@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import os
@@ -9,7 +10,11 @@ from pathlib import Path
 import pytest
 
 from condlog import frameprops
-from condlog.frameprops import check_selection_props, qc2_correspondence_check
+from condlog.frameprops import (
+    check_domain_props,
+    check_selection_props,
+    qc2_correspondence_check,
+)
 from condlog.search import (
     EnumerationParams,
     compactness_prefix,
@@ -400,6 +405,105 @@ def test_enumeration_is_pinned_by_digest(
         sha.update(repr((f.n_worlds, f.r, f.table, f.n_domain, f.local)).encode())
         count += 1
     assert (count, sha.hexdigest()) == (frames, digest)
+
+
+@pytest.fixture(scope="module", params=["all", "reflexive-only"])
+def unconstrained(request):
+    """A policy and every frame at |W| <= 2, |D| = 1 under it, with the
+    keys of its (R, table) and its local domains; per (R, table) the report
+    of every selection condition, and per local domains the
+    GloballyConstant report, each built once."""
+    policy = request.param
+    frames, tables, locals_ = [], {}, {}
+    for frame in enumerate_frames(EnumerationParams(2, 1, frozenset(), policy)):
+        table_key, local_key = (frame.r, frame.table), frame.local
+        if table_key not in tables:
+            tables[table_key] = check_selection_props(frame)
+        if local_key not in locals_:
+            locals_[local_key] = check_domain_props(frame, ("GloballyConstant",))
+        frames.append((frame, table_key, local_key))
+    return policy, frames, tables, locals_
+
+
+def _holds(name, report):
+    if name == "weaklyStalnakerian":
+        return report.weakly_stalnakerian
+    if name == "Stalnakerian":
+        return report.stalnakerian
+    return report.verdicts[name]
+
+
+# Each condition over one cell alone, both classes and a combination.
+_ORACLE_SETS = [
+    ("Success",),
+    ("WeakCentering",),
+    ("StrongCentering",),
+    ("LA",),
+    ("Uniqueness",),
+    ("weaklyStalnakerian",),
+    ("Stalnakerian",),
+    ("Success", "Uniqueness"),
+]
+# Each condition over pairs alone, and the domain condition: no condition
+# over one cell prunes these, so each walks every table.
+_HEAVY_ORACLE_SETS = [
+    ("WLA",),
+    ("Uniformity",),
+    ("RationalMonotonicity",),
+    ("GloballyConstant",),
+]
+
+
+@pytest.mark.parametrize(
+    "props",
+    [
+        *_ORACLE_SETS,
+        *(pytest.param(props, marks=pytest.mark.slow) for props in _HEAVY_ORACLE_SETS),
+    ],
+    ids="+".join,
+)
+def test_enumeration_is_the_unconstrained_one_filtered_by_the_checks(
+    unconstrained, props
+):
+    """What the enumerator builds from the condition tables is exactly the
+    unconstrained enumeration filtered by ``check_selection_props`` and
+    ``check_domain_props``, in the same order, under both policies."""
+    policy, frames, tables, locals_ = unconstrained
+    selection = [name for name in props if name != "GloballyConstant"]
+    domain = [name for name in props if name == "GloballyConstant"]
+    table_ok = {
+        key: all(_holds(name, report) for name in selection)
+        for key, report in tables.items()
+    }
+    local_ok = {
+        key: all(_holds(name, report) for name in domain)
+        for key, report in locals_.items()
+    }
+    expected = [
+        frame
+        for frame, table_key, local_key in frames
+        if table_ok[table_key] and local_ok[local_key]
+    ]
+    assert expected
+    params = EnumerationParams(2, 1, frozenset(props), policy)
+    assert list(enumerate_frames(params)) == expected
+
+
+def test_enumeration_decides_only_the_conditions_over_pairs(monkeypatch):
+    """The conditions over one cell are met by construction: over the
+    weakly Stalnakerian frames at |W| <= 3, |D| <= 2 only Uniformity is
+    decided, once per canonical table."""
+    counts = collections.Counter()
+    violation = frameprops._violation
+
+    def counting(frame, table, name):
+        counts[name] += 1
+        return violation(frame, table, name)
+
+    monkeypatch.setattr(frameprops, "_violation", counting)
+    params = EnumerationParams(3, 2, frozenset({"weaklyStalnakerian"}))
+    assert sum(1 for _ in enumerate_frames(params)) == 7_587
+    assert counts == {"Uniformity": 3_178}
 
 
 def test_correspondence_sweep_two_worlds_one_element():
