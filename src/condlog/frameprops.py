@@ -7,7 +7,9 @@ smaller world ceiling than single-subset ones, since they cost 4^|W|.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Container, Iterable, NamedTuple, Optional, Sequence
 
@@ -24,6 +26,11 @@ from .syntax import Atom, EPred, Forall, Formula, Predicate, Variable, subformul
 
 MAX_WORLDS_SUBSET = 16
 MAX_WORLDS_PAIR = 10
+# The most candidate rows f(., w) that the row list of one (|W|, w, R(w))
+# walks: the product of its cells' value counts.  With no condition over
+# single subsets there are 256 at |W| = 2 and 8^8 at |W| = 3; weakly
+# Stalnakerian rows have at most 12 at |W| = 3 and 864 at |W| = 4.
+MAX_ROW_CANDIDATES = 1 << 12
 
 
 @dataclass
@@ -85,7 +92,9 @@ def _guard(frame: SelectionFrame | OrderingFrame, pairs: bool) -> None:
 
 class _Shape(NamedTuple):
     search: Callable[..., Optional[tuple]]
-    pairs: bool = False  # quantifies over pairs of subsets: the pair ceiling
+    # a shape over pairs of subsets (the pair ceiling) walks one row at a
+    # time: ``row(f(., w), w, violates)``, which ``search`` runs per world
+    row: Optional[Callable[..., Optional[tuple]]] = None
 
 
 # (p, w): worlds, then subsets p ascending; reads f(p, w) and R(w).
@@ -101,35 +110,41 @@ def _search_subsets(frame: SelectionFrame, violates) -> Optional[tuple]:
 _SUBSETS = _Shape(_search_subsets)
 
 
-# (p, q, w): worlds, then p, then q ascending; reads f(p, w) and f(q, w).
-def _search_pairs(frame: SelectionFrame, violates) -> Optional[tuple]:
+# Worlds ascending, then ``walk(row, w, violates)`` on the row of each.
+def _search_rows(walk, frame: SelectionFrame, violates) -> Optional[tuple]:
     for w, row in enumerate(frame.table):
-        for p, fp in enumerate(row):
-            for q, fq in enumerate(row):
-                if violates(p, q, w, fp, fq):
-                    return (p, q, w)
+        if (hit := walk(row, w, violates)) is not None:
+            return hit
     return None
 
 
-_PAIRS = _Shape(_search_pairs, pairs=True)
-
-
-# (p, q, w) with p within q: worlds, then q ascending, then p descending
-# from q to the empty set; reads f(p, w) and f(q, w).
-def _search_nested(frame: SelectionFrame, violates) -> Optional[tuple]:
-    for w, row in enumerate(frame.table):
+# (p, q, w): p, then q ascending; reads f(p, w) and f(q, w).
+def _walk_pairs(row: Sequence[int], w: int, violates) -> Optional[tuple]:
+    for p, fp in enumerate(row):
         for q, fq in enumerate(row):
-            p = q
-            while True:
-                if violates(p, q, w, row[p], fq):
-                    return (p, q, w)
-                if p == 0:
-                    break
-                p = (p - 1) & q
+            if violates(p, q, w, fp, fq):
+                return (p, q, w)
     return None
 
 
-_NESTED = _Shape(_search_nested, pairs=True)
+_PAIRS = _Shape(functools.partial(_search_rows, _walk_pairs), _walk_pairs)
+
+
+# (p, q, w) with p within q: q ascending, then p descending from q to the
+# empty set; reads f(p, w) and f(q, w).
+def _walk_nested(row: Sequence[int], w: int, violates) -> Optional[tuple]:
+    for q, fq in enumerate(row):
+        p = q
+        while True:
+            if violates(p, q, w, row[p], fq):
+                return (p, q, w)
+            if p == 0:
+                break
+            p = (p - 1) & q
+    return None
+
+
+_NESTED = _Shape(functools.partial(_search_rows, _walk_nested), _walk_nested)
 
 
 # (w,): worlds ascending; reads the local domain of w and the whole domain.
@@ -223,7 +238,7 @@ _DOMAIN = {
 }
 
 SELECTION_CONDITIONS = tuple(_SELECTION)
-_PAIR_CONDITIONS = frozenset(c for c, (shape, _) in _SELECTION.items() if shape.pairs)
+_PAIR_CONDITIONS = frozenset(c for c, (shape, _) in _SELECTION.items() if shape.row)
 ORDERING_CONDITIONS = tuple(_ORDERING)
 DOMAIN_CONDITIONS = (*_DOMAIN, "LocallyConstant")
 # The two classes of selection frames, each cheapest condition first.
@@ -250,12 +265,32 @@ def _violation(
 class _Required(NamedTuple):
     """Required conditions by what they read: ``cell`` is whether a cell
     (p, w, f(p, w), R(w)) breaks one over single subsets, ``local`` whether
-    a world's (w, local(w), D) breaks one over single worlds, and ``pairs``
-    are those over pairs of subsets, in ``_SELECTION`` order."""
+    a world's (w, local(w), D) breaks one over single worlds, and ``row``
+    whether a row (f(., w), w) breaks one over pairs of subsets."""
 
     cell: Callable[..., bool]
     local: Callable[..., bool]
-    pairs: tuple[str, ...]
+    row: Callable[..., bool]
+
+    def rows(self, n: int, w: int, rw: int) -> list[tuple[int, ...]]:
+        """The rows f(., w) over R(w) = rw that break no condition, in
+        lexicographic order: the product of the cells, each f(p, w) taking
+        the subsets of rw in ascending order that break no condition over
+        single subsets, less the rows that break one over pairs.  More than
+        ``MAX_ROW_CANDIDATES`` candidates raise ``ResourceGuard`` before any
+        is built."""
+        subs = [fp for fp in range(1 << n) if not fp & ~rw]
+        cells = [
+            [fp for fp in subs if not self.cell(p, w, fp, rw)] for p in range(1 << n)
+        ]
+        count = math.prod(map(len, cells))
+        if count > MAX_ROW_CANDIDATES:
+            raise ResourceGuard(
+                f"row ceiling exceeded: at |W| = {n}, world {w} with R({w}) = "
+                f"{set(_bits(rw))} has {count:,} candidate rows, above "
+                f"MAX_ROW_CANDIDATES = {MAX_ROW_CANDIDATES:,}"
+            )
+        return [row for row in itertools.product(*cells) if not self.row(row, w)]
 
 
 def _required(conditions: Container[str]) -> _Required:
@@ -265,17 +300,14 @@ def _required(conditions: Container[str]) -> _Required:
         ]
         return lambda *candidate: any(test(*candidate) for test in tests)
 
+    walks = [
+        (s.row, v) for c, (s, v) in _SELECTION.items() if s.row and c in conditions
+    ]
     return _Required(
         any_of(_SELECTION, _SUBSETS),
         any_of(_DOMAIN, _WORLDS),
-        tuple(c for c in _SELECTION if c in conditions and c in _PAIR_CONDITIONS),
+        lambda row, w: any(walk(row, w, v) is not None for walk, v in walks),
     )
-
-
-def _meets(frame: SelectionFrame, conditions: Sequence[str]) -> bool:
-    """Whether ``frame`` meets every selection condition of ``conditions``,
-    decided in their order up to the first that fails."""
-    return all(_violation(frame, _SELECTION, name) is None for name in conditions)
 
 
 def _report(
@@ -425,10 +457,12 @@ def _shared_failure(
     """Per frame of ``firsts``, a batch of frames with one |W| and |D|, the
     verdicts shared by every frame with its W, R, table and |D|: the first
     of the family's leading members that read no local domain (19, 21 and
-    22) to fail on it, and whether the table is weakly Stalnakerian,
-    decided cheapest first up to the first condition that fails; None when
-    all of those members hold.  Each member is decided as one batch on the
-    frames where the members before it held."""
+    22) to fail on it, and whether the table is weakly Stalnakerian, that
+    is whether every row is a weakly Stalnakerian row of its (w, R(w));
+    None when all of those members hold.  Each member is decided as one
+    batch on the frames where the members before it held."""
+    weakly = _required(WEAKLY_STALNAKERIAN)
+    weakly_rows = functools.cache(lambda *key: frozenset(weakly.rows(*key)))
     out: list[Optional[tuple[str, bool]]] = [None] * len(firsts)
     todo = list(range(len(firsts)))
     for name, inst in _INSTANCE_FAMILY[:_LOCAL_FREE]:
@@ -437,7 +471,11 @@ def _shared_failure(
         results = frames_valid([firsts[k] for k in todo], inst)
         for k, res in zip(todo, results):
             if not res.valid:
-                out[k] = name, _meets(firsts[k], WEAKLY_STALNAKERIAN)
+                frame = firsts[k]
+                out[k] = name, all(
+                    row in weakly_rows(frame.n_worlds, w, rw)
+                    for w, (row, rw) in enumerate(zip(frame.table, frame.r))
+                )
         todo = [k for k in todo if out[k] is None]
     return out
 

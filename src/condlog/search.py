@@ -18,7 +18,6 @@ from .frameprops import (
     STALNAKERIAN,
     WEAKLY_STALNAKERIAN,
     _group_results,
-    _meets,
     _required,
     _shared_failure,
 )
@@ -130,33 +129,12 @@ class SearchOutcome:
 # Enumeration.
 
 
-def _relations(n: int, policy: str) -> Iterator[tuple[int, ...]]:
-    options = []
-    for w in range(n):
-        masks = []
-        for mask in range(1 << n):
-            if policy == "reflexive-only" and not mask & (1 << w):
-                continue
-            masks.append(mask)
-        options.append(masks)
-    yield from itertools.product(*options)
-
-
-def _table_rows(n: int, w: int, rw: int, violates) -> tuple[tuple[int, ...], ...]:
-    """The selection rows f(., w) as the values of each cell: per subset
-    mask p, the subsets of R(w) in ascending order at which ``violates(p,
-    w, f(p, w), R(w))`` is false.  The rows are their product."""
-    subs = _submasks(rw)
-    return tuple(
-        tuple(fp for fp in subs if not violates(p, w, fp, rw)) for p in range(1 << n)
-    )
-
-
-def _submasks(mask: int) -> tuple[int, ...]:
-    subs = [0]
-    for b in _bits(mask):
-        subs.extend(s | (1 << b) for s in list(subs))
-    return tuple(subs)
+def _accessible_sets(n: int, policy: str) -> list[list[int]]:
+    """Per world w, the masks that R(w) takes under the policy, ascending."""
+    return [
+        [mask for mask in range(1 << n) if policy == "all" or mask >> w & 1]
+        for w in range(n)
+    ]
 
 
 # A permutation of range(k) as (inverse, image, preimage): inverse[new] is
@@ -250,14 +228,16 @@ def enumerate_frames(params: EnumerationParams) -> Iterator[SelectionFrame]:
     """Yield every selection frame up to relabeling that satisfies the
     required properties, for all world/domain counts within the bounds.
 
-    The conditions are read from the tables of ``frameprops``: a cell
-    f(P,w) takes, in ascending order, the subsets of R(w) that break no
-    required condition over single subsets, and a world the local domains
-    that break none over single worlds; an R with a cell that has no value
-    is skipped.  Conditions over pairs of subsets are decided on each
-    canonical table.  Frames are deduplicated canonically: tables must be
-    lexicographically minimal under world permutation, local domains
-    minimal under the table's automorphisms and domain permutation.
+    The conditions are read from the tables of ``frameprops``, and each is
+    decided in one place: a world w with R(w) draws its row f(., w) from
+    the row list of (|W|, w, R(w)), built once, which holds in
+    lexicographic order the rows whose cells break no required condition
+    over single subsets and which break none over pairs of subsets; a
+    world draws its local domain from those that break none over single
+    worlds.  An R with a world that has no row is skipped.  Frames are
+    deduplicated canonically: tables must be lexicographically minimal
+    under world permutation, local domains minimal under the table's
+    automorphisms and domain permutation.
 
     The permutation tables (inverse and mask images of every world
     permutation) and the default world names are built once per world
@@ -304,8 +284,10 @@ class _TableGroup(NamedTuple):
 def _table_groups(params: EnumerationParams) -> Iterator[_TableGroup]:
     """Each canonical (|W|, R, table, |D|) that meets the required
     properties, in the order of ``enumerate_frames``, with its canonical
-    local domains.  The ceilings are checked before any permutation table
-    is built."""
+    local domains.  The tables over R are the product of its worlds' row
+    lists.  The ceilings, the row ceiling of every (|W|, w, R(w)) the
+    policy allows included, are checked before any permutation table is
+    built."""
     if params.max_worlds > HARD_WORLD_LIMIT:
         raise ResourceGuard(
             f"enumeration ceiling is |W| <= {HARD_WORLD_LIMIT}, "
@@ -317,16 +299,19 @@ def _table_groups(params: EnumerationParams) -> Iterator[_TableGroup]:
             f"asked for {params.max_domain}"
         )
     required = _required(params.conditions())
+    sizes = range(1, params.max_worlds + 1)
+    accessible = {n: _accessible_sets(n, params.policy) for n in sizes}
+    # every row list, each refused above the row ceiling before it is built
+    rows_of = {
+        (n, w, rw): required.rows(n, w, rw)
+        for n in sizes
+        for w, options in enumerate(accessible[n])
+        for rw in options
+    }
     dperms_of = {nd: _perm_tables(nd) for nd in range(1, params.max_domain + 1)}
-    probe_names = _default_names("a", 1)
-    for n in range(1, params.max_worlds + 1):
+    for n in sizes:
         wperms = _perm_tables(n)
         world_names = _default_names("w", n)
-        cells_of = {
-            (w, rw): _table_rows(n, w, rw, required.cell)
-            for w in range(n)
-            for rw in range(1 << n)
-        }
         for nd in range(1, params.max_domain + 1):
             domain_names = _default_names("a", nd)
             full = (1 << nd) - 1
@@ -338,24 +323,16 @@ def _table_groups(params: EnumerationParams) -> Iterator[_TableGroup]:
             dperms = dperms_of[nd]
             # the canonical local domains, per automorphism group of a table
             canonical_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-            for r in _relations(n, params.policy):
-                cells = [cells_of[w, rw] for w, rw in enumerate(r)]
-                if not all(map(all, cells)):
-                    continue  # a cell with no value: no table over R
+            for r in itertools.product(*accessible[n]):
+                rows = [rows_of[n, w, rw] for w, rw in enumerate(r)]
+                if not all(rows):
+                    continue  # a world with no row: no table over R
                 stabiliser = _relation_stabiliser(r, wperms)
                 if stabiliser is None:
                     continue
-                rows = [itertools.product(*row_cells) for row_cells in cells]
                 for table in itertools.product(*rows):
                     auts = _table_automorphisms(table, stabiliser)
                     if auts is None:
-                        continue
-                    if required.pairs and not _meets(
-                        SelectionFrame._unchecked(
-                            n, r, table, 1, (1,) * n, world_names, probe_names
-                        ),
-                        required.pairs,
-                    ):
                         continue
                     canonical = canonical_of.get(auts)
                     if canonical is None:

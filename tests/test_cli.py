@@ -489,6 +489,34 @@ def test_enumeration_domain_ceiling_exits_2(args, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ("correspondence", "--sweep", "--max-worlds", "3", "--max-domain", "1"),
+        ("search", "frames", "--max-worlds", "3", "--max-domain", "1"),
+        ("search", "ds", "--max-worlds", "3", "--max-domain", "1",
+         "--require", "Uniformity"),
+    ],
+)
+def test_row_ceiling_exits_2(args, monkeypatch):
+    """With no condition over single subsets a world of three has up to
+    8^8 candidate rows: the command stops before it tabulates any
+    permutation and names the count, the world, its R and the ceiling."""
+    from condlog import search
+
+    def tabulated(k):
+        raise AssertionError(f"permutations of {k} tabulated above the ceiling")
+
+    monkeypatch.setattr(search, "_perm_tables", tabulated)
+    res = run(*args)
+    assert res.exit_code == 2, res.output
+    assert (
+        "row ceiling exceeded: at |W| = 3, world 0 with R(0) = {0, 1} has "
+        "65,536 candidate rows, above MAX_ROW_CANDIDATES = 4,096" in res.output
+    )
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["kmodel", "eval", "--world", "-1", "--formula", "F(x)", "--assign", "x²=-1"],

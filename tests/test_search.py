@@ -391,6 +391,20 @@ def test_frame_groups_flatten_to_enumerate_frames(max_worlds, max_domain, props)
         ),
         (3, 1, {"Success", "WeakCentering", "Uniqueness"}, "reflexive-only", 12_511,
          "8d95d2c7002ef754678b49da79c3806a5ea67a78b3f362d21cf174e5f1c08095"),
+        pytest.param(
+            2, 2, {"WLA"}, "all", 108_024,
+            "7159e3514c1503405f979c5dfb00fd879147252644cb7a230ff7061842f40e01",
+            marks=pytest.mark.slow,
+        ),
+        pytest.param(
+            2, 2, {"Uniformity"}, "all", 54_492,
+            "9f7b6bf8ef7c8b82f1d3b6eaed17d250d76d76007529a139072ff9243efec266",
+            marks=pytest.mark.slow,
+        ),
+        (2, 2, {"RationalMonotonicity"}, "reflexive-only", 40_680,
+         "238ae072ffed8eb8e9512c6adfe0aa5361827cbd376ad94017033efde08c2040"),
+        (3, 2, {"Stalnakerian"}, "all", 1_004,
+         "9f60e046bce8d0646b3f909bf70c574d0f0981eeeabcc0a14191549482cc58a2"),
     ],
 )
 def test_enumeration_is_pinned_by_digest(
@@ -489,21 +503,71 @@ def test_enumeration_is_the_unconstrained_one_filtered_by_the_checks(
     assert list(enumerate_frames(params)) == expected
 
 
-def test_enumeration_decides_only_the_conditions_over_pairs(monkeypatch):
-    """The conditions over one cell are met by construction: over the
-    weakly Stalnakerian frames at |W| <= 3, |D| <= 2 only Uniformity is
-    decided, once per canonical table."""
-    counts = collections.Counter()
-    violation = frameprops._violation
+_CENTRED = ("Success", "WeakCentering", "Uniqueness")
+_POLICIES = ("all", "reflexive-only")
 
-    def counting(frame, table, name):
-        counts[name] += 1
+
+@pytest.mark.parametrize("policy", _POLICIES)
+@pytest.mark.parametrize(
+    "max_worlds, base, pairs, frames",
+    [
+        (3, _CENTRED, ("WLA",), (1_403, 1_403)),
+        (3, _CENTRED, ("RationalMonotonicity",), (4_623, 4_623)),
+        (3, _CENTRED, ("Uniformity", "WLA"), (1_403, 1_403)),
+        # neither condition implies the other here: each one filters
+        (2, ("Success",), ("Uniformity", "RationalMonotonicity"), (259, 140)),
+    ],
+    ids=lambda value: "+".join(map(str, value)) if isinstance(value, tuple) else None,
+)
+def test_conditions_over_pairs_filter_the_enumeration_without_them(
+    max_worlds, base, pairs, frames, policy
+):
+    """At |D| = 1, adding conditions over pairs of subsets to a base of
+    conditions over single subsets keeps exactly the base's frames that
+    ``check_selection_props`` accepts, in the same order: at |W| <= 3,
+    beyond the reach of the unconstrained oracle.  ``frames`` counts them
+    per policy."""
+    verdicts = {}
+
+    def meets(frame):
+        key = frame.r, frame.table
+        if key not in verdicts:
+            report = check_selection_props(frame, pairs)
+            verdicts[key] = all(report.verdicts.values())
+        return verdicts[key]
+
+    params = EnumerationParams(max_worlds, 1, frozenset(base), policy)
+    expected = [frame for frame in enumerate_frames(params) if meets(frame)]
+    params = EnumerationParams(max_worlds, 1, frozenset((*base, *pairs)), policy)
+    assert list(enumerate_frames(params)) == expected
+    assert len(expected) == dict(zip(_POLICIES, frames))[policy]
+
+
+def test_enumeration_decides_each_condition_once_per_row_list(monkeypatch):
+    """Every required condition is decided while the row lists are built,
+    once per (|W|, w, R(w)) that the enumeration reads: over the weakly
+    Stalnakerian frames at |W| <= 3, |D| <= 2 no table or frame is checked
+    against a condition afterwards."""
+    violations, built = collections.Counter(), collections.Counter()
+    violation, rows = frameprops._violation, frameprops._Required.rows
+
+    def counting_violation(frame, table, name):
+        violations[name] += 1
         return violation(frame, table, name)
 
-    monkeypatch.setattr(frameprops, "_violation", counting)
+    def counting_rows(required, n, w, rw):
+        built[n, w, rw] += 1
+        return rows(required, n, w, rw)
+
+    monkeypatch.setattr(frameprops, "_violation", counting_violation)
+    monkeypatch.setattr(frameprops._Required, "rows", counting_rows)
     params = EnumerationParams(3, 2, frozenset({"weaklyStalnakerian"}))
     assert sum(1 for _ in enumerate_frames(params)) == 7_587
-    assert counts == {"Uniformity": 3_178}
+    assert violations == {}
+    assert set(built.values()) == {1}
+    assert set(built) == {
+        (n, w, rw) for n in (1, 2, 3) for w in range(n) for rw in range(1 << n)
+    }
 
 
 def test_correspondence_sweep_two_worlds_one_element():
